@@ -13,6 +13,7 @@ float32 on disk and widened to float64 in memory.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ __all__ = [
     "SynthConfig",
     "Sample",
     "Dataset",
+    "ByteReader",
     "block_concept_map",
     "build_explanations",
     "gen_synthetic",
@@ -189,16 +191,17 @@ def emb_bytes(dataset: Dataset) -> bytes:
     return bytes(out)
 
 
-class _Reader:
-    """Byte cursor that reports the failure offset on truncation."""
+class ByteReader:
+    """Little-endian byte cursor; a short read names `what` and its byte offset."""
 
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes, what: str):
         self.blob = blob
+        self.what = what
         self.offset = 0
 
     def take(self, size: int) -> bytes:
         if self.offset + size > len(self.blob):
-            raise FormatError("truncated payload", offset=self.offset)
+            raise FormatError(f"truncated {self.what}", offset=self.offset)
         piece = self.blob[self.offset:self.offset + size]
         self.offset += size
         return piece
@@ -206,9 +209,10 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = np.frombuffer(self.take(4 * count), dtype="<f4")
+    def array(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+        """Read prod(shape) values of dtype, widened to a fresh float64 array."""
+        count = math.prod(shape)
+        raw = np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype=dtype)
         return raw.astype(np.float64).reshape(shape)
 
 
@@ -219,7 +223,7 @@ def read_emb(path: str) -> Dataset:
 
 
 def parse_emb(blob: bytes) -> Dataset:
-    r = _Reader(blob)
+    r = ByteReader(blob, "payload")
     magic = r.take(4)
     if magic != EMB_MAGIC:
         raise FormatError(f"bad magic {magic!r}", offset=0)
@@ -235,10 +239,10 @@ def parse_emb(blob: bytes) -> Dataset:
         raise FormatError("explanation flags set but concept count is zero", offset=24)
     samples = []
     for _ in range(n):
-        features = r.f32_array((n_inputs, input_dim))
+        features = r.array((n_inputs, input_dim), "<f4")
         label = r.u32()
-        h_spatial = r.f32_array((n_inputs, n_concepts)) if has_spatial else None
-        h_global = r.f32_array((1, n_concepts)) if has_global else None
+        h_spatial = r.array((n_inputs, n_concepts), "<f4") if has_spatial else None
+        h_global = r.array((1, n_concepts), "<f4") if has_global else None
         samples.append(Sample(features=features, label=label,
                               h_spatial=h_spatial, h_global=h_global))
     if r.offset != len(blob):

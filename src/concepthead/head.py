@@ -35,11 +35,9 @@ __all__ = [
     "slot_attention",
     "gru_update",
     "refine_slots",
-    "cross_attention",
     "relevance",
     "decomposed_logits",
     "multi_head_cross_attention",
-    "dual_pathway_forward",
     "head_forward",
     "class_token",
 ]
@@ -90,8 +88,28 @@ class HeadConfig:
             raise ConfigError("identity_mode requires input_dim == slot_dim")
 
 
+class _ParamTree:
+    """Dataclass of tensors and nested parameter groups.
+
+    named() walks the fields in declaration order, names a nested tensor
+    "group.field" (a trailing underscore dropped, so global_ reads as
+    global) and skips absent (None) fields. These names key checkpoint
+    tensors and optimizer buffers.
+    """
+
+    def named(self) -> Iterator[tuple[str, Tensor]]:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            name = f.name.rstrip("_")
+            if isinstance(value, Tensor):
+                yield name, value
+            elif value is not None:
+                for sub, t in value.named():
+                    yield f"{name}.{sub}", t
+
+
 @dataclass
-class SlotAttentionParams:
+class SlotAttentionParams(_ParamTree):
     """Learnable state of the slot-binding stage."""
 
     wq: Tensor                 # (d, d) slot query projection
@@ -109,19 +127,13 @@ class SlotAttentionParams:
     ln_slot_bias: Tensor       # (1, d)
     positions: Tensor          # (C, d) slot positional embeddings
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        for f in fields(self):
-            t = getattr(self, f.name)
-            if t is not None:
-                yield f.name, t
-
     @property
     def sigma(self) -> np.ndarray:
         return np.exp(self.log_sigma.data)
 
 
 @dataclass
-class CrossAttentionParams:
+class CrossAttentionParams(_ParamTree):
     """Learnable state of the readback stage."""
 
     wq: Tensor   # (D, d) input query projection
@@ -129,43 +141,22 @@ class CrossAttentionParams:
     wv: Tensor   # (d, d) slot value projection
     out: Tensor  # (d, n_classes) output matrix
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
 
 @dataclass
-class PathwayParams:
+class PathwayParams(_ParamTree):
     slot: SlotAttentionParams
     cross: CrossAttentionParams
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        for name, t in self.slot.named():
-            yield f"slot.{name}", t
-        for name, t in self.cross.named():
-            yield f"cross.{name}", t
-
 
 @dataclass
-class HeadParams:
+class HeadParams(_ParamTree):
     """Per-pathway parameter sets; only the configured pathways are present."""
 
     spatial: PathwayParams | None = None
     global_: PathwayParams | None = None
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        if self.spatial is not None:
-            for name, t in self.spatial.named():
-                yield f"spatial.{name}", t
-        if self.global_ is not None:
-            for name, t in self.global_.named():
-                yield f"global.{name}", t
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named()]
-
     def reset_grads(self) -> None:
-        for t in self.tensors():
+        for _, t in self.named():
             t.reset_grad()
 
 
@@ -284,8 +275,6 @@ def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
     The isa variant blocks gradient flow through the slot state right before
     the final iteration; forward values are identical to sa.
     """
-    if cfg.iters < 1:
-        raise ConfigError(f"iters must be >= 1, got {cfg.iters}")
     if e_raw.data.ndim != 2 or e_raw.shape[1] != cfg.input_dim:
         raise ShapeError(f"expected inputs (*, {cfg.input_dim}), got {e_raw.shape}")
     if cfg.identity_mode:
@@ -303,26 +292,6 @@ def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
     return ad.add(slots, p.positions)
 
 
-def cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionParams,
-                    cfg: HeadConfig) -> tuple[Tensor, Tensor]:
-    """Single-head readback: inputs query the refined slots.
-
-    Attention is softmaxed across concepts per input row, so each row of the
-    returned (L, C) map sums to 1. Logits average the per-row class scores
-    over input rows.
-    """
-    if cfg.identity_mode:
-        q, k, v = e_raw, slots, slots
-    else:
-        q = ad.matmul(e_raw, p.wq)
-        k = ad.matmul(slots, p.wk)
-        v = ad.matmul(slots, p.wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim))  # (L, C)
-    attn = ad.softmax_axis(scores, axis=1)
-    logits = ad.reduce_mean_axis(ad.matmul(ad.matmul(attn, v), p.out), axis=0)
-    return attn, logits
-
-
 def relevance(attn: Tensor) -> Tensor:
     """Per-concept relevance: column means of a row-stochastic (L, C) map."""
     return ad.reduce_mean_axis(attn, axis=0)
@@ -332,7 +301,7 @@ def decomposed_logits(slots: Tensor, p: CrossAttentionParams, rel: Tensor,
                       cfg: HeadConfig) -> Tensor:
     """Logits as relevance-weighted per-concept class scores.
 
-    Equals the cross_attention logits up to floating rounding; that identity
+    Equals the single-head readback logits up to floating rounding; that identity
     is what makes the relevance scores a faithful explanation.
     """
     v = slots if cfg.identity_mode else ad.matmul(slots, p.wv)
@@ -344,12 +313,13 @@ def multi_head_cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionPa
                                cfg: HeadConfig) -> tuple[Tensor, Tensor]:
     """Readback with cfg.heads parallel heads over contiguous d/h blocks.
 
-    Per-head outputs are concatenated along features before the output
-    matrix; the exported explanation map is the mean of the per-head maps.
+    Inputs query the refined slots. Each head softmaxes across concepts per
+    input row, so every row of its (L, C) map sums to 1. Per-head outputs are
+    concatenated along features before the output matrix, the logits average
+    the per-row class scores over input rows, and the exported explanation
+    map is the mean of the per-head maps.
     """
     h = cfg.heads
-    if cfg.slot_dim % h != 0:
-        raise ConfigError(f"slot_dim {cfg.slot_dim} not divisible by heads {h}")
     if cfg.identity_mode:
         q_full, k_full, v_full = e_raw, slots, slots
     else:
@@ -382,35 +352,25 @@ def class_token(e_raw: Tensor) -> Tensor:
     return Tensor(e_raw.data.mean(axis=0, keepdims=True))
 
 
-def dual_pathway_forward(e_patches: Tensor, e_cls: Tensor, spatial: PathwayParams,
-                         global_: PathwayParams, cfg: HeadConfig,
-                         rng: np.random.Generator) -> tuple[Tensor, Tensor, Tensor]:
-    """Run both pathways and average their logits.
-
-    The spatial pathway consumes the (L, D) feature rows, the global pathway
-    a single (1, D) embedding. Slot sampling draws spatial first, then
-    global, from the one generator.
-    """
-    slots_s = refine_slots(e_patches, spatial.slot, cfg, rng)
-    attn_s, logits_s = multi_head_cross_attention(e_patches, slots_s, spatial.cross, cfg)
-    slots_g = refine_slots(e_cls, global_.slot, cfg, rng)
-    attn_g, logits_g = multi_head_cross_attention(e_cls, slots_g, global_.cross, cfg)
-    logits = ad.scale(ad.add(logits_s, logits_g), 0.5)
-    return logits, attn_s, attn_g
-
-
 def head_forward(e_raw: Tensor, params: HeadParams, cfg: HeadConfig,
                  rng: np.random.Generator) -> HeadOutput:
-    """Forward one sample through the configured pathway(s)."""
-    if cfg.pathway == "spatial":
-        slots = refine_slots(e_raw, params.spatial.slot, cfg, rng)
-        attn, logits = multi_head_cross_attention(e_raw, slots, params.spatial.cross, cfg)
-        return HeadOutput(logits=logits, attn_spatial=attn)
-    if cfg.pathway == "global":
-        e_cls = class_token(e_raw)
-        slots = refine_slots(e_cls, params.global_.slot, cfg, rng)
-        attn, logits = multi_head_cross_attention(e_cls, slots, params.global_.cross, cfg)
-        return HeadOutput(logits=logits, attn_global=attn)
-    logits, attn_s, attn_g = dual_pathway_forward(
-        e_raw, class_token(e_raw), params.spatial, params.global_, cfg, rng)
-    return HeadOutput(logits=logits, attn_spatial=attn_s, attn_global=attn_g)
+    """Forward one sample through the configured pathway(s).
+
+    The spatial pathway reads the (L, D) feature rows, the global pathway
+    the single (1, D) class_token of them; each refines its own slots and
+    reads them back. With pathway="dual" both run, spatial first, so slot
+    sampling draws spatial then global from the one generator, and the
+    logits are the mean scale(add(spatial, global), 0.5). A single pathway
+    returns its readback logits unchanged.
+    """
+    maps, logits = {}, []
+    for name, p in (("spatial", params.spatial), ("global", params.global_)):
+        if cfg.pathway not in (name, "dual"):
+            continue
+        inputs = e_raw if name == "spatial" else class_token(e_raw)
+        slots = refine_slots(inputs, p.slot, cfg, rng)
+        maps[name], pathway_logits = multi_head_cross_attention(inputs, slots, p.cross, cfg)
+        logits.append(pathway_logits)
+    joint = logits[0] if len(logits) == 1 else ad.scale(ad.add(*logits), 0.5)
+    return HeadOutput(logits=joint, attn_spatial=maps.get("spatial"),
+                      attn_global=maps.get("global"))

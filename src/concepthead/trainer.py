@@ -12,7 +12,7 @@ optimizer moments, generator state, epoch) to continue a run unchanged.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +20,11 @@ from . import autodiff as ad
 from . import head as hd
 from . import losses
 from .autodiff import Tensor
-from .data import Dataset, Sample
+from .data import ByteReader, Dataset
 from .errors import ConfigError, FormatError, NumericError
 from .head import HeadConfig, HeadParams
 from .losses import LossWeights
-from .metrics import Metrics, attention_entropy
+from .metrics import Metrics, _sample_concept_score, attention_entropy
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -138,47 +138,73 @@ def init_train_state(cfg: TrainConfig) -> TrainState:
     return TrainState(params=params, opt=OptimizerState.for_params(params), rng=rng)
 
 
-def _sample_terms(sample: Sample, out: hd.HeadOutput, cfg: TrainConfig):
-    """Per-sample loss tensors plus plain-float diagnostics."""
-    cls = losses.cross_entropy(out.logits, sample.label)
+def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
+              rng: np.random.Generator, batches: list[np.ndarray], epoch: int,
+              step=None) -> Metrics:
+    """Per-sample loop shared by train_epoch and evaluate.
 
-    expl = None
-    if cfg.weights.lambda_expl > 0.0:
-        pairs = []
-        if out.attn_spatial is not None and sample.h_spatial is not None:
-            pairs.append((out.attn_spatial, sample.h_spatial))
-        if out.attn_global is not None and sample.h_global is not None:
-            pairs.append((out.attn_global, sample.h_global))
-        for attn, target in pairs:
-            term = losses.explanation_loss(attn, target)
-            expl = term if expl is None else ad.add(expl, term)
-
-    maps = out.maps()
-    entropy_value = sum(attention_entropy(a.data) for a in maps) / len(maps)
-    sparse = None
-    if cfg.weights.lambda_sparse > 0.0:
-        for a in maps:
-            term = losses.sparsity_loss(a)
-            sparse = term if sparse is None else ad.add(sparse, term)
-        if len(maps) > 1:
-            sparse = ad.scale(sparse, 1.0 / len(maps))
-
-    total = losses.total_loss(cls, expl, sparse, cfg.weights)
-    return total, float(cls.data), (0.0 if expl is None else float(expl.data)), entropy_value
-
-
-def _concept_score(sample: Sample, out: hd.HeadOutput) -> float | None:
-    from .metrics import _sample_concept_score
-    scores = []
-    if out.attn_spatial is not None and sample.h_spatial is not None:
-        s = _sample_concept_score(out.attn_spatial.data, sample.h_spatial)
-        if s is not None:
-            scores.append(s)
-    if out.attn_global is not None and sample.h_global is not None:
-        s = _sample_concept_score(out.attn_global.data, sample.h_global)
-        if s is not None:
-            scores.append(s)
-    return sum(scores) / len(scores) if scores else None
+    Each sample goes forward once and feeds the metric sums; with step given,
+    its share of the batch-mean loss is backpropagated and step() runs after
+    each batch. Overflow stays silent: autodiff turns non-finite op outputs into
+    NumericError, which is re-raised here with its location.
+    """
+    for i, sample in enumerate(dataset.samples):
+        if not 0 <= sample.label < cfg.head.n_classes:
+            raise ConfigError(f"sample {i} has label {sample.label}, "
+                              f"but the model has {cfg.head.n_classes} classes")
+    w = cfg.weights
+    sum_cls = sum_expl = sum_entropy = sum_total = 0.0
+    hits = 0
+    concept_scores: list[float] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, batch in enumerate(batches):
+            if step is not None:
+                params.reset_grads()
+            for idx in batch:
+                sample = dataset.samples[int(idx)]
+                try:
+                    out = hd.head_forward(Tensor(sample.features), params, cfg.head, rng)
+                    pairs = [(a, h) for a, h in ((out.attn_spatial, sample.h_spatial),
+                                                 (out.attn_global, sample.h_global))
+                             if a is not None and h is not None]
+                    cls = losses.cross_entropy(out.logits, sample.label)
+                    expl = sparse = None
+                    if w.lambda_expl > 0.0:
+                        for attn, target in pairs:
+                            term = losses.explanation_loss(attn, target)
+                            expl = term if expl is None else ad.add(expl, term)
+                    maps = out.maps()
+                    if w.lambda_sparse > 0.0:
+                        for a in maps:
+                            term = losses.sparsity_loss(a)
+                            sparse = term if sparse is None else ad.add(sparse, term)
+                        if len(maps) > 1:
+                            sparse = ad.scale(sparse, 1.0 / len(maps))
+                    total = losses.total_loss(cls, expl, sparse, w)
+                    if step is not None:
+                        ad.backward(ad.scale(total, 1.0 / len(batch)))
+                except NumericError as err:
+                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}, "
+                                       f"sample {int(idx)}: {err}") from err
+                sum_cls += float(cls.data)
+                sum_expl += 0.0 if expl is None else float(expl.data)
+                sum_entropy += sum(attention_entropy(a.data) for a in maps) / len(maps)
+                sum_total += float(total.data)
+                if int(np.argmax(out.logits.data)) == sample.label:
+                    hits += 1
+                scores = [s for s in (_sample_concept_score(a.data, h) for a, h in pairs)
+                          if s is not None]
+                if scores:
+                    concept_scores.append(sum(scores) / len(scores))
+            if step is not None:
+                step()
+    n = len(dataset.samples)
+    return Metrics(epoch=epoch, loss_cls=sum_cls / n, loss_expl=sum_expl / n,
+                   loss_sparse=sum_entropy / n, loss_total=sum_total / n,
+                   class_acc=hits / n,
+                   concept_top1_acc=(sum(concept_scores) / len(concept_scores)
+                                     if concept_scores else float("nan")),
+                   mean_entropy=sum_entropy / n)
 
 
 def train_epoch(state: TrainState, dataset: Dataset, cfg: TrainConfig) -> Metrics:
@@ -187,48 +213,12 @@ def train_epoch(state: TrainState, dataset: Dataset, cfg: TrainConfig) -> Metric
     if n == 0:
         raise ConfigError("cannot train on an empty dataset")
     order = shuffled_indices(n, cfg.seed ^ state.epoch)
-    sum_cls = sum_expl = sum_sparse = sum_total = sum_entropy = 0.0
-    hits = 0
-    concept_scores: list[float] = []
-
-    for start in range(0, n, cfg.batch_size):
-        batch = order[start:start + cfg.batch_size]
-        state.params.reset_grads()
-        for idx in batch:
-            sample = dataset.samples[int(idx)]
-            try:
-                out = hd.head_forward(Tensor(sample.features), state.params,
-                                      cfg.head, state.rng)
-                total, cls_v, expl_v, entropy_v = _sample_terms(sample, out, cfg)
-                ad.backward(ad.scale(total, 1.0 / len(batch)))
-            except NumericError as err:
-                raise NumericError(
-                    f"non-finite loss at epoch {state.epoch + 1}, "
-                    f"batch {start // cfg.batch_size}: {err}") from err
-            sum_cls += cls_v
-            sum_expl += expl_v
-            sum_sparse += entropy_v
-            sum_total += float(total.data)
-            sum_entropy += entropy_v
-            if int(np.argmax(out.logits.data)) == sample.label:
-                hits += 1
-            score = _concept_score(sample, out)
-            if score is not None:
-                concept_scores.append(score)
-        adamw_step(state.params, state.opt, cfg, lr_at(state.opt.t, cfg))
-
+    batches = [order[start:start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
+    record = _run_pass(dataset, state.params, cfg, state.rng, batches, state.epoch + 1,
+                       step=lambda: adamw_step(state.params, state.opt, cfg,
+                                               lr_at(state.opt.t, cfg)))
     state.epoch += 1
-    return Metrics(
-        epoch=state.epoch,
-        loss_cls=sum_cls / n,
-        loss_expl=sum_expl / n,
-        loss_sparse=sum_sparse / n,
-        loss_total=sum_total / n,
-        class_acc=hits / n,
-        concept_top1_acc=(sum(concept_scores) / len(concept_scores)
-                          if concept_scores else float("nan")),
-        mean_entropy=sum_entropy / n,
-    )
+    return record
 
 
 def fit(dataset: Dataset, cfg: TrainConfig, state: TrainState | None = None,
@@ -253,33 +243,14 @@ def fit(dataset: Dataset, cfg: TrainConfig, state: TrainState | None = None,
 
 def evaluate(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
              seed: int = 0) -> Metrics:
-    """Metrics over a dataset without updating parameters (slot sampling seeded)."""
+    """Metrics over a dataset without updating parameters (slot sampling seeded).
+
+    The record reports epoch 0, as does a NumericError raised on the way.
+    """
     if len(dataset.samples) == 0:
         raise ConfigError("cannot evaluate an empty dataset")
-    rng = np.random.default_rng(seed)
-    sum_cls = sum_expl = sum_sparse = sum_total = sum_entropy = 0.0
-    hits = 0
-    concept_scores: list[float] = []
-    n = len(dataset.samples)
-    for sample in dataset.samples:
-        out = hd.head_forward(Tensor(sample.features), params, cfg.head, rng)
-        total, cls_v, expl_v, entropy_v = _sample_terms(sample, out, cfg)
-        sum_cls += cls_v
-        sum_expl += expl_v
-        sum_sparse += entropy_v
-        sum_total += float(total.data)
-        sum_entropy += entropy_v
-        if int(np.argmax(out.logits.data)) == sample.label:
-            hits += 1
-        score = _concept_score(sample, out)
-        if score is not None:
-            concept_scores.append(score)
-    return Metrics(epoch=0, loss_cls=sum_cls / n, loss_expl=sum_expl / n,
-                   loss_sparse=sum_sparse / n, loss_total=sum_total / n,
-                   class_acc=hits / n,
-                   concept_top1_acc=(sum(concept_scores) / len(concept_scores)
-                                     if concept_scores else float("nan")),
-                   mean_entropy=sum_entropy / n)
+    return _run_pass(dataset, params, cfg, np.random.default_rng(seed),
+                     [np.arange(len(dataset.samples))], 0)
 
 
 # --- checkpoint format ------------------------------------------------------
@@ -344,56 +315,25 @@ def checkpoint_bytes(state: TrainState, cfg: TrainConfig) -> bytes:
     return bytes(out)
 
 
-class _Cursor:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.offset = 0
-
-    def take(self, size: int) -> bytes:
-        if self.offset + size > len(self.blob):
-            raise FormatError("truncated checkpoint", offset=self.offset)
-        piece = self.blob[self.offset:self.offset + size]
-        self.offset += size
-        return piece
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def tensor_entry(self) -> tuple[str, np.ndarray]:
-        name = self.take(self.u32()).decode("utf-8")
-        rank = self.u32()
-        dims = struct.unpack(f"<{rank}I", self.take(4 * rank))
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(self.take(8 * count), dtype="<f8").reshape(dims)
-        return name, arr.astype(np.float64)
+def _read_tensor(r: ByteReader) -> tuple[str, np.ndarray]:
+    name = r.take(r.u32()).decode("utf-8")
+    rank = r.u32()
+    dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
+    return name, r.array(dims, "<f8")
 
 
 def _build_params(cfg: HeadConfig, tensors: dict[str, np.ndarray]) -> HeadParams:
+    """The configured parameter tree with every tensor taken from the checkpoint."""
+    params = hd.init_head_params(cfg, np.random.default_rng(0))
     remaining = dict(tensors)
-
-    def grab(name: str) -> Tensor:
+    for name, t in params.named():
         if name not in remaining:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
-        return Tensor(remaining.pop(name), requires_grad=True)
-
-    def pathway(prefix: str) -> hd.PathwayParams:
-        slot_fields = {}
-        for f_name in ("wq", "wk", "wv", "mu", "log_sigma", "wz", "uz", "bz",
-                       "wr", "ur", "br", "wh", "uh", "bh", "ln_input_gain",
-                       "ln_input_bias", "ln_slot_gain", "ln_slot_bias", "positions"):
-            slot_fields[f_name] = grab(f"{prefix}.slot.{f_name}")
-        slot_fields["init_queries"] = (grab(f"{prefix}.slot.init_queries")
-                                       if cfg.variant == "boqsa" else None)
-        cross = hd.CrossAttentionParams(
-            wq=grab(f"{prefix}.cross.wq"), wk=grab(f"{prefix}.cross.wk"),
-            wv=grab(f"{prefix}.cross.wv"), out=grab(f"{prefix}.cross.out"))
-        return hd.PathwayParams(slot=hd.SlotAttentionParams(**slot_fields), cross=cross)
-
-    params = HeadParams()
-    if cfg.pathway in ("spatial", "dual"):
-        params.spatial = pathway("spatial")
-    if cfg.pathway in ("global", "dual"):
-        params.global_ = pathway("global")
+        arr = remaining.pop(name)
+        if arr.shape != t.shape:
+            raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                              f"config expects {t.shape}")
+        t.data = Tensor(arr).data
     if remaining:
         raise FormatError(f"checkpoint has unexpected tensors: {sorted(remaining)[:3]}")
     return params
@@ -405,15 +345,15 @@ def load_checkpoint(path: str) -> tuple[TrainState, TrainConfig]:
 
 
 def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
-    cur = _Cursor(blob)
+    cur = ByteReader(blob, "checkpoint")
     magic = cur.take(4)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"bad magic {magic!r}", offset=0)
     version = cur.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    tensors = dict(cur.tensor_entry() for _ in range(cur.u32()))
-    opt_entries = dict(cur.tensor_entry() for _ in range(cur.u32()))
+    tensors = dict(_read_tensor(cur) for _ in range(cur.u32()))
+    opt_entries = dict(_read_tensor(cur) for _ in range(cur.u32()))
     config_blob = cur.take(cur.u32()).decode("utf-8")
     if cur.offset != len(blob):
         raise FormatError("trailing bytes after config block", offset=cur.offset)
@@ -421,34 +361,39 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     kv: dict[str, str] = {}
     for line in config_blob.splitlines():
         if line:
-            key, _, value = line.partition("=")
-            kv[key] = value
-    try:
-        head_cfg = HeadConfig(
-            concepts=int(kv["concepts"]), slot_dim=int(kv["slot_dim"]),
-            input_dim=int(kv["input_dim"]), n_inputs=int(kv["n_inputs"]),
-            n_classes=int(kv["n_classes"]), iters=int(kv["iters"]),
-            variant=kv["variant"], heads=int(kv["heads"]), pathway=kv["pathway"],
-            identity_mode=bool(int(kv["identity_mode"])))
-        cfg = TrainConfig(
-            head=head_cfg, epochs=int(kv["epochs"]), batch_size=int(kv["batch_size"]),
-            lr=float(kv["lr"]), warmup_iters=int(kv["warmup_iters"]),
-            weight_decay=float(kv["weight_decay"]),
-            betas=(float(kv["beta1"]), float(kv["beta2"])), eps_opt=float(kv["eps_opt"]),
-            seed=int(kv["seed"]),
-            weights=LossWeights(lambda_expl=float(kv["lambda_expl"]),
-                                lambda_sparse=float(kv["lambda_sparse"])))
-        epoch = int(kv["epoch"])
-        step = int(kv["step"])
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = {
-            "bit_generator": kv["rng_algo"],
-            "state": {"state": int(kv["rng_state"]), "inc": int(kv["rng_inc"])},
-            "has_uint32": int(kv["rng_has_uint32"]),
-            "uinteger": int(kv["rng_uinteger"]),
-        }
-    except KeyError as err:
-        raise FormatError(f"checkpoint config is missing key {err}") from err
+            key, _, text = line.partition("=")
+            kv[key] = text
+
+    def value(key: str, convert=int):
+        try:
+            return convert(kv[key])
+        except KeyError as err:
+            raise FormatError(f"checkpoint config is missing key {key!r}") from err
+        except ValueError as err:
+            raise FormatError(f"checkpoint config key {key!r} has malformed value "
+                              f"{kv[key]!r}") from err
+
+    head_cfg = HeadConfig(
+        concepts=value("concepts"), slot_dim=value("slot_dim"),
+        input_dim=value("input_dim"), n_inputs=value("n_inputs"),
+        n_classes=value("n_classes"), iters=value("iters"),
+        variant=value("variant", str), heads=value("heads"), pathway=value("pathway", str),
+        identity_mode=bool(value("identity_mode")))
+    cfg = TrainConfig(
+        head=head_cfg, epochs=value("epochs"), batch_size=value("batch_size"),
+        lr=value("lr", float), warmup_iters=value("warmup_iters"),
+        weight_decay=value("weight_decay", float),
+        betas=(value("beta1", float), value("beta2", float)),
+        eps_opt=value("eps_opt", float), seed=value("seed"),
+        weights=LossWeights(lambda_expl=value("lambda_expl", float),
+                            lambda_sparse=value("lambda_sparse", float)))
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = {
+        "bit_generator": value("rng_algo", str),
+        "state": {"state": value("rng_state"), "inc": value("rng_inc")},
+        "has_uint32": value("rng_has_uint32"),
+        "uinteger": value("rng_uinteger"),
+    }
 
     params = _build_params(head_cfg, tensors)
     opt = OptimizerState.for_params(params)
@@ -457,5 +402,5 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
             raise FormatError(f"checkpoint is missing optimizer buffers for {name!r}")
         opt.m[name] = opt_entries["m:" + name].copy()
         opt.v[name] = opt_entries["v:" + name].copy()
-    opt.t = step
-    return TrainState(params=params, opt=opt, rng=rng, epoch=epoch), cfg
+    opt.t = value("step")
+    return TrainState(params=params, opt=opt, rng=rng, epoch=value("epoch")), cfg

@@ -87,8 +87,8 @@ def test_criterion_2_faithfulness_identity():
             params = hd.init_head_params(cfg, rng)
             e = rng.normal(size=(6, 5))
             slots = hd.refine_slots(Tensor(e), params.spatial.slot, cfg, rng)
-            attn, logits = hd.cross_attention(Tensor(e), slots,
-                                              params.spatial.cross, cfg)
+            attn, logits = hd.multi_head_cross_attention(Tensor(e), slots,
+                                                         params.spatial.cross, cfg)
             decomposed = hd.decomposed_logits(slots, params.spatial.cross,
                                               hd.relevance(attn), cfg)
             gap = np.max(np.abs(decomposed.data - logits.data))
@@ -116,8 +116,8 @@ def test_criterion_3_attention_invariants():
             assert np.max(np.abs(binder_attn.data.sum(axis=1) - 1.0)) <= 1e-12
 
             slots = hd.refine_slots(Tensor(e), params.spatial.slot, cfg, rng)
-            attn, logits = hd.cross_attention(Tensor(e), slots,
-                                              params.spatial.cross, cfg)
+            attn, logits = hd.multi_head_cross_attention(Tensor(e), slots,
+                                                         params.spatial.cross, cfg)
             assert np.max(np.abs(attn.data.sum(axis=1) - 1.0)) <= 1e-12
 
             rel = hd.relevance(attn).data
@@ -125,8 +125,8 @@ def test_criterion_3_attention_invariants():
 
             perm = np.random.default_rng(seed + 1).permutation(4)
             slots_p = hd.refine_slots(Tensor(e[perm]), params.spatial.slot, cfg, rng)
-            _, logits_p = hd.cross_attention(Tensor(e[perm]), slots_p,
-                                             params.spatial.cross, cfg)
+            _, logits_p = hd.multi_head_cross_attention(Tensor(e[perm]), slots_p,
+                                                        params.spatial.cross, cfg)
             assert np.max(np.abs(logits_p.data - logits.data)) <= 1e-12
 
 
@@ -156,7 +156,7 @@ def test_criterion_4_hand_oracles():
         # readback on the toy instance, both computation paths
         cross_p = hd.init_cross_params(cfg, rng)
         cross_p.out.data[...] = [[1.0, -1.0]]
-        ca_attn, logits = hd.cross_attention(Tensor(e), Tensor(s), cross_p, cfg)
+        ca_attn, logits = hd.multi_head_cross_attention(Tensor(e), Tensor(s), cross_p, cfg)
         ca_scores = e @ s.T
         want_ca = np.exp(ca_scores) / np.exp(ca_scores).sum(axis=1, keepdims=True)
         want_gamma = want_ca.mean(axis=0)

@@ -88,6 +88,18 @@ class TestTrainEvalExplain:
         bad_ckpt.write_bytes(b"not a checkpoint")
         assert run(["eval", "--data", tiny_emb, "--checkpoint", str(bad_ckpt)]) == 1
 
+    def test_eval_label_beyond_model_classes_exits_1(self, tiny_emb, tmp_path, capsys):
+        wider = str(tmp_path / "wider.emb")
+        assert run(["gen-data", "--out", wider, "--seed", "3", "--classes", "3",
+                    "--concepts", "4", "--features", "3", "--feature-dim", "6",
+                    "--samples-per-class", "6"]) == 0
+        out_dir = str(tmp_path / "run")
+        assert run(train_args(tiny_emb, out_dir)) == 0  # a two-class model
+        ckpt = os.path.join(out_dir, "model.cctk")
+        capsys.readouterr()
+        assert run(["eval", "--data", wider, "--checkpoint", ckpt]) == 1
+        assert "sample 12 has label 2" in capsys.readouterr().err
+
     def test_missing_dataset_exits_1(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "missing.emb"),
                     "--out", str(tmp_path)]) == 1

@@ -258,7 +258,7 @@ class TestCrossAttention:
         rng = np.random.default_rng(0)
         p = hd.init_cross_params(cfg, rng)
         p.out.data[...] = [[1.0, -1.0]]
-        attn, logits = hd.cross_attention(Tensor(TOY_E), Tensor(TOY_S), p, cfg)
+        attn, logits = hd.multi_head_cross_attention(Tensor(TOY_E), Tensor(TOY_S), p, cfg)
         want_attn, want_logits = oracle_cross_attention(TOY_E, TOY_S, p.out.data, 1)
         npt.assert_allclose(attn.data, want_attn, atol=1e-12)
         npt.assert_allclose(logits.data, want_logits, atol=1e-12)
@@ -270,7 +270,7 @@ class TestCrossAttention:
         p = hd.init_cross_params(cfg, np.random.default_rng(1))
         slots = np.tile([[0.3, -0.7]], (3, 1))
         e = np.random.default_rng(2).normal(size=(4, 2))
-        attn, logits = hd.cross_attention(Tensor(e), Tensor(slots), p, cfg)
+        attn, logits = hd.multi_head_cross_attention(Tensor(e), Tensor(slots), p, cfg)
         npt.assert_allclose(attn.data, np.full((4, 3), 1 / 3), atol=1e-12)
         want = (slots @ p.out.data).mean(axis=0)
         npt.assert_allclose(logits.data, want, atol=1e-12)
@@ -282,8 +282,8 @@ class TestCrossAttention:
         e = rng.normal(size=(5, 2))
         slots = rng.normal(size=(3, 2))
         perm = rng.permutation(5)
-        attn, logits = hd.cross_attention(Tensor(e), Tensor(slots), p, cfg)
-        attn_p, logits_p = hd.cross_attention(Tensor(e[perm]), Tensor(slots), p, cfg)
+        attn, logits = hd.multi_head_cross_attention(Tensor(e), Tensor(slots), p, cfg)
+        attn_p, logits_p = hd.multi_head_cross_attention(Tensor(e[perm]), Tensor(slots), p, cfg)
         npt.assert_allclose(logits_p.data, logits.data, atol=1e-12)
         npt.assert_allclose(attn_p.data, attn.data[perm], atol=1e-12)
 
@@ -306,7 +306,7 @@ class TestRelevanceAndDecomposition:
         cfg = toy_config()
         p = hd.init_cross_params(cfg, np.random.default_rng(0))
         p.out.data[...] = [[1.0, -1.0]]
-        attn, logits = hd.cross_attention(Tensor(TOY_E), Tensor(TOY_S), p, cfg)
+        attn, logits = hd.multi_head_cross_attention(Tensor(TOY_E), Tensor(TOY_S), p, cfg)
         dec = hd.decomposed_logits(Tensor(TOY_S), p, hd.relevance(attn), cfg)
         npt.assert_allclose(dec.data, logits.data, atol=1e-12)
         npt.assert_allclose(dec.data, [0.61552929, -0.61552929], atol=1e-8)
@@ -332,17 +332,6 @@ class TestRelevanceAndDecomposition:
 
 
 class TestMultiHead:
-    def test_single_head_matches_cross_attention(self):
-        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=5, n_inputs=4,
-                            n_classes=3, heads=1)
-        rng = np.random.default_rng(0)
-        p = hd.init_cross_params(cfg, rng)
-        e, slots = rng.normal(size=(4, 5)), rng.normal(size=(3, 4))
-        attn_a, logits_a = hd.cross_attention(Tensor(e), Tensor(slots), p, cfg)
-        attn_b, logits_b = hd.multi_head_cross_attention(Tensor(e), Tensor(slots), p, cfg)
-        npt.assert_array_equal(attn_a.data, attn_b.data)
-        npt.assert_array_equal(logits_a.data, logits_b.data)
-
     def test_duplicated_head_blocks_average_to_either(self):
         cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=5, n_inputs=4,
                             n_classes=2, heads=2)
@@ -403,9 +392,7 @@ class TestDualPathway:
     def test_zeroed_global_pathway_halves_spatial_logits(self):
         cfg, params, e = self.make()
         params.global_.cross.out.data[...] = 0.0
-        rng = np.random.default_rng(1)
-        logits, attn_s, attn_g = hd.dual_pathway_forward(
-            Tensor(e), hd.class_token(Tensor(e)), params.spatial, params.global_, cfg, rng)
+        logits = hd.head_forward(Tensor(e), params, cfg, np.random.default_rng(1)).logits
         slots = hd.refine_slots(Tensor(e), params.spatial.slot, cfg, np.random.default_rng(1))
         _, spatial_logits = hd.multi_head_cross_attention(Tensor(e), slots,
                                                           params.spatial.cross, cfg)
@@ -413,9 +400,8 @@ class TestDualPathway:
 
     def test_averaging_contract(self):
         cfg, params, e = self.make(seed=3)
-        rng = np.random.default_rng(5)
-        logits, attn_s, attn_g = hd.dual_pathway_forward(
-            Tensor(e), hd.class_token(Tensor(e)), params.spatial, params.global_, cfg, rng)
+        out = hd.head_forward(Tensor(e), params, cfg, np.random.default_rng(5))
+        logits, attn_s, attn_g = out.logits, out.attn_spatial, out.attn_global
         slots_s = hd.refine_slots(Tensor(e), params.spatial.slot, cfg,
                                   np.random.default_rng(5))
         _, ls = hd.multi_head_cross_attention(Tensor(e), slots_s, params.spatial.cross, cfg)
@@ -439,9 +425,8 @@ class TestDualPathway:
                                    hd.init_cross_params(cfg, rng))
         spatial.cross.out.data[...] = [[1.0, -1.0]]
         global_.cross.out.data[...] = [[1.0, -1.0]]
-        logits, _, _ = hd.dual_pathway_forward(
-            Tensor(TOY_E), hd.class_token(Tensor(TOY_E)), spatial, global_, cfg,
-            np.random.default_rng(0))
+        logits = hd.head_forward(Tensor(TOY_E), hd.HeadParams(spatial, global_), cfg,
+                                 np.random.default_rng(0)).logits
         # each pathway halves its init slots, then reads them back
         slots = 0.5 * np.array([[1.0], [0.0]])
         _, want_s = oracle_cross_attention(TOY_E, slots, np.array([[1.0, -1.0]]), 1)
@@ -457,7 +442,8 @@ class TestHeadInvariants:
                                 n_classes=4, variant="boqsa")
             params, e, rng = random_head(cfg, seed)
             slots = hd.refine_slots(Tensor(e), params.spatial.slot, cfg, rng)
-            attn, logits = hd.cross_attention(Tensor(e), slots, params.spatial.cross, cfg)
+            attn, logits = hd.multi_head_cross_attention(Tensor(e), slots,
+                                                         params.spatial.cross, cfg)
             dec = hd.decomposed_logits(slots, params.spatial.cross, hd.relevance(attn), cfg)
             assert np.max(np.abs(dec.data - logits.data)) <= 1e-9
 
@@ -467,7 +453,7 @@ class TestHeadInvariants:
                                 n_classes=2, variant="sa")
             params, e, rng = random_head(cfg, seed)
             slots = hd.refine_slots(Tensor(e), params.spatial.slot, cfg, rng)
-            attn, _ = hd.cross_attention(Tensor(e), slots, params.spatial.cross, cfg)
+            attn, _ = hd.multi_head_cross_attention(Tensor(e), slots, params.spatial.cross, cfg)
             rel = hd.relevance(attn).data
             assert np.all(rel >= 0)
             assert abs(rel.sum() - 1.0) <= 1e-12
@@ -482,9 +468,10 @@ class TestHeadInvariants:
         slots_b = hd.refine_slots(Tensor(e[perm]), params.spatial.slot, cfg,
                                   np.random.default_rng(2))
         npt.assert_allclose(slots_b.data, slots_a.data, atol=1e-12)
-        attn_a, logits_a = hd.cross_attention(Tensor(e), slots_a, params.spatial.cross, cfg)
-        attn_b, logits_b = hd.cross_attention(Tensor(e[perm]), slots_b,
-                                              params.spatial.cross, cfg)
+        attn_a, logits_a = hd.multi_head_cross_attention(Tensor(e), slots_a,
+                                                         params.spatial.cross, cfg)
+        attn_b, logits_b = hd.multi_head_cross_attention(Tensor(e[perm]), slots_b,
+                                                         params.spatial.cross, cfg)
         npt.assert_allclose(logits_b.data, logits_a.data, atol=1e-12)
         npt.assert_allclose(attn_b.data, attn_a.data[perm], atol=1e-12)
 
@@ -508,7 +495,7 @@ class TestHeadInvariants:
                 attn, readout = hd.slot_attention(inputs, slots, p, cfg)
                 slots = hd.gru_update(slots, readout, p)
             slots = ad.add(slots, p.positions)
-            attn_ca, logits = hd.cross_attention(Tensor(e), slots, cross, cfg)
+            attn_ca, logits = hd.multi_head_cross_attention(Tensor(e), slots, cross, cfg)
             return slots.data, attn.data, attn_ca.data, logits.data
 
         slots_a, attn_a, ca_a, logits_a = run(s0)

@@ -289,3 +289,50 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as err:
             tr.parse_checkpoint(blob[:100])
         assert err.value.offset is not None
+
+    def test_non_numeric_config_value_names_key(self):
+        cfg = tiny_config()
+        blob = tr.checkpoint_bytes(tr.init_train_state(cfg), cfg)
+        assert b"\nconcepts=4\n" in blob
+        with pytest.raises(FormatError, match="'concepts'"):
+            tr.parse_checkpoint(blob.replace(b"\nconcepts=4\n", b"\nconcepts=x\n"))
+
+    def test_tensor_shape_disagreeing_with_config_rejected(self):
+        cfg = tiny_config()
+        blob = tr.checkpoint_bytes(tr.init_train_state(cfg), cfg)
+        # the config now asks for 3 concepts while the tensors hold 4
+        with pytest.raises(FormatError,
+                           match=r"'spatial\.slot\.positions' has shape \(4, 4\), "
+                                 r"config expects \(3, 4\)"):
+            tr.parse_checkpoint(blob.replace(b"\nconcepts=4\n", b"\nconcepts=3\n"))
+
+    def test_non_finite_tensor_rejected(self):
+        cfg = tiny_config()
+        state = tr.init_train_state(cfg)
+        state.params.spatial.cross.out.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            tr.parse_checkpoint(tr.checkpoint_bytes(state, cfg))
+
+    def test_tensor_and_config_layout_pinned(self):
+        # older .cctk files stay loadable only while these names and orders hold
+        head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3,
+                             n_classes=2, variant="boqsa", pathway="dual")
+        cfg = tiny_config(head=head)
+        state = tr.init_train_state(cfg)
+        slot = ["wq", "wk", "wv", "mu", "log_sigma", "init_queries", "wz", "uz", "bz",
+                "wr", "ur", "br", "wh", "uh", "bh", "ln_input_gain", "ln_input_bias",
+                "ln_slot_gain", "ln_slot_bias", "positions"]
+        cross = ["wq", "wk", "wv", "out"]
+        want = [f"{pathway}.{group}.{name}"
+                for pathway in ("spatial", "global")
+                for group, names in (("slot", slot), ("cross", cross))
+                for name in names]
+        assert [name for name, _ in state.params.named()] == want
+        keys = [line.partition("=")[0]
+                for line in tr._config_lines(cfg, state).splitlines()]
+        assert keys == ["epoch", "step", "seed", "epochs", "batch_size", "lr",
+                        "warmup_iters", "weight_decay", "beta1", "beta2", "eps_opt",
+                        "lambda_expl", "lambda_sparse", "concepts", "slot_dim",
+                        "input_dim", "n_inputs", "n_classes", "iters", "variant",
+                        "heads", "pathway", "identity_mode", "rng_algo", "rng_state",
+                        "rng_inc", "rng_has_uint32", "rng_uinteger"]
