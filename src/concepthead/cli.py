@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as dat
 from . import head as hd
 from . import metrics as mt
@@ -153,6 +154,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    if args.topk < 1:
+        raise ConceptHeadError(f"--topk must be >= 1, got {args.topk}")
+    if args.limit is not None and args.limit < 0:
+        raise ConceptHeadError(f"--limit must be >= 0, got {args.limit}")
     dataset = _load_dataset(args.data)
     if len(dataset) == 0:
         print("error: cannot explain an empty dataset", file=sys.stderr)
@@ -164,7 +169,8 @@ def _cmd_explain(args) -> int:
     count = len(dataset) if args.limit is None else min(args.limit, len(dataset))
     for i in range(count):
         sample = dataset.samples[i]
-        out = hd.head_forward(Tensor(sample.features), state.params, cfg.head, rng)
+        with ad.no_grad():
+            out = hd.head_forward(Tensor(sample.features), state.params, cfg.head, rng)
         attn = out.attn_spatial if out.attn_spatial is not None else out.attn_global
         mt.export_heatmap(attn.data, os.path.join(args.out, f"sample_{i:04d}.pgm"))
         rel = attn.data.mean(axis=0)

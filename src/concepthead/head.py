@@ -82,6 +82,8 @@ class HeadConfig:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if min(self.concepts, self.slot_dim, self.input_dim, self.n_inputs, self.n_classes) < 1:
             raise ConfigError("all head dimensions must be positive")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.slot_dim % self.heads != 0:
             raise ConfigError(f"slot_dim {self.slot_dim} not divisible by heads {self.heads}")
         if self.identity_mode and self.input_dim != self.slot_dim:
@@ -314,10 +316,13 @@ def multi_head_cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionPa
     """Readback with cfg.heads parallel heads over contiguous d/h blocks.
 
     Inputs query the refined slots. Each head softmaxes across concepts per
-    input row, so every row of its (L, C) map sums to 1. Per-head outputs are
-    concatenated along features before the output matrix, the logits average
-    the per-row class scores over input rows, and the exported explanation
-    map is the mean of the per-head maps.
+    input row, so every row of its (L, C) map sums to 1. All heads run as one
+    stacked (h, ...) attention; per-head outputs are merged back along
+    features before the output matrix, the logits average the per-row class
+    scores over input rows, and the exported explanation map is the mean of
+    the per-head maps (heads summed in order, then scaled by 1/h). With one
+    head the map is the softmax output itself, the tensor that also feeds the
+    readback product.
     """
     h = cfg.heads
     if cfg.identity_mode:
@@ -326,22 +331,12 @@ def multi_head_cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionPa
         q_full = ad.matmul(e_raw, p.wq)
         k_full = ad.matmul(slots, p.wk)
         v_full = ad.matmul(slots, p.wv)
-    dh = cfg.slot_dim // h
-    outs, attns = [], []
-    for j in range(h):
-        lo, hi = j * dh, (j + 1) * dh
-        q = ad.slice_cols(q_full, lo, hi)
-        k = ad.slice_cols(k_full, lo, hi)
-        v = ad.slice_cols(v_full, lo, hi)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
-        attn = ad.softmax_axis(scores, axis=1)
-        attns.append(attn)
-        outs.append(ad.matmul(attn, v))
-    merged = outs[0] if h == 1 else ad.concat_cols(outs)
+    q, k, v = (ad.split_heads(t, h) for t in (q_full, k_full, v_full))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim // h))
+    attn = ad.softmax_axis(scores, axis=-1)
+    merged = ad.merge_heads(ad.matmul(attn, v))
     logits = ad.reduce_mean_axis(ad.matmul(merged, p.out), axis=0)
-    mean_attn = attns[0]
-    for attn in attns[1:]:
-        mean_attn = ad.add(mean_attn, attn)
+    mean_attn = ad.sum_heads(attn)
     if h > 1:
         mean_attn = ad.scale(mean_attn, 1.0 / h)
     return mean_attn, logits

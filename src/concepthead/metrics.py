@@ -113,12 +113,13 @@ def export_heatmap(attn: np.ndarray, path: str) -> None:
     pixels = np.floor(scaled + 0.5).astype(np.uint8)
     height, width = a.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes())
     csv_path = path[:-4] + ".csv" if path.endswith(".pgm") else path + ".csv"
-    with open(csv_path, "w", encoding="ascii") as fh:
-        for row in a:
-            fh.write(",".join(_f17(v) for v in row) + "\n")
+    # "%.17g" % x is f"{x:.17g}" (_f17) for every float; one format string
+    # renders the whole map at once.
+    row = ",".join(["%.17g"] * width) + "\n"
+    with open(csv_path, "wb") as fh:
+        fh.write(((row * height) % tuple(a.ravel().tolist())).encode("ascii"))
 
 
 def _f17(x: float) -> str:

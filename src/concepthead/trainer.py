@@ -245,12 +245,14 @@ def evaluate(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
              seed: int = 0) -> Metrics:
     """Metrics over a dataset without updating parameters (slot sampling seeded).
 
-    The record reports epoch 0, as does a NumericError raised on the way.
+    The pass runs under no_grad, so no operation record is built. The record
+    reports epoch 0, as does a NumericError raised on the way.
     """
     if len(dataset.samples) == 0:
         raise ConfigError("cannot evaluate an empty dataset")
-    return _run_pass(dataset, params, cfg, np.random.default_rng(seed),
-                     [np.arange(len(dataset.samples))], 0)
+    with ad.no_grad():
+        return _run_pass(dataset, params, cfg, np.random.default_rng(seed),
+                         [np.arange(len(dataset.samples))], 0)
 
 
 # --- checkpoint format ------------------------------------------------------
@@ -388,8 +390,11 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
         weights=LossWeights(lambda_expl=value("lambda_expl", float),
                             lambda_sparse=value("lambda_sparse", float)))
     rng = np.random.default_rng(0)
+    algo, expected = value("rng_algo", str), rng.bit_generator.state["bit_generator"]
+    if algo != expected:
+        raise FormatError(f"checkpoint config key 'rng_algo' is {algo!r}, expected {expected!r}")
     rng.bit_generator.state = {
-        "bit_generator": value("rng_algo", str),
+        "bit_generator": algo,
         "state": {"state": value("rng_state"), "inc": value("rng_inc")},
         "has_uint32": value("rng_has_uint32"),
         "uinteger": value("rng_uinteger"),

@@ -206,6 +206,7 @@ class TestGradCheck:
         vec = t(rng.normal(size=(4,)))
         mat = t(rng.normal(size=(4, 2)))
         weight = ad.Tensor(rng.normal(size=(3, 4)))
+        square = ad.Tensor(rng.normal(size=(3, 3)))
 
         cases = {
             "matmul": lambda: ad.reduce_sum(ad.tanh(ad.matmul(x, w))),
@@ -231,8 +232,12 @@ class TestGradCheck:
             "pick": lambda: ad.mul(ad.pick(vec, 1), ad.pick(vec, 3)),
             "vecmat": lambda: ad.reduce_sum(ad.mul(ad.vecmat(vec, mat),
                                                    ad.Tensor(weight.data[0, :2]))),
-            "slice_concat": lambda: ad.reduce_sum(ad.mul(
-                ad.concat_cols([ad.slice_cols(x, 2, 4), ad.slice_cols(x, 0, 2)]), weight)),
+            "split_merge_matmul3d": lambda: ad.add(
+                ad.reduce_sum(ad.mul(ad.merge_heads(ad.matmul(
+                    ad.matmul(ad.split_heads(x, 2), ad.transpose(ad.split_heads(pos, 2))),
+                    ad.split_heads(x, 2))), weight)),
+                ad.reduce_sum(ad.mul(ad.sum_heads(ad.matmul(
+                    ad.split_heads(pos, 2), ad.transpose(ad.split_heads(x, 2)))), square))),
         }
         params = [("x", x), ("w", w), ("row", row), ("gain", gain), ("bias", bias),
                   ("pos", pos), ("vec", vec), ("mat", mat)]
@@ -269,3 +274,65 @@ class TestInvariants:
         x = t(np.zeros((2, 3)))
         ad.backward(ad.reduce_sum(x))
         assert x.grad.shape == x.data.shape
+
+
+class TestHeadAxis:
+    def test_split_merge_roundtrip_and_layout(self):
+        x = t(np.arange(24.0).reshape(3, 8))
+        split = ad.split_heads(x, 4)
+        assert split.shape == (4, 3, 2) and split.data.flags.c_contiguous
+        npt.assert_array_equal(split.data[1], x.data[:, 2:4])
+        npt.assert_array_equal(ad.merge_heads(split).data, x.data)
+
+    def test_one_head_adds_no_node(self):
+        x = t(np.ones((3, 4)))
+        assert ad.split_heads(x, 1) is x
+        assert ad.merge_heads(x) is x
+        assert ad.sum_heads(x) is x
+
+    def test_stacked_matmul_matches_per_head_products(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2, 5))
+        out = ad.matmul(t(a), t(b)).data
+        for j in range(3):
+            assert np.array_equal(out[j], a[j] @ b[j])
+
+    def test_sum_heads_adds_in_head_order(self):
+        a = np.random.default_rng(6).normal(size=(4, 2, 3))
+        want = ((a[0] + a[1]) + a[2]) + a[3]
+        assert np.array_equal(ad.sum_heads(t(a)).data, want)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.split_heads(t(np.ones((3, 5))), 2)
+        with pytest.raises(ShapeError):
+            ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 2))))
+        with pytest.raises(ShapeError):
+            ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((4, 2))))
+
+
+class TestNoGrad:
+    def test_outputs_keep_no_record(self):
+        x, w = t(np.ones((2, 3))), t(np.full((3, 2), 0.5))
+        with ad.no_grad():
+            out = ad.softmax_axis(ad.matmul(x, w), 1)
+        assert out._parents == () and out._vjp is None and not out.requires_grad
+        npt.assert_array_equal(out.data, ad.softmax_axis(ad.matmul(x, w), 1).data)
+        assert ad.matmul(x, w).requires_grad
+
+    def test_finite_check_still_runs(self):
+        with ad.no_grad(), pytest.raises(NumericError, match="exp produced non-finite"):
+            ad.exp(t([1000.0]))
+
+    def test_state_restored_after_exception_and_when_nested(self):
+        x = t([1.0, 2.0])
+        with pytest.raises(ShapeError):
+            with ad.no_grad():
+                ad.pick(x, 0)
+                ad.matmul(x, x)
+        assert ad.scale(x, 2.0).requires_grad
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.scale(x, 2.0).requires_grad
+            assert not ad.scale(x, 2.0).requires_grad
+        assert ad.scale(x, 2.0).requires_grad

@@ -100,6 +100,23 @@ class TestTrainEvalExplain:
         assert run(["eval", "--data", wider, "--checkpoint", ckpt]) == 1
         assert "sample 12 has label 2" in capsys.readouterr().err
 
+    def test_heads_below_one_exits_1(self, tiny_emb, tmp_path, capsys):
+        assert run(train_args(tiny_emb, str(tmp_path / "run"), ["--heads", "0"])) == 1
+        assert "heads must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--topk", "0"), ("--topk", "-1"),
+                                            ("--limit", "-1")])
+    def test_explain_rejects_out_of_range_flag(self, tiny_emb, tmp_path, capsys, flag, value):
+        out_dir = str(tmp_path / "run")
+        assert run(train_args(tiny_emb, out_dir)) == 0
+        capsys.readouterr()
+        explain_dir = tmp_path / "explain"
+        assert run(["explain", "--data", tiny_emb,
+                    "--checkpoint", os.path.join(out_dir, "model.cctk"),
+                    "--out", str(explain_dir), flag, value]) == 1
+        assert f"{flag} must be >= " in capsys.readouterr().err
+        assert not explain_dir.exists()
+
     def test_missing_dataset_exits_1(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "missing.emb"),
                     "--out", str(tmp_path)]) == 1

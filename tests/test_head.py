@@ -6,6 +6,7 @@ import pytest
 
 from concepthead import autodiff as ad
 from concepthead import head as hd
+from concepthead import losses
 from concepthead.autodiff import Tensor
 from concepthead.errors import ConfigError, ShapeError
 
@@ -378,6 +379,85 @@ class TestMultiHead:
         with pytest.raises(ConfigError):
             hd.HeadConfig(concepts=2, slot_dim=5, input_dim=4, n_inputs=2,
                           n_classes=2, heads=2)
+
+
+    def test_heads_below_one_rejected(self):
+        for heads in (0, -1):
+            with pytest.raises(ConfigError, match="heads must be >= 1"):
+                hd.HeadConfig(concepts=2, slot_dim=4, input_dim=4, n_inputs=2,
+                              n_classes=2, heads=heads)
+
+
+# --- the per-head readback loop that the stacked readback replaced ----------
+
+def _slice_cols(a, lo, hi):
+    def vjp(g):
+        out = np.zeros(a.shape)
+        out[:, lo:hi] = g
+        return (out,)
+
+    return ad._make(a.data[:, lo:hi], (a,), vjp, "slice_cols")
+
+
+def _concat_cols(parts):
+    splits = np.cumsum([p.shape[1] for p in parts])[:-1]
+
+    def vjp(g):
+        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
+
+    return ad._make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp,
+                    "concat_cols")
+
+
+def reference_readback(e_raw, slots, p, cfg):
+    """One 2-D attention per head on column slices, maps added head by head."""
+    h = cfg.heads
+    q_full, k_full, v_full = (ad.matmul(e_raw, p.wq), ad.matmul(slots, p.wk),
+                              ad.matmul(slots, p.wv))
+    dh = cfg.slot_dim // h
+    outs, attns = [], []
+    for j in range(h):
+        lo, hi = j * dh, (j + 1) * dh
+        q, k, v = (_slice_cols(x, lo, hi) for x in (q_full, k_full, v_full))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
+        attn = ad.softmax_axis(scores, axis=1)
+        attns.append(attn)
+        outs.append(ad.matmul(attn, v))
+    merged = outs[0] if h == 1 else _concat_cols(outs)
+    logits = ad.reduce_mean_axis(ad.matmul(merged, p.out), axis=0)
+    mean_attn = attns[0]
+    for attn in attns[1:]:
+        mean_attn = ad.add(mean_attn, attn)
+    if h > 1:
+        mean_attn = ad.scale(mean_attn, 1.0 / h)
+    return mean_attn, logits
+
+
+class TestStackedReadback:
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("n_inputs", [1, 8])
+    def test_bit_identical_to_per_head_loop(self, heads, n_inputs):
+        cfg = hd.HeadConfig(concepts=5, slot_dim=24, input_dim=7, n_inputs=n_inputs,
+                            n_classes=3, heads=heads)
+        rng = np.random.default_rng(10 * heads + n_inputs)
+        p = hd.init_cross_params(cfg, rng)
+        e_np, slots_np = rng.normal(size=(n_inputs, 7)), rng.normal(size=(5, 24))
+        target = rng.dirichlet(np.ones(5), size=n_inputs)
+        results = []
+        for readback in (hd.multi_head_cross_attention, reference_readback):
+            e, slots = Tensor(e_np, requires_grad=True), Tensor(slots_np, requires_grad=True)
+            for _, param in p.named():
+                param.reset_grad()
+            attn, logits = readback(e, slots, p, cfg)
+            # the map feeds the readback product and three loss terms, as in training
+            loss = ad.add(ad.add(losses.cross_entropy(logits, 1),
+                                 losses.explanation_loss(attn, target)),
+                          losses.sparsity_loss(attn))
+            ad.backward(loss)
+            results.append([attn.data, logits.data, e.grad, slots.grad]
+                           + [param.grad.copy() for _, param in p.named()])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
 
 class TestDualPathway:

@@ -112,6 +112,30 @@ class TestHeatmapExport:
                            for line in text.strip().splitlines()])
         npt.assert_array_equal(parsed, values)
 
+    def test_bytes_match_per_value_writer(self, tmp_path):
+        def per_value_writer(a, path):
+            peak = a.max()
+            scaled = np.zeros_like(a) if peak == 0 else a * (255.0 / peak)
+            pixels = np.floor(scaled + 0.5).astype(np.uint8)
+            with open(path + ".pgm", "wb") as fh:
+                fh.write(f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii"))
+                fh.write(pixels.tobytes())
+            with open(path + ".csv", "w", encoding="ascii") as fh:
+                for row in a:
+                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+        rng = np.random.default_rng(11)
+        for rows in (1, 8, 32):
+            a = rng.dirichlet(np.ones(12) * 0.3, size=rows)
+            a[0, :3] = [0.0, 5e-324, 0.0]    # exact zeros and a subnormal
+            a[-1] = 0.0
+            a[-1, 4] = 1.0                   # a lone 1.0
+            mt.export_heatmap(a, str(tmp_path / "new.pgm"))
+            per_value_writer(a, str(tmp_path / "old"))
+            for ext in ("pgm", "csv"):
+                assert ((tmp_path / f"new.{ext}").read_bytes()
+                        == (tmp_path / f"old.{ext}").read_bytes())
+
     def test_negative_values_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             mt.export_heatmap(np.array([[-0.1, 0.5]]), str(tmp_path / "x.pgm"))

@@ -226,6 +226,18 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             tr.evaluate(dat.Dataset(), state.params, cfg)
 
+    @pytest.mark.parametrize("heads,pathway", [(1, "spatial"), (2, "dual")])
+    def test_untaped_pass_matches_taped_pass(self, heads, pathway):
+        ds = tiny_dataset()
+        head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
+                             variant="isa", heads=heads, pathway=pathway)
+        cfg = tiny_config(head=head)
+        state, _ = tr.fit(ds, cfg, epochs=1)
+        taped = tr._run_pass(ds, state.params, cfg, np.random.default_rng(3),
+                             [np.arange(len(ds.samples))], 0)
+        untaped = tr.evaluate(ds, state.params, cfg, seed=3)
+        assert mt.format_metrics_row(untaped) == mt.format_metrics_row(taped)
+
 
 class TestCheckpoint:
     def test_roundtrip_bytes_identical(self, tmp_path):
@@ -336,3 +348,17 @@ class TestCheckpoint:
                         "input_dim", "n_inputs", "n_classes", "iters", "variant",
                         "heads", "pathway", "identity_mode", "rng_algo", "rng_state",
                         "rng_inc", "rng_has_uint32", "rng_uinteger"]
+
+    def test_heads_below_one_rejected(self):
+        cfg = tiny_config()
+        blob = tr.checkpoint_bytes(tr.init_train_state(cfg), cfg)
+        assert b"\nheads=1\n" in blob
+        with pytest.raises(ConfigError, match="heads must be >= 1"):
+            tr.parse_checkpoint(blob.replace(b"\nheads=1\n", b"\nheads=0\n"))
+
+    def test_unknown_rng_algo_names_key(self):
+        cfg = tiny_config()
+        blob = tr.checkpoint_bytes(tr.init_train_state(cfg), cfg)
+        assert b"\nrng_algo=PCG64\n" in blob
+        with pytest.raises(FormatError, match="'rng_algo' is 'PCG6X'"):
+            tr.parse_checkpoint(blob.replace(b"\nrng_algo=PCG64\n", b"\nrng_algo=PCG6X\n"))
