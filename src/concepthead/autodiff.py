@@ -1,14 +1,21 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Provides exactly the operations the concept head needs: matrix products
-(2-D, or stacked over a leading head axis), head split/merge/sum, axis
-softmax, layer norm, pointwise arithmetic and activations, reductions, and a
-central-difference gradient checker. The operation record is rebuilt on
-every forward pass (define-by-run); `backward` walks it in reverse
-topological order exactly once, so calling it twice without a grad reset
-doubles every gradient. Inside `no_grad()` no record is kept at all.
+Provides exactly the operations the concept head needs: matrix products,
+head split/merge/sum, axis softmax, layer norm, pointwise arithmetic and
+activations, reductions, and a central-difference gradient checker. The
+operation record is rebuilt on every forward pass (define-by-run);
+`backward` walks it in reverse topological order exactly once, so calling it
+twice without a grad reset doubles every gradient. Inside `no_grad()` no
+record is kept at all.
 
-A 2-D tensor is one attention head; a 3-D tensor stacks heads along axis 0.
+Axis convention: the last two axes of a tensor are one matrix (rows,
+columns) and any axes before them are leading axes, one index per sample
+(and, inside the readback, per head). Every op acts on the last axis or the
+last two, so a (B, ...) stack gives the same numbers as B separate calls on
+its slices. A parameter is a plain 2-D (or (1, n) row) tensor that all
+samples share: matmul, add and mul broadcast it over the leading axes, and
+their vector-Jacobian products sum its gradient back over them. With one
+sample (a leading axis of length 1) that sum is the lone slice itself.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .errors import DomainError, NumericError, ShapeError
 # count (with h > 1 heads they add five nodes per readback).
 __all__ = [
     "Tensor",
+    "expand",
     "matmul",
     "transpose",
     "add",
@@ -122,14 +130,31 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     return out
 
 
-def _rowvec_over(a: Tensor, b: Tensor, op: str) -> bool:
-    """True when b is a (1, n) row vector broadcasting over matrix a."""
-    if a.shape == b.shape:
-        return False
-    if b.data.ndim == 2 and b.shape[0] == 1 and a.data.ndim == 2 and a.shape[1] == b.shape[1]:
-        return True
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match "
-                     "(only row-vector-over-matrix broadcast is supported)")
+def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+    """b may broadcast over a: equal shapes, a tensor matching a's trailing
+    axes (positions (C, d) over (B, C, d)), or a (1, n) row over (..., m, n)."""
+    if (a.shape == b.shape
+            or (0 < b.data.ndim < a.data.ndim and a.shape[-b.data.ndim:] == b.shape)
+            or (b.data.ndim == 2 and b.shape[0] == 1 and a.data.ndim >= 2
+                and a.shape[-1] == b.shape[1])):
+        return
+    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match (only a (1, n) "
+                     "row or a tensor matching the trailing axes broadcasts)")
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum the gradient of a broadcast operand back down to its shape.
+
+    A tensor shared over leading axes sums over them in sample order; with
+    one sample that is the lone slice. A (1, n) row sums over all rows, which
+    for a 2-D g is g.sum(axis=0, keepdims=True) itself.
+    """
+    if g.shape == shape:
+        return g
+    if g.shape[-len(shape):] == shape:
+        g = g.reshape((-1,) + shape)
+        return g[0] if g.shape[0] == 1 else g.sum(axis=0)
+    return g.reshape(-1, shape[-1]).sum(axis=0, keepdims=True)
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
@@ -137,21 +162,23 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m, k) @ (k, n), or per head (h, m, k) @ (h, k, n)."""
-    if (a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim
-            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
+    """(..., m, k) @ (..., k, n) with equal leading axes, or with one side a
+    2-D matrix that every leading index shares."""
+    if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or (a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def vjp(g):
-        return g @ _swap_last(b.data), _swap_last(a.data) @ g
+        return (_unbroadcast(g @ _swap_last(b.data), a.shape),
+                _unbroadcast(_swap_last(a.data) @ g, b.shape))
 
     return _make(a.data @ b.data, (a, b), vjp, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes (per head for a 3-D tensor)."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose: expected a 2-D or 3-D input, got shape {a.shape}")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: expected at least 2 axes, got shape {a.shape}")
 
     def vjp(g):
         return (_swap_last(g),)
@@ -159,59 +186,73 @@ def transpose(a: Tensor) -> Tensor:
     return _make(_swap_last(a.data), (a,), vjp, "transpose")
 
 
+def expand(a: Tensor, lead: tuple[int, ...]) -> Tensor:
+    """a repeated over new leading axes: (C, d) -> (*lead, C, d), the
+    gradient summed back over them. No leading axes return a itself, adding
+    no node."""
+    if not lead:
+        return a
+
+    def vjp(g):
+        return (_unbroadcast(g, a.shape),)
+
+    return _make(np.broadcast_to(a.data, tuple(lead) + a.shape), (a,), vjp, "expand")
+
+
 def split_heads(a: Tensor, heads: int) -> Tensor:
-    """(L, d) -> contiguous (heads, L, d/heads): head j takes columns
+    """(..., L, d) -> contiguous (..., heads, L, d/heads): head j takes columns
     [j*d/heads, (j+1)*d/heads). One head returns a itself, adding no node."""
     if heads == 1:
         return a
-    if a.data.ndim != 2 or heads < 1 or a.shape[1] % heads != 0:
+    if a.data.ndim < 2 or heads < 1 or a.shape[-1] % heads != 0:
         raise ShapeError(f"split_heads: cannot split shape {a.shape} into {heads} heads")
-    rows, cols = a.shape
+    rows, cols = a.shape[-2:]
 
     def vjp(g):
-        return (np.swapaxes(g, 0, 1).reshape(rows, cols),)
+        return (np.swapaxes(g, -3, -2).reshape(a.shape),)
 
-    return _make(np.swapaxes(a.data.reshape(rows, heads, cols // heads), 0, 1), (a,), vjp,
-                 "split_heads")
+    return _make(np.swapaxes(a.data.reshape(a.shape[:-1] + (heads, cols // heads)), -3, -2),
+                 (a,), vjp, "split_heads")
 
 
-def merge_heads(a: Tensor) -> Tensor:
-    """Inverse of split_heads: (h, L, dh) -> (L, h*dh). A 2-D (one-head)
-    tensor is returned itself."""
-    if a.data.ndim == 2:
+def merge_heads(a: Tensor, heads: int) -> Tensor:
+    """Inverse of split_heads: (..., heads, L, dh) -> (..., L, heads*dh). One
+    head returns a itself."""
+    if heads == 1:
         return a
-    if a.data.ndim != 3:
-        raise ShapeError(f"merge_heads: expected a 3-D input, got shape {a.shape}")
-    heads, rows, width = a.shape
+    if a.data.ndim < 3 or a.shape[-3] != heads:
+        raise ShapeError(f"merge_heads: shape {a.shape} does not stack {heads} heads")
+    lead, (rows, width) = a.shape[:-3], a.shape[-2:]
 
     def vjp(g):
-        return (np.swapaxes(g.reshape(rows, heads, width), 0, 1),)
+        return (np.swapaxes(g.reshape(lead + (rows, heads, width)), -3, -2),)
 
-    return _make(np.swapaxes(a.data, 0, 1).reshape(rows, heads * width), (a,), vjp,
+    return _make(np.swapaxes(a.data, -3, -2).reshape(lead + (rows, heads * width)), (a,), vjp,
                  "merge_heads")
 
 
-def sum_heads(a: Tensor) -> Tensor:
-    """Sum over the head axis, adding heads 0, 1, ..., h-1 in that order. A
-    2-D (one-head) tensor is returned itself."""
-    if a.data.ndim == 2:
+def sum_heads(a: Tensor, heads: int) -> Tensor:
+    """Sum over the head axis (-3), adding heads 0, 1, ..., h-1 in that order.
+    One head returns a itself."""
+    if heads == 1:
         return a
-    if a.data.ndim != 3:
-        raise ShapeError(f"sum_heads: expected a 3-D input, got shape {a.shape}")
+    if a.data.ndim < 3 or a.shape[-3] != heads:
+        raise ShapeError(f"sum_heads: shape {a.shape} does not stack {heads} heads")
 
     def vjp(g):
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(np.expand_dims(g, -3), a.shape),)
 
-    return _make(functools.reduce(np.add, a.data), (a,), vjp, "sum_heads")
+    return _make(functools.reduce(np.add, (a.data[..., j, :, :] for j in range(heads))),
+                 (a,), vjp, "sum_heads")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if _rowvec_over(a, b, "add"):
-        def vjp(g):
-            return g, g.sum(axis=0, keepdims=True)
-    else:
-        def vjp(g):
-            return g, g
+    """a + b; b may broadcast over a (see _check_broadcast)."""
+    _check_broadcast(a, b, "add")
+
+    def vjp(g):
+        return g, _unbroadcast(g, b.shape)
+
     return _make(a.data + b.data, (a, b), vjp, "add")
 
 
@@ -226,12 +267,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if _rowvec_over(a, b, "mul"):
-        def vjp(g):
-            return g * b.data, (g * a.data).sum(axis=0, keepdims=True)
-    else:
-        def vjp(g):
-            return g * b.data, g * a.data
+    """a * b elementwise; b may broadcast over a (see _check_broadcast)."""
+    _check_broadcast(a, b, "mul")
+
+    def vjp(g):
+        return g * b.data, _unbroadcast(g * a.data, b.shape)
+
     return _make(a.data * b.data, (a, b), vjp, "mul")
 
 
@@ -305,17 +346,18 @@ def softmax_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization (population variance) followed by affine gain/bias."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm: expected a 2-D input, got shape {x.shape}")
-    d = x.shape[1]
+    """Per-row normalization over the last axis (population variance) followed
+    by an affine gain/bias that every row shares."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"layer_norm: expected at least 2 axes, got shape {x.shape}")
+    d = x.shape[-1]
     if d < 1:
         raise ShapeError("layer_norm: rows must have at least one element")
     if eps < 0:
         raise DomainError("layer_norm: eps must be non-negative")
-    mean = x.data.mean(axis=1, keepdims=True)
+    mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     g_row = gain.data.reshape(1, d)
@@ -323,24 +365,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def vjp(g):
         dxhat = g * g_row
-        dx = inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        dgain = (g * xhat).sum(axis=0).reshape(gain.shape)
-        dbias = g.sum(axis=0).reshape(bias.shape)
+        dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dgain = (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.shape)
+        dbias = g.reshape(-1, d).sum(axis=0).reshape(bias.shape)
         return dx, dgain, dbias
 
     return _make(xhat * g_row + b_row, (x, gain, bias), vjp, "layer_norm")
 
 
 def row_normalize(a: Tensor) -> Tensor:
-    """Divide each row by its sum."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"row_normalize: expected a 2-D input, got shape {a.shape}")
-    sums = a.data.sum(axis=1, keepdims=True)
+    """Divide each row (last axis) by its sum."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"row_normalize: expected at least 2 axes, got shape {a.shape}")
+    sums = a.data.sum(axis=-1, keepdims=True)
     out_data = a.data / sums
 
     def vjp(g):
-        return ((g - (g * out_data).sum(axis=1, keepdims=True)) / sums,)
+        return ((g - (g * out_data).sum(axis=-1, keepdims=True)) / sums,)
 
     return _make(out_data, (a,), vjp, "row_normalize")
 
@@ -358,42 +400,53 @@ def reduce_mean_axis(a: Tensor, axis: int) -> Tensor:
     return _make(a.data.mean(axis=axis), (a,), vjp, "reduce_mean_axis")
 
 
-def reduce_sum(a: Tensor) -> Tensor:
-    """Sum of all entries (scalar output)."""
+def reduce_sum(a: Tensor, keep: int = 0) -> Tensor:
+    """Sum over every axis after the first `keep`: keep=0 sums all entries to
+    a scalar, keep=1 gives one sum per sample of a (B, ...) stack."""
+    if not 0 <= keep <= a.data.ndim:
+        raise ShapeError(f"reduce_sum: cannot keep {keep} axes of shape {a.shape}")
+    lead = a.shape[:keep]
 
     def vjp(g):
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(g.reshape(lead + (1,) * (a.data.ndim - keep)), a.shape),)
 
-    return _make(np.asarray(a.data.sum()), (a,), vjp, "reduce_sum")
+    return _make(np.asarray(a.data.reshape(lead + (-1,)).sum(axis=-1)), (a,), vjp, "reduce_sum")
 
 
 def log_sum_exp(a: Tensor) -> Tensor:
-    """Stable log(sum(exp(x))) of a 1-D vector (scalar output)."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"log_sum_exp: expected a 1-D input, got shape {a.shape}")
-    m = a.data.max()
+    """Stable log(sum(exp(x))) over the last axis: a scalar for a 1-D vector,
+    one value per row otherwise."""
+    if a.data.ndim < 1:
+        raise ShapeError(f"log_sum_exp: expected at least 1 axis, got shape {a.shape}")
+    m = a.data.max(axis=-1, keepdims=True)
     e = np.exp(a.data - m)
-    z = e.sum()
+    z = e.sum(axis=-1, keepdims=True)
+    # math.log once per row: np.log differs from it in the last bit on some inputs
+    logs = np.array([math.log(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
     def vjp(g):
-        return (g * e / z,)
+        return (np.expand_dims(g, -1) * e / z,)
 
-    return _make(np.asarray(m + math.log(z)), (a,), vjp, "log_sum_exp")
+    return _make((m + logs)[..., 0], (a,), vjp, "log_sum_exp")
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Select one entry of a 1-D vector (scalar output)."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"pick: expected a 1-D input, got shape {a.shape}")
-    if not 0 <= index < a.shape[0]:
-        raise IndexError(f"pick: index {index} out of range for length {a.shape[0]}")
+def pick(a: Tensor, index) -> Tensor:
+    """Entry `index` of a 1-D vector (scalar output), or one entry per row of
+    (..., n) rows, index holding one position per row."""
+    idx = np.asarray(index)
+    if a.data.ndim < 1 or idx.shape != a.shape[:-1]:
+        raise ShapeError(f"pick: index shape {idx.shape} does not match the rows of {a.shape}")
+    n = a.shape[-1]
+    if np.any((idx < 0) | (idx >= n)):
+        raise IndexError(f"pick: index {index} out of range for length {n}")
+    flat = idx + n * np.arange(idx.size).reshape(idx.shape)
 
     def vjp(g):
-        out = np.zeros(a.shape)
-        out[index] = g
-        return (out,)
+        out = np.zeros(a.data.size)
+        out[flat] = g
+        return (out.reshape(a.shape),)
 
-    return _make(np.asarray(a.data[index]), (a,), vjp, "pick")
+    return _make(np.asarray(a.data.reshape(-1)[flat]), (a,), vjp, "pick")
 
 
 def vecmat(v: Tensor, m: Tensor) -> Tensor:
@@ -439,8 +492,10 @@ def _ordered_record(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad for every participating tensor.
+    """Accumulate d(loss)/d(leaf) into .grad of every participating leaf.
 
+    Leaves are the tensors that require grad but no op made (parameters,
+    inputs built with requires_grad=True); op outputs get no .grad.
     Gradients add across calls; reset grads between backward passes for
     fresh values.
     """
@@ -454,19 +509,21 @@ def backward(loss: Tensor) -> None:
         delta = deltas.pop(id(node), None)
         if delta is None or not node.requires_grad:
             continue
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-        node.grad += delta
         if node._vjp is None:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += delta
             continue
         for parent, contrib in zip(node._parents, node._vjp(delta)):
             if contrib is None or not parent.requires_grad:
                 continue
             prev = deltas.get(id(parent))
+            # No stored delta is changed in place: a VJP may hand one array to
+            # two parents, so a later contribution adds out of place.
             if prev is None:
-                deltas[id(parent)] = np.asarray(contrib, dtype=np.float64, order="C").copy()
+                deltas[id(parent)] = np.asarray(contrib, dtype=np.float64, order="C")
             else:
-                prev += contrib
+                deltas[id(parent)] = prev + contrib
 
 
 @dataclass

@@ -163,19 +163,22 @@ def _cmd_explain(args) -> int:
         print("error: cannot explain an empty dataset", file=sys.stderr)
         return 2
     state, cfg = tr.load_checkpoint(args.checkpoint)
+    tr.check_dataset(dataset, cfg.head, targets=False)
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     rows = []
     count = len(dataset) if args.limit is None else min(args.limit, len(dataset))
-    for i in range(count):
-        sample = dataset.samples[i]
+    for start in range(0, count, cfg.batch_size):
+        chunk = dataset.samples[start:min(start + cfg.batch_size, count)]
         with ad.no_grad():
-            out = hd.head_forward(Tensor(sample.features), state.params, cfg.head, rng)
-        attn = out.attn_spatial if out.attn_spatial is not None else out.attn_global
-        mt.export_heatmap(attn.data, os.path.join(args.out, f"sample_{i:04d}.pgm"))
-        rel = attn.data.mean(axis=0)
-        top = np.argsort(-rel, kind="stable")[:args.topk]
-        rows.extend((i, rank + 1, int(c), float(rel[c])) for rank, c in enumerate(top))
+            out = hd.head_forward(Tensor(np.stack([s.features for s in chunk])),
+                                  state.params, cfg.head, rng)
+        maps = out.attn_spatial if out.attn_spatial is not None else out.attn_global
+        for i, attn in enumerate(maps.data, start):
+            mt.export_heatmap(attn, os.path.join(args.out, f"sample_{i:04d}.pgm"))
+            rel = attn.mean(axis=0)
+            top = np.argsort(-rel, kind="stable")[:args.topk]
+            rows.extend((i, rank + 1, int(c), float(rel[c])) for rank, c in enumerate(top))
     mt.write_topk_csv(rows, os.path.join(args.out, "topk.csv"))
     print(f"wrote {count} heatmaps and topk.csv to {args.out}")
     return 0

@@ -237,16 +237,37 @@ def parse_emb(blob: bytes) -> Dataset:
     has_spatial, has_global = bool(flags & 1), bool(flags & 2)
     if (has_spatial or has_global) and n_concepts == 0:
         raise FormatError("explanation flags set but concept count is zero", offset=24)
-    samples = []
-    for _ in range(n):
-        features = r.array((n_inputs, input_dim), "<f4")
-        label = r.u32()
-        h_spatial = r.array((n_inputs, n_concepts), "<f4") if has_spatial else None
-        h_global = r.array((1, n_concepts), "<f4") if has_global else None
-        samples.append(Sample(features=features, label=label,
-                              h_spatial=h_spatial, h_global=h_global))
-    if r.offset != len(blob):
-        raise FormatError("trailing bytes after last sample", offset=r.offset)
+    body = r.offset
+    fields = [("features", "<f4", (n_inputs, input_dim)), ("label", "<u4")]
+    if has_spatial:
+        fields.append(("h_spatial", "<f4", (n_inputs, n_concepts)))
+    if has_global:
+        fields.append(("h_global", "<f4", (1, n_concepts)))
+    record = np.dtype(fields)
+    end = body + n * record.itemsize
+    if end > len(blob):
+        whole, rest = divmod(len(blob) - body, record.itemsize)
+        at = min(offset for dt, offset in record.fields.values() if offset + dt.itemsize > rest)
+        raise FormatError("truncated payload", offset=body + whole * record.itemsize + at)
+    if end < len(blob):
+        raise FormatError("trailing bytes after last sample", offset=end)
+    # One view of the fixed-size records; each float field is widened once
+    # for all samples, and each sample holds its slice.
+    records = np.frombuffer(blob, record, count=n, offset=body)
+    values = {name: records[name].astype(np.float64) for name, *_ in fields if name != "label"}
+    bad = []  # (first sample holding NaN/Inf, field order, field) per field
+    for k, (name, block) in enumerate(values.items()):
+        rows = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))
+        if rows.size:
+            bad.append((int(rows[0]), k, name))
+    if bad:
+        i, _, name = min(bad)
+        raise FormatError(f"sample {i} has non-finite {name} values",
+                          offset=body + i * record.itemsize + record.fields[name][1])
+    no_target = [None] * n
+    samples = [Sample(features=f, label=y, h_spatial=hs, h_global=hg) for f, y, hs, hg in zip(
+        values["features"], records["label"].tolist(), values.get("h_spatial", no_target),
+        values.get("h_global", no_target))]
     n_classes = 1 + max((s.label for s in samples), default=-1)
     return Dataset(samples=samples, n_classes=n_classes, n_concepts=n_concepts,
                    n_inputs=n_inputs, input_dim=input_dim)

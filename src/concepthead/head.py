@@ -166,9 +166,9 @@ class HeadParams(_ParamTree):
 class HeadOutput:
     """One forward pass: logits plus the attention maps used as explanations."""
 
-    logits: Tensor                    # (n_classes,)
-    attn_spatial: Tensor | None = None  # (L, C), head-averaged
-    attn_global: Tensor | None = None   # (1, C), head-averaged
+    logits: Tensor                    # (..., n_classes)
+    attn_spatial: Tensor | None = None  # (..., L, C), head-averaged
+    attn_global: Tensor | None = None   # (..., 1, C), head-averaged
 
     def maps(self) -> list[Tensor]:
         return [a for a in (self.attn_spatial, self.attn_global) if a is not None]
@@ -227,16 +227,23 @@ def init_head_params(cfg: HeadConfig, rng: np.random.Generator) -> HeadParams:
     return params
 
 
-def init_slots(p: SlotAttentionParams, cfg: HeadConfig, rng: np.random.Generator) -> Tensor:
-    """Initial slot matrix (C, d): sampled mu + sigma*eps, or learned queries for boqsa."""
+def init_slots(p: SlotAttentionParams, cfg: HeadConfig, rng: np.random.Generator,
+               lead: tuple[int, ...] = (), eps: np.ndarray | None = None) -> Tensor:
+    """Initial slots (*lead, C, d): mu + sigma*eps, or the learned queries for
+    boqsa repeated over the leading axes (boqsa draws no noise).
+
+    eps, when given, is the (*lead, C, d) standard-normal draw; otherwise it
+    is drawn here from rng.
+    """
     if cfg.variant == "boqsa":
         if p.init_queries is None:
             raise ConfigError("boqsa variant requires init_queries")
-        return p.init_queries
+        return ad.expand(p.init_queries, lead)
     if np.any(p.sigma <= 0.0):
         raise ConfigError("slot init scale must be positive")
-    eps = Tensor(rng.standard_normal((cfg.concepts, cfg.slot_dim)))
-    return ad.add(ad.mul(eps, ad.exp(p.log_sigma)), p.mu)
+    if eps is None:
+        eps = rng.standard_normal(tuple(lead) + (cfg.concepts, cfg.slot_dim))
+    return ad.add(ad.mul(Tensor(eps), ad.exp(p.log_sigma)), p.mu)
 
 
 def slot_attention(inputs: Tensor, slots: Tensor, p: SlotAttentionParams,
@@ -245,9 +252,10 @@ def slot_attention(inputs: Tensor, slots: Tensor, p: SlotAttentionParams,
 
     inputs must already be layer-normalized (the caller owns that step);
     slots are the current, already-normalized slot matrix. Scores are
-    softmaxed across slots so the slots compete per input column, then each
-    slot row is renormalized over inputs to a weighted mean. Returns the
-    renormalized attention (C, L) and the per-slot readout (C, d).
+    softmaxed across slots (axis -2) so the slots compete per input column,
+    then each slot row is renormalized over inputs to a weighted mean.
+    Returns the renormalized attention (..., C, L) and the per-slot readout
+    (..., C, d).
     """
     if cfg.identity_mode:
         q, k, v = slots, inputs, inputs
@@ -255,8 +263,8 @@ def slot_attention(inputs: Tensor, slots: Tensor, p: SlotAttentionParams,
         q = ad.matmul(slots, p.wq)
         k = ad.matmul(inputs, p.wk)
         v = ad.matmul(inputs, p.wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim))  # (C, L)
-    attn = ad.row_normalize(ad.softmax_axis(scores, axis=0))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim))  # (..., C, L)
+    attn = ad.row_normalize(ad.softmax_axis(scores, axis=-2))
     return attn, ad.matmul(attn, v)
 
 
@@ -271,19 +279,20 @@ def gru_update(slots: Tensor, readout: Tensor, p: SlotAttentionParams) -> Tensor
 
 
 def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
-                 rng: np.random.Generator) -> Tensor:
+                 rng: np.random.Generator, eps: np.ndarray | None = None) -> Tensor:
     """Full slot-binding pass: init, iterate attention+GRU, add slot positions.
 
-    The isa variant blocks gradient flow through the slot state right before
-    the final iteration; forward values are identical to sa.
+    e_raw is (..., L, D); eps is passed on to init_slots. The isa variant
+    blocks gradient flow through the slot state right before the final
+    iteration; forward values are identical to sa.
     """
-    if e_raw.data.ndim != 2 or e_raw.shape[1] != cfg.input_dim:
+    if e_raw.data.ndim < 2 or e_raw.shape[-1] != cfg.input_dim:
         raise ShapeError(f"expected inputs (*, {cfg.input_dim}), got {e_raw.shape}")
     if cfg.identity_mode:
         inputs = e_raw
     else:
         inputs = ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias)
-    slots = init_slots(p, cfg, rng)
+    slots = init_slots(p, cfg, rng, e_raw.shape[:-2], eps)
     for it in range(cfg.iters):
         if cfg.variant == "isa" and it == cfg.iters - 1:
             slots = ad.detach(slots)
@@ -296,7 +305,7 @@ def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
 
 def relevance(attn: Tensor) -> Tensor:
     """Per-concept relevance: column means of a row-stochastic (L, C) map."""
-    return ad.reduce_mean_axis(attn, axis=0)
+    return ad.reduce_mean_axis(attn, axis=-2)
 
 
 def decomposed_logits(slots: Tensor, p: CrossAttentionParams, rel: Tensor,
@@ -315,14 +324,14 @@ def multi_head_cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionPa
                                cfg: HeadConfig) -> tuple[Tensor, Tensor]:
     """Readback with cfg.heads parallel heads over contiguous d/h blocks.
 
-    Inputs query the refined slots. Each head softmaxes across concepts per
-    input row, so every row of its (L, C) map sums to 1. All heads run as one
-    stacked (h, ...) attention; per-head outputs are merged back along
-    features before the output matrix, the logits average the per-row class
-    scores over input rows, and the exported explanation map is the mean of
-    the per-head maps (heads summed in order, then scaled by 1/h). With one
-    head the map is the softmax output itself, the tensor that also feeds the
-    readback product.
+    Inputs (..., L, D) query the refined slots (..., C, d). Each head
+    softmaxes across concepts per input row, so every row of its (L, C) map
+    sums to 1. All heads run as one stacked (..., h, ...) attention; per-head
+    outputs are merged back along features before the output matrix, the
+    logits average the per-row class scores over input rows, and the
+    exported explanation map is the mean of the per-head maps (heads summed
+    in order, then scaled by 1/h). With one head the map is the softmax
+    output itself, the tensor that also feeds the readback product.
     """
     h = cfg.heads
     if cfg.identity_mode:
@@ -334,36 +343,44 @@ def multi_head_cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionPa
     q, k, v = (ad.split_heads(t, h) for t in (q_full, k_full, v_full))
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim // h))
     attn = ad.softmax_axis(scores, axis=-1)
-    merged = ad.merge_heads(ad.matmul(attn, v))
-    logits = ad.reduce_mean_axis(ad.matmul(merged, p.out), axis=0)
-    mean_attn = ad.sum_heads(attn)
+    merged = ad.merge_heads(ad.matmul(attn, v), h)
+    logits = ad.reduce_mean_axis(ad.matmul(merged, p.out), axis=-2)
+    mean_attn = ad.sum_heads(attn, h)
     if h > 1:
         mean_attn = ad.scale(mean_attn, 1.0 / h)
     return mean_attn, logits
 
 
 def class_token(e_raw: Tensor) -> Tensor:
-    """Whole-input embedding for the global pathway: the mean feature row."""
-    return Tensor(e_raw.data.mean(axis=0, keepdims=True))
+    """Whole-input embedding for the global pathway: the mean feature row
+    (..., 1, D)."""
+    return Tensor(e_raw.data.mean(axis=-2, keepdims=True))
 
 
 def head_forward(e_raw: Tensor, params: HeadParams, cfg: HeadConfig,
                  rng: np.random.Generator) -> HeadOutput:
-    """Forward one sample through the configured pathway(s).
+    """Forward one sample (L, D), or a stack of samples (B, L, D), through the
+    configured pathway(s).
 
-    The spatial pathway reads the (L, D) feature rows, the global pathway
-    the single (1, D) class_token of them; each refines its own slots and
-    reads them back. With pathway="dual" both run, spatial first, so slot
-    sampling draws spatial then global from the one generator, and the
-    logits are the mean scale(add(spatial, global), 0.5). A single pathway
-    returns its readback logits unchanged.
+    The spatial pathway reads the feature rows, the global pathway the
+    single class_token row of them; each refines its own slots and reads
+    them back. With pathway="dual" both run, and the logits are the mean
+    scale(add(spatial, global), 0.5). A single pathway returns its readback
+    logits unchanged. Slot noise (sa/isa) is drawn up front in one call, per
+    sample in sample order and spatial before global within a sample: the
+    stream of one call per sample and pathway.
     """
+    pathways = [(name, p) for name, p in (("spatial", params.spatial), ("global", params.global_))
+                if cfg.pathway in (name, "dual")]
+    noise = None
+    if cfg.variant != "boqsa":
+        noise = rng.standard_normal(e_raw.shape[:-2] + (len(pathways), cfg.concepts,
+                                                        cfg.slot_dim))
     maps, logits = {}, []
-    for name, p in (("spatial", params.spatial), ("global", params.global_)):
-        if cfg.pathway not in (name, "dual"):
-            continue
+    for k, (name, p) in enumerate(pathways):
         inputs = e_raw if name == "spatial" else class_token(e_raw)
-        slots = refine_slots(inputs, p.slot, cfg, rng)
+        slots = refine_slots(inputs, p.slot, cfg, rng,
+                             None if noise is None else noise[..., k, :, :])
         maps[name], pathway_logits = multi_head_cross_attention(inputs, slots, p.cross, cfg)
         logits.append(pathway_logits)
     joint = logits[0] if len(logits) == 1 else ad.scale(ad.add(*logits), 0.5)

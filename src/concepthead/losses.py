@@ -39,32 +39,39 @@ class LossWeights:
             raise ConfigError("loss weights must be non-negative")
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], via the stable log-sum-exp form."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-D logits, got {logits.shape}")
-    if not 0 <= label < logits.shape[0]:
-        raise IndexError(f"label {label} out of range for {logits.shape[0]} classes")
+def cross_entropy(logits: Tensor, label) -> Tensor:
+    """-log softmax(logits)[label], via the stable log-sum-exp form.
+
+    1-D logits and an int label give a scalar; (B, n) logits and B labels
+    give one loss per sample. A label out of range raises IndexError, and
+    labels that do not match the logits' rows a ShapeError (from pick).
+    """
     return ad.sub(ad.log_sum_exp(logits), ad.pick(logits, label))
 
 
+def _per_sample_sum(x: Tensor) -> Tensor:
+    """Sum of each (L, C) map over its last two axes: a scalar for one map,
+    one value per sample for a (B, L, C) stack."""
+    return ad.reduce_sum(x, keep=x.data.ndim - 2)
+
+
 def explanation_loss(attn: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Squared Frobenius distance between the attention map and its target."""
+    """Squared Frobenius distance between each attention map and its target."""
     if not isinstance(target, Tensor):
         target = Tensor(target)
     if attn.shape != target.shape:
         raise ShapeError(f"explanation target shape {target.shape} does not "
                          f"match attention shape {attn.shape}")
     diff = ad.sub(attn, target)
-    return ad.reduce_sum(ad.mul(diff, diff))
+    return _per_sample_sum(ad.mul(diff, diff))
 
 
 def sparsity_loss(attn: Tensor) -> Tensor:
-    """Mean elementwise entropy -a*ln(a) of an attention map."""
+    """Mean elementwise entropy -a*ln(a) of each attention map."""
     if np.any(attn.data < -1e-12) or np.any(attn.data > 1.0 + 1e-12):
         raise DomainError("sparsity_loss expects entries in [0, 1]")
     per_entry = ad.mul(attn, ad.clamped_log(attn, LOG_FLOOR))
-    return ad.scale(ad.reduce_sum(per_entry), -1.0 / attn.data.size)
+    return ad.scale(_per_sample_sum(per_entry), -1.0 / (attn.shape[-2] * attn.shape[-1]))
 
 
 def total_loss(cls: Tensor, expl: Tensor | None, sparse: Tensor | None,

@@ -66,8 +66,8 @@ def _sample_concept_score(attn: np.ndarray, target: np.ndarray) -> float | None:
     carrier_rows = np.flatnonzero(target.sum(axis=1) > 0)
     if carrier_rows.size == 0:
         return None
-    hits = sum(1 for r in carrier_rows
-               if int(np.argmax(attn[r])) == int(np.argmax(target[r])))
+    hits = int(np.count_nonzero(np.argmax(attn[carrier_rows], axis=1)
+                                == np.argmax(target[carrier_rows], axis=1)))
     return hits / carrier_rows.size
 
 

@@ -12,6 +12,7 @@ optimizer moments, generator state, epoch) to continue a run unchanged.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "adamw_step",
     "lr_at",
     "init_train_state",
+    "check_dataset",
     "train_epoch",
     "fit",
     "evaluate",
@@ -138,21 +140,103 @@ def init_train_state(cfg: TrainConfig) -> TrainState:
     return TrainState(params=params, opt=OptimizerState.for_params(params), rng=rng)
 
 
+def check_dataset(dataset: Dataset, head: HeadConfig, targets: bool = True) -> None:
+    """Reject, before any forward pass, samples the model cannot take.
+
+    Every sample must hold (L, D) features with one L for all samples and D
+    equal to the model's input_dim. With targets, labels must be below
+    n_classes, and every explanation target present must be (L, C) spatially
+    or (1, C) globally with C equal to the model's concepts. The ConfigError
+    names the first offending sample and both values.
+    """
+    if not dataset.samples:
+        return
+    shape = dataset.samples[0].features.shape
+    for i, s in enumerate(dataset.samples):
+        f = s.features
+        if f.ndim != 2 or f.shape[1] != head.input_dim:
+            raise ConfigError(f"sample {i} has features of shape {f.shape}, but the model "
+                              f"has input_dim {head.input_dim}")
+        if f.shape != shape:
+            raise ConfigError(f"sample {i} has features of shape {f.shape}, "
+                              f"but sample 0 has {shape}")
+        if not targets:
+            continue
+        if not 0 <= s.label < head.n_classes:
+            raise ConfigError(f"sample {i} has label {s.label}, "
+                              f"but the model has {head.n_classes} classes")
+        for name, h, rows in (("h_spatial", s.h_spatial, shape[0]), ("h_global", s.h_global, 1)):
+            if h is not None and h.shape != (rows, head.concepts):
+                raise ConfigError(f"sample {i} has {name} of shape {h.shape}, but the model "
+                                  f"expects ({rows}, {head.concepts})")
+
+
+def _chunks(samples: list, batch: np.ndarray, size: int) -> list[list[int]]:
+    """Split a batch into runs of at most size indices, in batch order. A run
+    also ends where the kinds of explanation target a sample carries change,
+    so every sample of a chunk stacks the same targets."""
+    chunks: list[list[int]] = []
+    kinds = None
+    for idx in batch.tolist():
+        s = samples[idx]
+        kind = (s.h_spatial is None, s.h_global is None)
+        if not chunks or len(chunks[-1]) == size or kind != kinds:
+            chunks.append([])
+            kinds = kind
+        chunks[-1].append(idx)
+    return chunks
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
+                    rng: np.random.Generator):
+    """One chunk through the head, and each sample's loss terms.
+
+    Returns the head output, the (map, targets) pairs that carry targets,
+    and the per-sample cross-entropy, explanation (None without targets)
+    and total losses.
+    """
+    w = cfg.weights
+    out = hd.head_forward(Tensor(_stack([s.features for s in samples])), params, cfg.head, rng)
+    pairs = [(a, targets) for a, targets in (
+        (out.attn_spatial, [s.h_spatial for s in samples]),
+        (out.attn_global, [s.h_global for s in samples]))
+        if a is not None and targets[0] is not None]
+    cls = losses.cross_entropy(out.logits, [s.label for s in samples])
+    expl = sparse = None
+    if w.lambda_expl > 0.0:
+        for attn, targets in pairs:
+            term = losses.explanation_loss(attn, _stack(targets))
+            expl = term if expl is None else ad.add(expl, term)
+    maps = out.maps()
+    if w.lambda_sparse > 0.0:
+        for a in maps:
+            term = losses.sparsity_loss(a)
+            sparse = term if sparse is None else ad.add(sparse, term)
+        if len(maps) > 1:
+            sparse = ad.scale(sparse, 1.0 / len(maps))
+    return out, pairs, cls, expl, losses.total_loss(cls, expl, sparse, w)
+
+
 def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
               rng: np.random.Generator, batches: list[np.ndarray], epoch: int,
               step=None) -> Metrics:
-    """Per-sample loop shared by train_epoch and evaluate.
+    """The one pass loop of train_epoch and evaluate.
 
-    Each sample goes forward once and feeds the metric sums; with step given,
-    its share of the batch-mean loss is backpropagated and step() runs after
-    each batch. Overflow stays silent: autodiff turns non-finite op outputs into
-    NumericError, which is re-raised here with its location.
+    Samples go forward as (B, L, D) chunks of a batch: one sample at a time
+    when step is given, each backpropagating its share of the batch-mean
+    loss (step() runs after each batch), else cfg.batch_size at a time.
+    Every op works per sample, so chunking changes no value, and the metric
+    sums are Python floats added in sample order. Overflow stays silent:
+    autodiff turns non-finite op outputs into NumericError. A chunk that
+    raises one is replayed one sample at a time from the generator state it
+    started with, so the error names the epoch, batch and sample.
     """
-    for i, sample in enumerate(dataset.samples):
-        if not 0 <= sample.label < cfg.head.n_classes:
-            raise ConfigError(f"sample {i} has label {sample.label}, "
-                              f"but the model has {cfg.head.n_classes} classes")
-    w = cfg.weights
+    check_dataset(dataset, cfg.head)
+    size = 1 if step is not None else cfg.batch_size
     sum_cls = sum_expl = sum_entropy = sum_total = 0.0
     hits = 0
     concept_scores: list[float] = []
@@ -160,42 +244,37 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
         for b, batch in enumerate(batches):
             if step is not None:
                 params.reset_grads()
-            for idx in batch:
-                sample = dataset.samples[int(idx)]
+            pending = deque(_chunks(dataset.samples, batch, size))
+            while pending:
+                chunk = pending.popleft()
+                samples = [dataset.samples[i] for i in chunk]
+                saved = rng.bit_generator.state if len(chunk) > 1 else None
                 try:
-                    out = hd.head_forward(Tensor(sample.features), params, cfg.head, rng)
-                    pairs = [(a, h) for a, h in ((out.attn_spatial, sample.h_spatial),
-                                                 (out.attn_global, sample.h_global))
-                             if a is not None and h is not None]
-                    cls = losses.cross_entropy(out.logits, sample.label)
-                    expl = sparse = None
-                    if w.lambda_expl > 0.0:
-                        for attn, target in pairs:
-                            term = losses.explanation_loss(attn, target)
-                            expl = term if expl is None else ad.add(expl, term)
-                    maps = out.maps()
-                    if w.lambda_sparse > 0.0:
-                        for a in maps:
-                            term = losses.sparsity_loss(a)
-                            sparse = term if sparse is None else ad.add(sparse, term)
-                        if len(maps) > 1:
-                            sparse = ad.scale(sparse, 1.0 / len(maps))
-                    total = losses.total_loss(cls, expl, sparse, w)
+                    out, pairs, cls, expl, total = _forward_losses(samples, params, cfg, rng)
                     if step is not None:
                         ad.backward(ad.scale(total, 1.0 / len(batch)))
                 except NumericError as err:
+                    if saved is not None:
+                        rng.bit_generator.state = saved
+                        pending.extendleft([i] for i in reversed(chunk))
+                        continue
                     raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}, "
-                                       f"sample {int(idx)}: {err}") from err
-                sum_cls += float(cls.data)
-                sum_expl += 0.0 if expl is None else float(expl.data)
-                sum_entropy += sum(attention_entropy(a.data) for a in maps) / len(maps)
-                sum_total += float(total.data)
-                if int(np.argmax(out.logits.data)) == sample.label:
-                    hits += 1
-                scores = [s for s in (_sample_concept_score(a.data, h) for a, h in pairs)
-                          if s is not None]
-                if scores:
-                    concept_scores.append(sum(scores) / len(scores))
+                                       f"sample {chunk[0]}: {err}") from err
+                expl_v = [0.0] * len(chunk) if expl is None else expl.data.tolist()
+                predicted = np.argmax(out.logits.data, axis=-1).tolist()
+                maps = [a.data for a in out.maps()]
+                for j, (s, cls_j, total_j) in enumerate(zip(samples, cls.data.tolist(),
+                                                            total.data.tolist())):
+                    sum_cls += cls_j
+                    sum_expl += expl_v[j]
+                    sum_entropy += sum(attention_entropy(m[j]) for m in maps) / len(maps)
+                    sum_total += total_j
+                    if predicted[j] == s.label:
+                        hits += 1
+                    scores = [score for score in (_sample_concept_score(a.data[j], targets[j])
+                                                  for a, targets in pairs) if score is not None]
+                    if scores:
+                        concept_scores.append(sum(scores) / len(scores))
             if step is not None:
                 step()
     n = len(dataset.samples)

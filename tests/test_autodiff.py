@@ -172,6 +172,85 @@ class TestBackward:
             ad.backward(t([1.0, 2.0]))
 
 
+class TestLeanTape:
+    def test_only_leaves_get_grad(self):
+        x, w = t(np.ones((2, 3))), t(np.full((3, 2), 0.5))
+        hidden = ad.matmul(x, w)
+        out = ad.tanh(hidden)
+        loss = ad.reduce_sum(out)
+        ad.backward(loss)
+        assert x.grad is not None and w.grad is not None
+        assert hidden.grad is None and out.grad is None and loss.grad is None
+
+    def test_add_to_itself_is_exact(self):
+        x = t([[0.1, -2.5, 3.0]])
+        ad.backward(ad.reduce_sum(ad.add(x, x)))
+        npt.assert_array_equal(x.grad, [[2.0, 2.0, 2.0]])
+        y = t([[0.3, 0.7]])
+        doubled = ad.add(y, y)
+        ad.backward(ad.reduce_sum(ad.mul(doubled, doubled)))  # d/dy (2y)^2 = 8y
+        npt.assert_array_equal(y.grad, 8.0 * y.data)
+
+    def test_fanout_sums_in_walk_order(self):
+        x = t([[0.25, -1.5]])
+        h = ad.scale(x, 3.0)
+        loss = ad.reduce_sum(ad.add(ad.add(ad.mul(h, h), h), ad.tanh(h)))
+        ad.backward(loss)
+        g = 2.0 * h.data + 1.0 + (1.0 - np.tanh(h.data) ** 2)
+        npt.assert_allclose(x.grad, 3.0 * g, rtol=0, atol=1e-14)
+        first = x.grad.copy()
+        x.reset_grad()
+        ad.backward(loss)
+        npt.assert_array_equal(x.grad, first)
+
+
+class TestLeadingAxis:
+    def test_stack_matches_per_sample_calls(self):
+        rng = np.random.default_rng(4)
+        xs, w = rng.normal(size=(5, 8, 32)), rng.normal(size=(32, 32))
+        gain, bias = rng.normal(size=(1, 32)), rng.normal(size=(1, 32))
+        row = rng.normal(size=(1, 32))
+
+        def chain(x):
+            y = ad.layer_norm(ad.matmul(t(x), t(w)), t(gain), t(bias))
+            y = ad.row_normalize(ad.softmax_axis(ad.mul(ad.add(y, t(row)), t(row)), -2))
+            return ad.reduce_sum(y, keep=y.data.ndim - 2), ad.log_sum_exp(y)
+
+        stacked = chain(xs)
+        for i in range(5):
+            for got, want in zip(stacked, chain(xs[i])):
+                assert np.array_equal(got.data[i], want.data)
+
+    def test_broadcast_rules(self):
+        stack = t(np.ones((2, 3, 4)))
+        assert ad.add(stack, t(np.ones((3, 4)))).shape == (2, 3, 4)
+        assert ad.mul(stack, t(np.ones((1, 4)))).shape == (2, 3, 4)
+        with pytest.raises(ShapeError):
+            ad.add(stack, t(np.ones((2, 1, 4))))
+        with pytest.raises(ShapeError):
+            ad.mul(stack, t(np.ones((3, 1))))
+        with pytest.raises(ShapeError):
+            ad.matmul(stack, t(np.ones((3, 4, 2))))
+
+    def test_shared_weight_gradient_is_the_lone_slice_for_one_sample(self):
+        rng = np.random.default_rng(2)
+        x, g = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        w = t(rng.normal(size=(4, 3)))
+        ad.backward(ad.reduce_sum(ad.mul(ad.matmul(t(x[None]), w), ad.Tensor(g[None]))))
+        assert np.array_equal(w.grad, x.T @ g)
+
+    def test_pick_and_log_sum_exp_rows(self):
+        a = t([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        npt.assert_array_equal(ad.pick(a, np.array([2, 0])).data, [3.0, 0.0])
+        npt.assert_allclose(ad.log_sum_exp(a).data,
+                            [math.log(math.e + math.e ** 2 + math.e ** 3), math.log(3.0)],
+                            rtol=0, atol=1e-15)
+        with pytest.raises(IndexError):
+            ad.pick(a, np.array([3, 0]))
+        with pytest.raises(ShapeError):
+            ad.pick(a, 1)
+
+
 class TestGradCheck:
     def test_quadratic(self):
         theta = t(np.asarray([3.0]))
@@ -235,12 +314,66 @@ class TestGradCheck:
             "split_merge_matmul3d": lambda: ad.add(
                 ad.reduce_sum(ad.mul(ad.merge_heads(ad.matmul(
                     ad.matmul(ad.split_heads(x, 2), ad.transpose(ad.split_heads(pos, 2))),
-                    ad.split_heads(x, 2))), weight)),
+                    ad.split_heads(x, 2)), 2), weight)),
                 ad.reduce_sum(ad.mul(ad.sum_heads(ad.matmul(
-                    ad.split_heads(pos, 2), ad.transpose(ad.split_heads(x, 2)))), square))),
+                    ad.split_heads(pos, 2), ad.transpose(ad.split_heads(x, 2))), 2), square))),
         }
         params = [("x", x), ("w", w), ("row", row), ("gain", gain), ("bias", bias),
                   ("pos", pos), ("vec", vec), ("mat", mat)]
+        for name, f in cases.items():
+            report = ad.grad_check(f, params, h=1e-6, tol=1e-6)
+            assert report.passed, f"{name}: max rel error {report.max_rel_error:.3e}"
+
+    def test_every_op_with_leading_axis(self):
+        # Magnitudes stay away from zero, so that no coordinate's gradient
+        # falls to the rounding floor of central differences at h=1e-6.
+        rng = np.random.default_rng(8)
+
+        def away(*shape):
+            return rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+        x = t(away(2, 3, 4))                        # a stack of two samples
+        w = t(away(4, 3))                           # shared by both samples
+        row = t(away(1, 4))
+        trailing = t(away(3, 4))
+        gain = t(away(1, 4))
+        bias = t(away(1, 4))
+        pos = t(rng.uniform(0.5, 2.0, size=(2, 3, 4)))
+        logits = t(away(2, 5))
+        weight = ad.Tensor(rng.uniform(0.5, 2.0, size=(2, 3, 4)))
+        per_sample = ad.Tensor(away(2))
+
+        def total(y):
+            return ad.reduce_sum(ad.mul(y, weight))
+
+        cases = {
+            "matmul_shared_right": lambda: ad.reduce_sum(ad.tanh(ad.matmul(x, w))),
+            "matmul_shared_left": lambda: ad.reduce_sum(ad.tanh(ad.matmul(
+                trailing, ad.transpose(x)))),
+            "matmul_stacked": lambda: total(ad.matmul(ad.matmul(x, ad.transpose(pos)), x)),
+            "add_row": lambda: total(ad.add(x, row)),
+            "add_trailing": lambda: total(ad.add(x, trailing)),
+            "mul_row": lambda: total(ad.mul(x, row)),
+            "mul_trailing": lambda: total(ad.mul(x, trailing)),
+            "layer_norm": lambda: total(ad.layer_norm(x, gain, bias)),
+            "row_normalize": lambda: total(ad.row_normalize(pos)),
+            "softmax_rows": lambda: total(ad.softmax_axis(x, -2)),
+            "expand": lambda: total(ad.expand(trailing, (2,))),
+            "split_merge_heads": lambda: total(ad.merge_heads(ad.matmul(
+                ad.matmul(ad.split_heads(x, 2), ad.transpose(ad.split_heads(pos, 2))),
+                ad.split_heads(x, 2)), 2)),
+            "sum_heads": lambda: ad.reduce_sum(ad.mul(ad.sum_heads(ad.matmul(
+                ad.split_heads(pos, 2), ad.transpose(ad.split_heads(x, 2))), 2),
+                ad.Tensor(weight.data[..., :3]))),
+            "row_log_sum_exp": lambda: ad.reduce_sum(ad.mul(ad.log_sum_exp(logits),
+                                                            per_sample)),
+            "row_pick": lambda: ad.reduce_sum(ad.mul(ad.pick(logits, np.array([3, 0])),
+                                                     per_sample)),
+            "per_sample_sum": lambda: ad.reduce_sum(ad.mul(
+                ad.reduce_sum(ad.mul(x, pos), keep=1), per_sample)),
+        }
+        params = [("x", x), ("w", w), ("row", row), ("trailing", trailing), ("gain", gain),
+                  ("bias", bias), ("pos", pos), ("logits", logits)]
         for name, f in cases.items():
             report = ad.grad_check(f, params, h=1e-6, tol=1e-6)
             assert report.passed, f"{name}: max rel error {report.max_rel_error:.3e}"
@@ -282,13 +415,13 @@ class TestHeadAxis:
         split = ad.split_heads(x, 4)
         assert split.shape == (4, 3, 2) and split.data.flags.c_contiguous
         npt.assert_array_equal(split.data[1], x.data[:, 2:4])
-        npt.assert_array_equal(ad.merge_heads(split).data, x.data)
+        npt.assert_array_equal(ad.merge_heads(split, 4).data, x.data)
 
     def test_one_head_adds_no_node(self):
         x = t(np.ones((3, 4)))
         assert ad.split_heads(x, 1) is x
-        assert ad.merge_heads(x) is x
-        assert ad.sum_heads(x) is x
+        assert ad.merge_heads(x, 1) is x
+        assert ad.sum_heads(x, 1) is x
 
     def test_stacked_matmul_matches_per_head_products(self):
         rng = np.random.default_rng(5)
@@ -300,7 +433,7 @@ class TestHeadAxis:
     def test_sum_heads_adds_in_head_order(self):
         a = np.random.default_rng(6).normal(size=(4, 2, 3))
         want = ((a[0] + a[1]) + a[2]) + a[3]
-        assert np.array_equal(ad.sum_heads(t(a)).data, want)
+        assert np.array_equal(ad.sum_heads(t(a), 4).data, want)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ShapeError):
@@ -308,7 +441,7 @@ class TestHeadAxis:
         with pytest.raises(ShapeError):
             ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 2))))
         with pytest.raises(ShapeError):
-            ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((4, 2))))
+            ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 2))))
 
 
 class TestNoGrad:

@@ -5,6 +5,8 @@ import pytest
 
 from concepthead import cli
 from concepthead import data as dat
+from concepthead import head as hd
+from concepthead import trainer as tr
 
 
 def run(argv):
@@ -131,3 +133,75 @@ class TestTrainEvalExplain:
         assert args.weight_decay == 1e-3
         assert args.batch_size == 64
         assert args.lr == 5e-5
+
+
+class TestDatasetModelBoundary:
+    """A dataset that does not fit the model fails before the pass, exit 1."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        data = str(tmp_path / "c12.emb")
+        assert run(["gen-data", "--out", data, "--seed", "1", "--classes", "4",
+                    "--concepts", "12", "--features", "3", "--feature-dim", "16",
+                    "--samples-per-class", "2"]) == 0
+        out_dir = str(tmp_path / "run")
+        assert run(["train", "--data", data, "--out", out_dir, "--epochs", "1",
+                    "--slot-dim", "8", "--seed", "2"]) == 0
+        return data, os.path.join(out_dir, "model.cctk")
+
+    def gen(self, tmp_path, name, concepts, dim):
+        path = str(tmp_path / name)
+        assert run(["gen-data", "--out", path, "--seed", "4", "--classes", "4",
+                    "--concepts", str(concepts), "--features", "3",
+                    "--feature-dim", str(dim), "--samples-per-class", "2"]) == 0
+        return path
+
+    def test_eval_feature_dim_mismatch(self, model, tmp_path, capsys):
+        data = self.gen(tmp_path, "d12.emb", 4, 12)
+        capsys.readouterr()
+        assert run(["eval", "--data", data, "--checkpoint", model[1]]) == 1
+        err = capsys.readouterr().err
+        assert "sample 0 has features of shape (3, 12), but the model has input_dim 16" in err
+
+    def test_eval_concept_count_mismatch(self, model, tmp_path, capsys):
+        data = self.gen(tmp_path, "c8.emb", 8, 16)
+        capsys.readouterr()
+        assert run(["eval", "--data", data, "--checkpoint", model[1]]) == 1
+        assert ("sample 0 has h_spatial of shape (3, 8), but the model expects (3, 12)"
+                in capsys.readouterr().err)
+
+    def test_train_with_fewer_concepts_than_the_targets(self, model, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["train", "--data", model[0], "--out", str(tmp_path / "c5"),
+                    "--epochs", "1", "--slot-dim", "8", "--concepts", "5"]) == 1
+        assert ("sample 0 has h_spatial of shape (3, 12), but the model expects (3, 5)"
+                in capsys.readouterr().err)
+
+    def test_explain_checks_only_the_feature_dim(self, model, tmp_path, capsys):
+        other_c = self.gen(tmp_path, "c8.emb", 8, 16)
+        assert run(["explain", "--data", other_c, "--checkpoint", model[1],
+                    "--out", str(tmp_path / "explain")]) == 0
+        other_d = self.gen(tmp_path, "d12.emb", 4, 12)
+        capsys.readouterr()
+        assert run(["explain", "--data", other_d, "--checkpoint", model[1],
+                    "--out", str(tmp_path / "explain12")]) == 1
+        assert "but the model has input_dim 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", hd.VARIANTS)
+@pytest.mark.parametrize("pathway", hd.PATHWAYS)
+@pytest.mark.parametrize("heads", [1, 4])
+def test_explain_bytes_independent_of_chunk_size(tiny_emb, tmp_path, variant, pathway, heads):
+    head = hd.HeadConfig(concepts=4, slot_dim=8, input_dim=6, n_inputs=3, n_classes=2,
+                         variant=variant, heads=heads, pathway=pathway)
+    outputs = []
+    for size in (5, 1):
+        cfg = tr.TrainConfig(head=head, batch_size=size, seed=3)
+        ckpt = str(tmp_path / f"b{size}.cctk")
+        tr.save_checkpoint(tr.init_train_state(cfg), cfg, ckpt)
+        out_dir = tmp_path / f"explain{size}"
+        assert run(["explain", "--data", tiny_emb, "--checkpoint", ckpt,
+                    "--out", str(out_dir), "--seed", "7"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert len(outputs[0]) == 2 * 12 + 1  # a PGM and a CSV per sample, and topk.csv
+    assert outputs[0] == outputs[1]

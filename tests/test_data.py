@@ -199,3 +199,22 @@ class TestEmbFormat:
                          n_inputs=1, input_dim=1)
         parsed = dat.parse_emb(dat.emb_bytes(ds))
         assert parsed.samples[0].features[0, 0] == np.float32(0.1)
+
+
+class TestNonFinitePayload:
+    @pytest.mark.parametrize("field", ["features", "h_spatial", "h_global"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected_with_sample_and_field(self, field, value):
+        ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
+        getattr(ds.samples[3], field)[0, 1] = value
+        blob = dat.emb_bytes(ds)
+        with pytest.raises(FormatError, match=f"sample 3 has non-finite {field} values") as err:
+            dat.parse_emb(blob)
+        assert err.value.offset is not None and err.value.offset < len(blob)
+
+    def test_first_bad_sample_is_named(self):
+        ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
+        ds.samples[2].h_global[0, 0] = np.nan
+        ds.samples[1].features[1, 0] = np.inf
+        with pytest.raises(FormatError, match="sample 1 has non-finite features"):
+            dat.parse_emb(dat.emb_bytes(ds))

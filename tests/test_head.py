@@ -493,6 +493,19 @@ class TestDualPathway:
         assert attn_g.data.shape == (1, 3)
         npt.assert_allclose(attn_g.data.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_slot_noise_draws_spatial_then_global(self):
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=5, n_inputs=4,
+                            n_classes=3, variant="sa", pathway="dual")
+        params = hd.init_head_params(cfg, np.random.default_rng(0))
+        e = np.random.default_rng(1).normal(size=(4, 5))
+        out = hd.head_forward(Tensor(e), params, cfg, np.random.default_rng(5))
+        rng = np.random.default_rng(5)  # one generator, spatial draw first
+        logits = []
+        for p, inputs in ((params.spatial, Tensor(e)), (params.global_, hd.class_token(Tensor(e)))):
+            slots = hd.refine_slots(inputs, p.slot, cfg, rng)
+            logits.append(hd.multi_head_cross_attention(inputs, slots, p.cross, cfg)[1])
+        assert np.array_equal(out.logits.data, ad.scale(ad.add(*logits), 0.5).data)
+
     def test_toy_composition(self):
         # identity-mode dual run on hand-checkable inputs
         cfg = hd.HeadConfig(concepts=2, slot_dim=1, input_dim=1, n_inputs=2,
@@ -611,3 +624,41 @@ class TestHeadInvariants:
 
         report = ad.grad_check(f, list(params.named()), h=1e-6, tol=1e-6)
         assert report.passed, (report.max_rel_error, report.worst)
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("variant", hd.VARIANTS)
+    @pytest.mark.parametrize("pathway", hd.PATHWAYS)
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("n_inputs", [1, 8, 16, 32])
+    def test_stack_equals_per_sample_calls(self, variant, pathway, heads, n_inputs):
+        # the benchmark's shapes: D = d = 32, C = 12, 4 classes
+        cfg = hd.HeadConfig(concepts=12, slot_dim=32, input_dim=32, n_inputs=n_inputs,
+                            n_classes=4, variant=variant, heads=heads, pathway=pathway)
+        rng = np.random.default_rng(n_inputs + 100 * heads)
+        params = hd.init_head_params(cfg, rng)
+        stack = rng.normal(size=(5, n_inputs, 32))
+        batched = hd.head_forward(Tensor(stack), params, cfg, np.random.default_rng(9))
+        per_sample_rng = np.random.default_rng(9)
+        for i in range(5):
+            one = hd.head_forward(Tensor(stack[i]), params, cfg, per_sample_rng)
+            assert np.array_equal(batched.logits.data[i], one.logits.data)
+            for got, want in zip(batched.maps(), one.maps()):
+                assert np.array_equal(got.data[i], want.data)
+
+    def test_one_sample_stack_gives_per_sample_gradients(self):
+        cfg = hd.HeadConfig(concepts=3, slot_dim=8, input_dim=6, n_inputs=4, n_classes=3,
+                            variant="boqsa", heads=2, pathway="dual")
+        params = hd.init_head_params(cfg, np.random.default_rng(0))
+        e = np.random.default_rng(1).normal(size=(4, 6))
+        grads = []
+        for x, label in ((e, 2), (e[None], [2])):
+            params.reset_grads()
+            out = hd.head_forward(Tensor(x), params, cfg, np.random.default_rng(2))
+            loss = ad.add(losses.cross_entropy(out.logits, label),
+                          losses.sparsity_loss(out.attn_spatial))
+            ad.backward(loss)
+            grads.append([None if p.grad is None else p.grad.copy()
+                          for _, p in params.named()])
+        for got, want in zip(*grads):
+            assert (got is None and want is None) or np.array_equal(got, want)

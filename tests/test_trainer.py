@@ -239,6 +239,46 @@ class TestEvaluate:
         assert mt.format_metrics_row(untaped) == mt.format_metrics_row(taped)
 
 
+GRID = [(variant, pathway, heads) for variant in hd.VARIANTS for pathway in hd.PATHWAYS
+        for heads in (1, 4)]
+
+
+class TestChunkedPass:
+    @pytest.mark.parametrize("variant,pathway,heads", GRID)
+    def test_chunks_of_five_match_one_at_a_time(self, variant, pathway, heads):
+        ds = tiny_dataset()  # 12 samples: chunks of 5, 5 and 2
+        head = hd.HeadConfig(concepts=4, slot_dim=8, input_dim=4, n_inputs=3, n_classes=2,
+                             variant=variant, heads=heads, pathway=pathway)
+        state, _ = tr.fit(ds, tiny_config(head=head, batch_size=4), epochs=1)
+        rows = [mt.format_metrics_row(tr.evaluate(ds, state.params,
+                                                  tiny_config(head=head, batch_size=size),
+                                                  seed=3))
+                for size in (5, 1)]
+        assert rows[0] == rows[1]
+
+    def test_chunk_splits_where_target_kinds_change(self):
+        ds = tiny_dataset()
+        for s in ds.samples[3:5]:
+            s.h_spatial = None
+        chunks = tr._chunks(ds.samples, np.arange(12), 5)
+        assert chunks == [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9], [10, 11]]
+        rows = [mt.format_metrics_row(tr.evaluate(ds, tr.init_train_state(cfg).params, cfg))
+                for cfg in (tiny_config(batch_size=5), tiny_config(batch_size=1))]
+        assert rows[0] == rows[1]
+
+    def test_numeric_error_in_a_chunk_names_the_sample(self):
+        ds = tiny_dataset()
+        ds.samples[6].features[...] = 1e308  # the row sum in layer_norm overflows
+        messages = []
+        for size in (5, 1):
+            cfg = tiny_config(batch_size=size)
+            with pytest.raises(NumericError) as err:
+                tr.evaluate(ds, tr.init_train_state(cfg).params, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("non-finite loss at epoch 0, batch 0, sample 6: ")
+
+
 class TestCheckpoint:
     def test_roundtrip_bytes_identical(self, tmp_path):
         ds = tiny_dataset()

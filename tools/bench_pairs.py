@@ -1,0 +1,151 @@
+"""Paired benchmark runs of two checkouts, alternating which side runs first.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds 6 7 8 \
+        [--seconds 30] [--label NAME] [--out DIR] [--trace-seconds 10]
+
+PARENT and CHANGE are checkouts (or unpacked copies) of the repository. For
+each seed this runs `python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0` in both, one after the other: the parent first in
+pairs 1, 3, 5, ..., the change first in pairs 2, 4, 6, ... It prints, for
+every end-to-end metric that PARENT/BENCHMARK.json declares, the median and
+quartiles of each side, the median gap over the parent's interquartile
+range, and how many pairs the change won. With --trace-seconds, one traced
+run per side (on the first seed) adds the per-layer values.
+
+The records go to --out (default: the current directory) as
+BENCH_baseline.json (PARENT) and BENCH_<label>.json (CHANGE), in the schema
+of the BENCH_*.json files at the repository root; a workload already in a
+file is replaced, other workloads are kept. Only the standard library is
+used, and nothing under perfbench/ is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+MACHINE_KEYS = ("nproc", "usable_cpus", "python", "numpy", "blas", "blas_threads",
+                "ref_iter_s")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace-seconds", type=float, default=0.0,
+                        help="seconds of one traced run per side; 0 skips per-layer values")
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out", type=Path, default=Path("."))
+    return parser.parse_args(argv)
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> tuple[dict, dict]:
+    """One perfbench run: (its printed result, the provenance of its record)."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bench_pairs: {' '.join(argv[1:])} in {checkout} exited with "
+                         f"{done.returncode}:\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    record = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json"
+    return result, json.loads(record.read_text())["provenance"]
+
+
+def flat_run(seed: int, result: dict) -> dict:
+    row = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+           "failed": result["failed"]}
+    row.update({name: m["value"] for name, m in result["metrics"].items()})
+    return row
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def write_record(path: Path, label: str, checkout: Path, workload: str, runs: list[dict],
+                 metrics: list[str], provenance: dict, per_layer: dict | None,
+                 seconds: float, trace_seconds: float) -> None:
+    record = json.loads(path.read_text()) if path.exists() else {}
+    entry = {"runs": runs,
+             "summary": {name: quartiles([r[name] for r in runs]) for name in metrics}}
+    if per_layer is not None:
+        entry["per_layer"] = per_layer
+    workloads = record.get("workloads", {})
+    workloads[workload] = entry
+    command = (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
+               + (f" (per-layer: --seconds {trace_seconds:g} --trace 1)" if trace_seconds else ""))
+    record.update({
+        "label": label,
+        "commit": provenance.get("git_commit") or f"checkout {checkout.name}",
+        "command": command,
+        "summary": "median [q1, q3] over the seeds listed; values as perfbench prints them "
+                   "(times scaled by its yardstick)",
+        "workloads": workloads,
+        "machine": {key: provenance.get(key) for key in MACHINE_KEYS},
+        "src_sha256": provenance.get("src_sha256"),
+    })
+    path.write_text(json.dumps(record, indent=1) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    args = parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in declared}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    provenance: dict[str, dict] = {}
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result, provenance[side] = run_bench(sides[side], args.workload, seed,
+                                                 args.seconds, 0)
+            runs[side].append(flat_run(seed, result))
+            print(f"pair {i + 1} seed {seed} {side}: correct={result['correct']} "
+                  f"failed={result['failed']}", file=sys.stderr, flush=True)
+    per_layer = {"parent": None, "change": None}
+    if args.trace_seconds:
+        for side in sides:
+            result, _ = run_bench(sides[side], args.workload, args.seeds[0],
+                                  args.trace_seconds, 1)
+            per_layer[side] = flat_run(args.seeds[0], result)
+
+    print(f"{args.workload}: {len(args.seeds)} pairs, {args.seconds:g} s runs; "
+          f"median [q1, q3], parent -> change")
+    for name, direction in better.items():
+        p = [r[name] for r in runs["parent"]]
+        c = [r[name] for r in runs["change"]]
+        qp, qc = quartiles(p), quartiles(c)
+        wins = sum((b > a) if direction == "higher" else (b < a) for a, b in zip(p, c))
+        iqr = qp["q3"] - qp["q1"]
+        gap = qc["median"] - qp["median"]
+        print(f"  {name:12s} {qp['median']:.6g} [{qp['q1']:.6g}, {qp['q3']:.6g}] -> "
+              f"{qc['median']:.6g} [{qc['q1']:.6g}, {qc['q3']:.6g}]  "
+              f"x{qc['median'] / qp['median']:.3f}  change won {wins}/{len(p)}  "
+              f"gap {gap:+.4g} vs parent IQR {iqr:.4g} ({better[name]} is better)")
+    for side in sides:
+        bad = [r["seed"] for r in runs[side] if not r["correct"] or r["failed"]]
+        if bad:
+            print(f"  {side}: seeds {bad} had failed checks")
+
+    args.out.mkdir(parents=True, exist_ok=True)
+    for side, label in (("parent", "baseline"), ("change", args.label)):
+        write_record(args.out / f"BENCH_{label}.json", label, sides[side], args.workload,
+                     runs[side], list(better), provenance[side], per_layer[side],
+                     args.seconds, args.trace_seconds)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
