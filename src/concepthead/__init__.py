@@ -15,7 +15,7 @@ from .errors import (ConceptHeadError, ConfigError, DomainError, FormatError,
 from .head import (CrossAttentionParams, HeadConfig, HeadOutput, HeadParams,
                    PathwayParams, SlotAttentionParams, head_forward, init_head_params)
 from .losses import LossWeights, cross_entropy, explanation_loss, sparsity_loss, total_loss
-from .metrics import Metrics, class_accuracy, concept_top1_accuracy, export_heatmap
+from .metrics import Metrics, export_heatmap
 from .trainer import (TrainConfig, TrainState, evaluate, fit, load_checkpoint,
                       save_checkpoint)
 
@@ -29,7 +29,7 @@ __all__ = [
     "CrossAttentionParams", "HeadConfig", "HeadOutput", "HeadParams",
     "PathwayParams", "SlotAttentionParams", "head_forward", "init_head_params",
     "LossWeights", "cross_entropy", "explanation_loss", "sparsity_loss", "total_loss",
-    "Metrics", "class_accuracy", "concept_top1_accuracy", "export_heatmap",
+    "Metrics", "export_heatmap",
     "TrainConfig", "TrainState", "evaluate", "fit", "load_checkpoint", "save_checkpoint",
     "__version__",
 ]

@@ -2,11 +2,13 @@
 
 Provides exactly the operations the concept head needs: matrix products,
 head split/merge/sum, axis softmax, layer norm, pointwise arithmetic and
-activations, reductions, and a central-difference gradient checker. The
-operation record is rebuilt on every forward pass (define-by-run);
-`backward` walks it in reverse topological order exactly once, so calling it
-twice without a grad reset doubles every gradient. Inside `no_grad()` no
-record is kept at all.
+activations, a floored log (the only log), reductions, and a
+central-difference gradient checker. The operation record is rebuilt on
+every forward pass (define-by-run); `backward` walks it in reverse
+topological order exactly once, so calling it twice without a grad reset
+doubles every gradient. Inside `no_grad()` no record is kept at all, and
+that is also the one way to stop a gradient: a tensor made there is a
+constant to the ops recorded after it.
 
 Axis convention: the last two axes of a tensor are one matrix (rows,
 columns) and any axes before them are leading axes, one index per sample
@@ -30,10 +32,11 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
 
-# no_grad and the head-axis helpers (split_heads, merge_heads, sum_heads) are
-# not listed. perfbench traces every listed function and counts its calls as
-# tape nodes; the helpers add no node for one head, so they stay out of that
-# count (with h > 1 heads they add five nodes per readback).
+# no_grad is the one gradient stop and clamped_log the one log. no_grad and
+# the head-axis helpers (split_heads, merge_heads, sum_heads) are not
+# listed. perfbench traces every listed function and counts its calls as
+# tape nodes; the helpers add no node for one head, so they stay out of
+# that count (with h > 1 heads they add five nodes per readback).
 __all__ = [
     "Tensor",
     "expand",
@@ -46,7 +49,6 @@ __all__ = [
     "sigmoid",
     "tanh",
     "exp",
-    "log",
     "clamped_log",
     "softmax_axis",
     "layer_norm",
@@ -56,7 +58,6 @@ __all__ = [
     "log_sum_exp",
     "pick",
     "vecmat",
-    "detach",
     "backward",
     "grad_check",
     "GradCheckReport",
@@ -106,9 +107,6 @@ class Tensor:
 
     def reset_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -312,16 +310,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(out_data, (a,), vjp, "exp")
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: input has non-positive entries")
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _make(np.log(a.data), (a,), vjp, "log")
-
-
 def clamped_log(a: Tensor, floor: float = 1e-9) -> Tensor:
     """log(max(x, floor)): finite at zero, gradient bounded by 1/floor."""
     clamped = np.maximum(a.data, floor)
@@ -458,17 +446,6 @@ def vecmat(v: Tensor, m: Tensor) -> Tensor:
         return m.data @ g, np.outer(v.data, g)
 
     return _make(v.data @ m.data, (v, m), vjp, "vecmat")
-
-
-def detach(a: Tensor) -> Tensor:
-    """Same values, no gradient flow."""
-    out = Tensor.__new__(Tensor)
-    out.data = a.data
-    out.grad = None
-    out.requires_grad = False
-    out._parents = ()
-    out._vjp = None
-    return out
 
 
 def _ordered_record(root: Tensor) -> list[Tensor]:

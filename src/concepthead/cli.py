@@ -15,7 +15,7 @@ from . import head as hd
 from . import metrics as mt
 from . import trainer as tr
 from .autodiff import Tensor
-from .errors import ConceptHeadError
+from .errors import ConceptHeadError, ConfigError
 from .losses import LossWeights
 
 __all__ = ["main", "build_parser"]
@@ -184,6 +184,14 @@ def _cmd_explain(args) -> int:
     return 0
 
 
+def _check_seeds(args) -> None:
+    """NumPy seeds must be non-negative; say which flag is not."""
+    for flag in ("seed", "prototype_seed"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+
+
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
@@ -199,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
+        _check_seeds(args)
         return _COMMANDS[args.command](args)
     except ConceptHeadError as err:
         print(f"error: {err}", file=sys.stderr)

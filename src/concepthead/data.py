@@ -68,8 +68,10 @@ class SynthConfig:
         if self.orthogonalize and self.input_dim < self.n_concepts:
             raise ConfigError(f"orthogonal prototypes need input_dim >= n_concepts "
                               f"({self.input_dim} < {self.n_concepts})")
-        if self.noise_std < 0 or self.samples_per_class < 1:
-            raise ConfigError("noise_std must be >= 0 and samples_per_class >= 1")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
+        if self.samples_per_class < 1:
+            raise ConfigError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
 
     @property
     def n_carriers(self) -> int:
@@ -103,11 +105,6 @@ def block_concept_map(n_classes: int, n_concepts: int) -> tuple[tuple[int, ...],
         raise ConfigError("need at least one concept per class")
     bounds = np.linspace(0, n_concepts, n_classes + 1).astype(int)
     return tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(n_classes))
-
-
-def concept_to_class(cfg: SynthConfig) -> dict[int, int]:
-    """Inverse of concepts_per_class; ambiguous when subsets overlap."""
-    return {c: cls for cls, subset in enumerate(cfg.concepts_per_class) for c in subset}
 
 
 def build_explanations(carriers: np.ndarray, concept: int, n_inputs: int,
@@ -243,7 +240,11 @@ def parse_emb(blob: bytes) -> Dataset:
         fields.append(("h_spatial", "<f4", (n_inputs, n_concepts)))
     if has_global:
         fields.append(("h_global", "<f4", (1, n_concepts)))
-    record = np.dtype(fields)
+    try:
+        record = np.dtype(fields)
+    except ValueError as err:  # a record NumPy cannot describe: no file holds one
+        raise FormatError(f"sample dimensions (L={n_inputs}, D={input_dim}, C={n_concepts}) "
+                          f"are too large: {err}", offset=12) from err
     end = body + n * record.itemsize
     if end > len(blob):
         whole, rest = divmod(len(blob) - body, record.itemsize)
@@ -254,7 +255,9 @@ def parse_emb(blob: bytes) -> Dataset:
     # One view of the fixed-size records; each float field is widened once
     # for all samples, and each sample holds its slice.
     records = np.frombuffer(blob, record, count=n, offset=body)
-    values = {name: records[name].astype(np.float64) for name, *_ in fields if name != "label"}
+    with np.errstate(invalid="ignore"):  # widening a signaling NaN; rejected below
+        values = {name: records[name].astype(np.float64) for name, *_ in fields
+                  if name != "label"}
     bad = []  # (first sample holding NaN/Inf, field order, field) per field
     for k, (name, block) in enumerate(values.items()):
         rows = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))

@@ -9,6 +9,7 @@ scores, so the attention map is the explanation of the prediction.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -283,8 +284,10 @@ def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
     """Full slot-binding pass: init, iterate attention+GRU, add slot positions.
 
     e_raw is (..., L, D); eps is passed on to init_slots. The isa variant
-    blocks gradient flow through the slot state right before the final
-    iteration; forward values are identical to sa.
+    takes the one-step gradient of implicit slot attention: the slot init
+    and the first T-1 iterations run under no_grad, so only the last
+    iteration is recorded and mu/log_sigma get no gradient. Forward values
+    are identical to sa.
     """
     if e_raw.data.ndim < 2 or e_raw.shape[-1] != cfg.input_dim:
         raise ShapeError(f"expected inputs (*, {cfg.input_dim}), got {e_raw.shape}")
@@ -292,15 +295,18 @@ def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
         inputs = e_raw
     else:
         inputs = ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias)
-    slots = init_slots(p, cfg, rng, e_raw.shape[:-2], eps)
-    for it in range(cfg.iters):
-        if cfg.variant == "isa" and it == cfg.iters - 1:
-            slots = ad.detach(slots)
+
+    def iterate(slots: Tensor) -> Tensor:
         if not cfg.identity_mode:
             slots = ad.layer_norm(slots, p.ln_slot_gain, p.ln_slot_bias)
         _, readout = slot_attention(inputs, slots, p, cfg)
-        slots = gru_update(slots, readout, p)
-    return ad.add(slots, p.positions)
+        return gru_update(slots, readout, p)
+
+    with ad.no_grad() if cfg.variant == "isa" else contextlib.nullcontext():
+        slots = init_slots(p, cfg, rng, e_raw.shape[:-2], eps)
+        for _ in range(cfg.iters - 1):
+            slots = iterate(slots)
+    return ad.add(iterate(slots), p.positions)
 
 
 def relevance(attn: Tensor) -> Tensor:

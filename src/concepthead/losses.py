@@ -7,6 +7,7 @@ stays bounded at one-hot attention maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +30,18 @@ LOG_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Non-negative mixing weights; lambda_expl = 0 disables explanation supervision."""
+    """Non-negative finite mixing weights; lambda_expl = 0 disables explanation
+    supervision."""
 
     lambda_expl: float = 1.0
     lambda_sparse: float = 0.5
 
     def __post_init__(self):
-        if self.lambda_expl < 0 or self.lambda_sparse < 0:
-            raise ConfigError("loss weights must be non-negative")
+        for name in ("lambda_expl", "lambda_sparse"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"loss weight {name} must be non-negative and finite, "
+                                  f"got {value}")
 
 
 def cross_entropy(logits: Tensor, label) -> Tensor:

@@ -1,5 +1,10 @@
 """Evaluation metrics, attention-map export, and the metrics CSV format.
 
+trainer's pass loop sums the metrics from the forward that gives the losses:
+class_acc counts argmax-logit hits (ties go to the lowest class),
+concept_top1_acc averages _sample_concept_score over the samples with
+targets, and mean_entropy (= loss_sparse) averages the sparsity loss.
+
 Metrics CSV rows are written with 17 significant digits so byte-level diffs
 detect any numeric drift. The wall_seconds column is reserved in the schema
 but always written as 0 to keep logs reproducible; actual timing goes to
@@ -8,21 +13,16 @@ stderr in the CLI.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, MetricError
-from .losses import LOG_FLOOR
 
 __all__ = [
     "METRICS_HEADER",
     "Metrics",
-    "class_accuracy",
-    "concept_top1_accuracy",
-    "attention_entropy",
     "export_heatmap",
     "format_metrics_row",
     "parse_metrics_csv",
@@ -47,17 +47,9 @@ class Metrics:
     mean_entropy: float
 
 
-def class_accuracy(logits: Sequence[np.ndarray], labels: Sequence[int]) -> float:
-    """Fraction of samples whose argmax logit hits the label; ties to lowest index."""
-    if len(logits) == 0:
-        raise MetricError("class accuracy undefined on an empty batch")
-    if len(logits) != len(labels):
-        raise MetricError(f"got {len(logits)} logit vectors for {len(labels)} labels")
-    hits = sum(1 for out, y in zip(logits, labels) if int(np.argmax(out)) == y)
-    return hits / len(logits)
-
-
 def _sample_concept_score(attn: np.ndarray, target: np.ndarray) -> float | None:
+    """Top-1 agreement of one (1, C) map with its target, or the mean over the
+    carrier rows (nonzero target) of an (L, C) map; None without carriers."""
     if attn.shape != target.shape:
         raise MetricError(f"attention shape {attn.shape} does not match "
                           f"target shape {target.shape}")
@@ -69,32 +61,6 @@ def _sample_concept_score(attn: np.ndarray, target: np.ndarray) -> float | None:
     hits = int(np.count_nonzero(np.argmax(attn[carrier_rows], axis=1)
                                 == np.argmax(target[carrier_rows], axis=1)))
     return hits / carrier_rows.size
-
-
-def concept_top1_accuracy(attn_maps: Sequence[np.ndarray | None],
-                          targets: Sequence[np.ndarray | None]) -> float:
-    """Mean per-sample agreement between top-1 attended and target concepts.
-
-    (1, C) maps compare whole-sample argmax concepts; (L, C) maps compare
-    per carrier row (rows where the target is nonzero) and average within
-    the sample. Samples without targets are skipped.
-    """
-    scores = []
-    for attn, target in zip(attn_maps, targets):
-        if attn is None or target is None:
-            continue
-        score = _sample_concept_score(np.asarray(attn), np.asarray(target))
-        if score is not None:
-            scores.append(score)
-    if not scores:
-        raise MetricError("concept accuracy undefined: no samples carry explanations")
-    return sum(scores) / len(scores)
-
-
-def attention_entropy(attn: np.ndarray) -> float:
-    """Mean elementwise -a*ln(a); identical to the sparsity loss value."""
-    a = np.asarray(attn)
-    return float((a * np.log(np.maximum(a, LOG_FLOOR))).sum() * (-1.0 / a.size))
 
 
 def export_heatmap(attn: np.ndarray, path: str) -> None:
@@ -155,13 +121,3 @@ def write_topk_csv(rows: Sequence[tuple[int, int, int, float]], path: str) -> No
         fh.write("sample_index,rank,concept_index,gamma_value\n")
         for sample_index, rank, concept_index, gamma_value in rows:
             fh.write(f"{sample_index},{rank},{concept_index},{_f17(gamma_value)}\n")
-
-
-def metrics_equal(a: Metrics, b: Metrics) -> bool:
-    def eq(x: float, y: float) -> bool:
-        return (math.isnan(x) and math.isnan(y)) or x == y
-    return (a.epoch == b.epoch and eq(a.loss_cls, b.loss_cls)
-            and eq(a.loss_expl, b.loss_expl) and eq(a.loss_sparse, b.loss_sparse)
-            and eq(a.loss_total, b.loss_total) and eq(a.class_acc, b.class_acc)
-            and eq(a.concept_top1_acc, b.concept_top1_acc)
-            and eq(a.mean_entropy, b.mean_entropy))

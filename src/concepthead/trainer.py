@@ -11,6 +11,7 @@ optimizer moments, generator state, epoch) to continue a run unchanged.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .data import ByteReader, Dataset
 from .errors import ConfigError, FormatError, NumericError
 from .head import HeadConfig, HeadParams
 from .losses import LossWeights
-from .metrics import Metrics, _sample_concept_score, attention_entropy
+from .metrics import Metrics, _sample_concept_score
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -62,8 +63,14 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not math.isfinite(self.weight_decay):
+            raise ConfigError(f"weight_decay must be finite, got {self.weight_decay}")
+        if not (math.isfinite(self.eps_opt) and self.eps_opt > 0):
+            raise ConfigError(f"eps_opt must be positive and finite, got {self.eps_opt}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         b1, b2 = self.betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
@@ -196,8 +203,10 @@ def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
     """One chunk through the head, and each sample's loss terms.
 
     Returns the head output, the (map, targets) pairs that carry targets,
-    and the per-sample cross-entropy, explanation (None without targets)
-    and total losses.
+    and the per-sample cross-entropy, explanation (None without targets),
+    sparsity and total losses. The sparsity term, the mean over maps of
+    each map's entropy, is built whatever lambda_sparse is: it is also the
+    entropy metric. total_loss leaves it out when lambda_sparse is 0.
     """
     w = cfg.weights
     out = hd.head_forward(Tensor(_stack([s.features for s in samples])), params, cfg.head, rng)
@@ -212,13 +221,12 @@ def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
             term = losses.explanation_loss(attn, _stack(targets))
             expl = term if expl is None else ad.add(expl, term)
     maps = out.maps()
-    if w.lambda_sparse > 0.0:
-        for a in maps:
-            term = losses.sparsity_loss(a)
-            sparse = term if sparse is None else ad.add(sparse, term)
-        if len(maps) > 1:
-            sparse = ad.scale(sparse, 1.0 / len(maps))
-    return out, pairs, cls, expl, losses.total_loss(cls, expl, sparse, w)
+    for a in maps:
+        term = losses.sparsity_loss(a)
+        sparse = term if sparse is None else ad.add(sparse, term)
+    if len(maps) > 1:
+        sparse = ad.scale(sparse, 1.0 / len(maps))
+    return out, pairs, cls, expl, sparse, losses.total_loss(cls, expl, sparse, w)
 
 
 def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
@@ -250,7 +258,8 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
                 samples = [dataset.samples[i] for i in chunk]
                 saved = rng.bit_generator.state if len(chunk) > 1 else None
                 try:
-                    out, pairs, cls, expl, total = _forward_losses(samples, params, cfg, rng)
+                    out, pairs, cls, expl, sparse, total = _forward_losses(samples, params,
+                                                                           cfg, rng)
                     if step is not None:
                         ad.backward(ad.scale(total, 1.0 / len(batch)))
                 except NumericError as err:
@@ -262,12 +271,11 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
                                        f"sample {chunk[0]}: {err}") from err
                 expl_v = [0.0] * len(chunk) if expl is None else expl.data.tolist()
                 predicted = np.argmax(out.logits.data, axis=-1).tolist()
-                maps = [a.data for a in out.maps()]
-                for j, (s, cls_j, total_j) in enumerate(zip(samples, cls.data.tolist(),
-                                                            total.data.tolist())):
+                for j, (s, cls_j, sparse_j, total_j) in enumerate(zip(
+                        samples, cls.data.tolist(), sparse.data.tolist(), total.data.tolist())):
                     sum_cls += cls_j
                     sum_expl += expl_v[j]
-                    sum_entropy += sum(attention_entropy(m[j]) for m in maps) / len(maps)
+                    sum_entropy += sparse_j
                     sum_total += total_j
                     if predicted[j] == s.label:
                         hits += 1
@@ -396,11 +404,37 @@ def checkpoint_bytes(state: TrainState, cfg: TrainConfig) -> bytes:
     return bytes(out)
 
 
+def _utf8(r: ByteReader, size: int, what: str) -> str:
+    start = r.offset
+    try:
+        return r.take(size).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"checkpoint {what} is not valid UTF-8",
+                          offset=start + err.start) from err
+
+
 def _read_tensor(r: ByteReader) -> tuple[str, np.ndarray]:
-    name = r.take(r.u32()).decode("utf-8")
+    name = _utf8(r, r.u32(), "tensor name")
     rank = r.u32()
-    dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
+    if rank != 2:  # every parameter and moment buffer is a matrix
+        raise FormatError(f"checkpoint tensor {name!r} has rank {rank}, expected 2",
+                          offset=r.offset - 4)
+    dims = struct.unpack("<2I", r.take(8))
     return name, r.array(dims, "<f8")
+
+
+def _take(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Remove and return checkpoint tensor `name`, which must have `shape` and
+    hold only finite values."""
+    if name not in tensors:
+        raise FormatError(f"checkpoint is missing tensor {name!r}")
+    arr = tensors.pop(name)
+    if arr.shape != shape:
+        raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                          f"config expects {shape}")
+    if not np.isfinite(arr).all():
+        raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
+    return arr
 
 
 def _build_params(cfg: HeadConfig, tensors: dict[str, np.ndarray]) -> HeadParams:
@@ -408,13 +442,7 @@ def _build_params(cfg: HeadConfig, tensors: dict[str, np.ndarray]) -> HeadParams
     params = hd.init_head_params(cfg, np.random.default_rng(0))
     remaining = dict(tensors)
     for name, t in params.named():
-        if name not in remaining:
-            raise FormatError(f"checkpoint is missing tensor {name!r}")
-        arr = remaining.pop(name)
-        if arr.shape != t.shape:
-            raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                              f"config expects {t.shape}")
-        t.data = Tensor(arr).data
+        t.data = _take(remaining, name, t.shape)
     if remaining:
         raise FormatError(f"checkpoint has unexpected tensors: {sorted(remaining)[:3]}")
     return params
@@ -435,7 +463,7 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
     tensors = dict(_read_tensor(cur) for _ in range(cur.u32()))
     opt_entries = dict(_read_tensor(cur) for _ in range(cur.u32()))
-    config_blob = cur.take(cur.u32()).decode("utf-8")
+    config_blob = _utf8(cur, cur.u32(), "config block")
     if cur.offset != len(blob):
         raise FormatError("trailing bytes after config block", offset=cur.offset)
 
@@ -472,19 +500,19 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     algo, expected = value("rng_algo", str), rng.bit_generator.state["bit_generator"]
     if algo != expected:
         raise FormatError(f"checkpoint config key 'rng_algo' is {algo!r}, expected {expected!r}")
-    rng.bit_generator.state = {
-        "bit_generator": algo,
-        "state": {"state": value("rng_state"), "inc": value("rng_inc")},
-        "has_uint32": value("rng_has_uint32"),
-        "uinteger": value("rng_uinteger"),
-    }
+    try:
+        rng.bit_generator.state = {
+            "bit_generator": algo,
+            "state": {"state": value("rng_state"), "inc": value("rng_inc")},
+            "has_uint32": value("rng_has_uint32"),
+            "uinteger": value("rng_uinteger"),
+        }
+    except (OverflowError, ValueError) as err:
+        raise FormatError(f"checkpoint generator state is out of range: {err}") from err
 
     params = _build_params(head_cfg, tensors)
-    opt = OptimizerState.for_params(params)
-    for name in opt.m:
-        if "m:" + name not in opt_entries or "v:" + name not in opt_entries:
-            raise FormatError(f"checkpoint is missing optimizer buffers for {name!r}")
-        opt.m[name] = opt_entries["m:" + name].copy()
-        opt.v[name] = opt_entries["v:" + name].copy()
-    opt.t = value("step")
+    named = list(params.named())
+    opt = OptimizerState(m={name: _take(opt_entries, "m:" + name, p.shape) for name, p in named},
+                         v={name: _take(opt_entries, "v:" + name, p.shape) for name, p in named},
+                         t=value("step"))
     return TrainState(params=params, opt=opt, rng=rng, epoch=value("epoch")), cfg

@@ -135,6 +135,77 @@ class TestTrainEvalExplain:
         assert args.lr == 5e-5
 
 
+def assert_one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {text}"], err
+
+
+class TestBoundaryValues:
+    """Out-of-range flag values and unreadable checkpoints end in exit 1 and
+    one error line."""
+
+    @pytest.fixture
+    def ckpt(self, tiny_emb, tmp_path):
+        out_dir = str(tmp_path / "run")
+        assert run(train_args(tiny_emb, out_dir)) == 0
+        return os.path.join(out_dir, "model.cctk")
+
+    @pytest.mark.parametrize("command,seed", [("gen-data", "-3"), ("train", "-1"),
+                                              ("eval", "-2"), ("explain", "-2")])
+    def test_negative_seed(self, tiny_emb, ckpt, tmp_path, capsys, command, seed):
+        argv = {"gen-data": ["gen-data", "--out", str(tmp_path / "x.emb")],
+                "train": train_args(tiny_emb, str(tmp_path / "t")),
+                "eval": ["eval", "--data", tiny_emb, "--checkpoint", ckpt],
+                "explain": ["explain", "--data", tiny_emb, "--checkpoint", ckpt,
+                            "--out", str(tmp_path / "x")]}[command]
+        capsys.readouterr()
+        assert run(argv + ["--seed", seed]) == 1
+        assert_one_error_line(capsys, f"--seed must be >= 0, got {seed}")
+
+    def test_negative_prototype_seed(self, tmp_path, capsys):
+        assert run(["gen-data", "--out", str(tmp_path / "x.emb"),
+                    "--prototype-seed", "-1"]) == 1
+        assert_one_error_line(capsys, "--prototype-seed must be >= 0, got -1")
+        assert not (tmp_path / "x.emb").exists()
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--lr", "lr must be positive and finite, got nan"),
+        ("--weight-decay", "weight_decay must be finite, got nan"),
+        ("--lambda-expl", "loss weight lambda_expl must be non-negative and finite, got nan"),
+        ("--lambda-sparse",
+         "loss weight lambda_sparse must be non-negative and finite, got nan")])
+    def test_train_nan_hyperparameter(self, tiny_emb, tmp_path, capsys, flag, text):
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert run(train_args(tiny_emb, str(out_dir), [flag, "nan"])) == 1
+        assert_one_error_line(capsys, text)
+        assert not out_dir.exists()
+
+    def test_gen_data_nan_noise(self, tmp_path, capsys):
+        assert run(["gen-data", "--out", str(tmp_path / "x.emb"), "--noise-std", "nan"]) == 1
+        assert_one_error_line(capsys, "noise_std must be >= 0 and finite, got nan")
+
+    def test_eval_non_finite_checkpoint_tensor(self, tiny_emb, ckpt, tmp_path, capsys):
+        state, cfg = tr.load_checkpoint(ckpt)
+        state.params.spatial.slot.wq.data[1, 2] = np.inf
+        bad = str(tmp_path / "inf.cctk")
+        tr.save_checkpoint(state, cfg, bad)
+        capsys.readouterr()
+        assert run(["eval", "--data", tiny_emb, "--checkpoint", bad]) == 1
+        assert_one_error_line(capsys,
+                              "checkpoint tensor 'spatial.slot.wq' holds non-finite values")
+
+    def test_eval_non_utf8_checkpoint(self, tiny_emb, ckpt, tmp_path, capsys):
+        blob = bytearray(open(ckpt, "rb").read())
+        blob[18] = 0x80  # inside the first tensor name
+        bad = tmp_path / "utf8.cctk"
+        bad.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run(["eval", "--data", tiny_emb, "--checkpoint", str(bad)]) == 1
+        assert_one_error_line(
+            capsys, "checkpoint tensor name is not valid UTF-8 (at byte offset 18)")
+
+
 class TestDatasetModelBoundary:
     """A dataset that does not fit the model fails before the pass, exit 1."""
 

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -41,6 +42,11 @@ class TestSynthConfig:
         cfg = small_config(input_dim=4, orthogonalize=False)
         assert cfg.input_dim == 4
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_noise_std_finite_and_non_negative(self, value):
+        with pytest.raises(ConfigError, match="noise_std must be >= 0 and finite"):
+            small_config(noise_std=value)
+
     def test_carrier_count_ceil(self):
         assert small_config(carrier_fraction=1.0).n_carriers == 4
         assert small_config(carrier_fraction=0.5).n_carriers == 2
@@ -79,7 +85,7 @@ class TestGenSynthetic:
                               n_inputs=4, input_dim=16, noise_std=0.1,
                               samples_per_class=10)
         ds = dat.gen_synthetic(cfg, seed=0)
-        inverse = dat.concept_to_class(cfg)
+        inverse = {c: cls for cls, subset in enumerate(cfg.concepts_per_class) for c in subset}
         assert all(inverse[s.concept] == s.label for s in ds.samples)
 
     def test_label_marginals_exact(self):
@@ -192,6 +198,13 @@ class TestEmbFormat:
         with pytest.raises(FormatError, match="version"):
             dat.parse_emb(blob)
 
+    @pytest.mark.parametrize("n,el,d", [(0, 2**31, 0), (0, 2**20, 2**20), (1, 2**30, 4)])
+    def test_oversized_dimensions_rejected(self, n, el, d):
+        blob = struct.pack("<4sIIIIIB", b"CCTE", 1, n, el, d, 0, 0)
+        with pytest.raises(FormatError, match="are too large") as err:
+            dat.parse_emb(blob)
+        assert err.value.offset == 12
+
     def test_float32_on_disk(self):
         # a float64 value that is not float32-representable gets rounded once
         sample = dat.Sample(features=np.array([[0.1]]), label=0)
@@ -211,6 +224,14 @@ class TestNonFinitePayload:
         with pytest.raises(FormatError, match=f"sample 3 has non-finite {field} values") as err:
             dat.parse_emb(blob)
         assert err.value.offset is not None and err.value.offset < len(blob)
+
+    def test_signaling_nan_rejected_without_warning(self):
+        ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
+        blob = bytearray(dat.emb_bytes(ds))
+        at = 25 + 4 * 5  # sample 0, features[0, 5]
+        blob[at:at + 4] = struct.pack("<I", 0x7F800001)  # float32 signaling NaN
+        with pytest.raises(FormatError, match="sample 0 has non-finite features"):
+            dat.parse_emb(bytes(blob))  # pytest turns a RuntimeWarning into an error
 
     def test_first_bad_sample_is_named(self):
         ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)

@@ -252,6 +252,41 @@ class TestRefineSlots:
         with pytest.raises(ShapeError):
             hd.refine_slots(Tensor(np.zeros((2, 3))), p, cfg, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("pathway", ["spatial", "dual"])
+    def test_isa_gradients_equal_a_detached_reference(self, monkeypatch, iters, pathway):
+        def detached_refine(e_raw, p, cfg, rng, eps=None):
+            # every iteration on the tape, the slots cut loose before the last
+            inputs = ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias)
+            slots = hd.init_slots(p, cfg, rng, e_raw.shape[:-2], eps)
+            for it in range(cfg.iters):
+                if it == cfg.iters - 1:
+                    slots = Tensor(slots.data)
+                slots = ad.layer_norm(slots, p.ln_slot_gain, p.ln_slot_bias)
+                slots = hd.gru_update(slots, hd.slot_attention(inputs, slots, p, cfg)[1], p)
+            return ad.add(slots, p.positions)
+
+        cfg = hd.HeadConfig(concepts=3, slot_dim=8, input_dim=6, n_inputs=4, n_classes=3,
+                            variant="isa", iters=iters, heads=2, pathway=pathway)
+        params = hd.init_head_params(cfg, np.random.default_rng(0))
+        e = np.random.default_rng(1).normal(size=(1, 4, 6))
+        runs = []
+        for refine in (hd.refine_slots, detached_refine):
+            monkeypatch.setattr(hd, "refine_slots", refine)
+            params.reset_grads()
+            out = hd.head_forward(Tensor(e), params, cfg, np.random.default_rng(2))
+            loss = ad.add(losses.cross_entropy(out.logits, [1]),
+                          losses.sparsity_loss(out.attn_spatial))
+            ad.backward(ad.reduce_sum(loss))
+            runs.append((out.logits.data, {name: p.grad for name, p in params.named()}))
+        (logits, grads), (want_logits, want_grads) = runs
+        assert np.array_equal(logits, want_logits)
+        for name, grad in grads.items():
+            if name.endswith((".mu", ".log_sigma")):
+                assert grad is None and want_grads[name] is None, name
+            else:
+                assert np.array_equal(grad, want_grads[name]), name
+
 
 class TestCrossAttention:
     def test_toy_oracle(self):

@@ -136,6 +136,12 @@ class TestTotalLoss:
         with pytest.raises(ConfigError):
             losses.LossWeights(lambda_sparse=-1.0)
 
+    @pytest.mark.parametrize("name", ["lambda_expl", "lambda_sparse"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be non-negative and finite"):
+            losses.LossWeights(**{name: value})
+
 
 class TestGradients:
     def test_cross_entropy_grad(self):

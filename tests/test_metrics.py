@@ -4,62 +4,135 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from concepthead import autodiff as ad
+from concepthead import data as dat
+from concepthead import head as hd
+from concepthead import losses
 from concepthead import metrics as mt
-from concepthead.errors import DomainError, MetricError
+from concepthead import trainer as tr
+from concepthead.autodiff import Tensor
+from concepthead.errors import ConfigError, DomainError, MetricError
+
+
+def labelled_dataset(labels, seed=0, targets=False):
+    """Random (3, 4) features with the given labels; one-hot spatial and global
+    targets at concept label + 1 when asked."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for y in labels:
+        h_spatial = h_global = None
+        if targets:
+            h_spatial, h_global = dat.build_explanations(np.array([0, 2]), y + 1, 3, 4)
+        samples.append(dat.Sample(features=rng.normal(size=(3, 4)), label=y,
+                                  h_spatial=h_spatial, h_global=h_global))
+    return dat.Dataset(samples=samples, n_classes=3, n_concepts=4, n_inputs=3, input_dim=4)
+
+
+def eval_config(pathway="spatial"):
+    head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=3,
+                         pathway=pathway)
+    return tr.TrainConfig(head=head, batch_size=4, seed=2)
+
+
+def reference_forward(ds, params, cfg, seed):
+    """The maps and logits evaluate sees: per-sample values do not depend on
+    the chunking, so one forward over the whole set with evaluate's seed."""
+    with ad.no_grad():
+        return hd.head_forward(Tensor(np.stack([s.features for s in ds.samples])),
+                               params, cfg.head, np.random.default_rng(seed))
 
 
 class TestClassAccuracy:
+    """class_acc as trainer.evaluate reports it."""
+
+    @staticmethod
+    def predicted_dataset(n, params, cfg, seed):
+        """n samples labelled with the classes a forward with seed predicts."""
+        ds = labelled_dataset([0] * n)
+        predicted = np.argmax(reference_forward(ds, params, cfg, seed).logits.data, axis=-1)
+        for s, y in zip(ds.samples, predicted.tolist()):
+            s.label = y
+        return ds
+
     def test_all_correct(self):
-        logits = [np.array([0.1, 0.9]), np.array([2.0, 1.0])]
-        assert mt.class_accuracy(logits, [1, 0]) == 1.0
+        cfg = eval_config()
+        params = tr.init_train_state(cfg).params
+        ds = self.predicted_dataset(6, params, cfg, 4)
+        assert tr.evaluate(ds, params, cfg, seed=4).class_acc == 1.0
 
     def test_ties_break_to_lowest_index(self):
-        logits = [np.zeros(3), np.zeros(3)]
-        assert mt.class_accuracy(logits, [1, 2]) == 0.0
-        assert mt.class_accuracy(logits, [0, 0]) == 1.0
+        ds = labelled_dataset([1, 2, 0, 0, 1])
+        for pathway in ("spatial", "dual"):
+            cfg = eval_config(pathway)
+            params = tr.init_train_state(cfg).params
+            for p in (params.spatial, params.global_):
+                if p is not None:
+                    p.cross.out.data[...] = 0.0  # every logit ties
+            assert tr.evaluate(ds, params, cfg).class_acc == 2 / 5  # class 0 predicted
 
     def test_three_of_four(self):
-        logits = [np.array([1.0, 0.0])] * 4
-        assert mt.class_accuracy(logits, [0, 0, 0, 1]) == 0.75
+        cfg = eval_config()
+        params = tr.init_train_state(cfg).params
+        ds = self.predicted_dataset(4, params, cfg, 0)
+        ds.samples[2].label = (ds.samples[2].label + 1) % 3
+        assert tr.evaluate(ds, params, cfg).class_acc == 0.75
 
     def test_empty_rejected(self):
-        with pytest.raises(MetricError):
-            mt.class_accuracy([], [])
+        cfg = eval_config()
+        with pytest.raises(ConfigError, match="empty"):
+            tr.evaluate(dat.Dataset(), tr.init_train_state(cfg).params, cfg)
 
 
 class TestConceptTop1Accuracy:
+    """Per-sample scores (_sample_concept_score) and their mean as
+    trainer.evaluate reports it."""
+
     def test_global_onehot_match(self):
-        maps = [np.array([[0.1, 0.8, 0.1]])] * 3
-        targets = [np.array([[0.0, 1.0, 0.0]])] * 3
-        assert mt.concept_top1_accuracy(maps, targets) == 1.0
+        assert mt._sample_concept_score(np.array([[0.1, 0.8, 0.1]]),
+                                        np.array([[0.0, 1.0, 0.0]])) == 1.0
 
     def test_uniform_attention_tie_break(self):
-        maps = [np.full((1, 4), 0.25), np.full((1, 4), 0.25)]
-        targets = [np.array([[1.0, 0, 0, 0]]), np.array([[0, 1.0, 0, 0]])]
-        # argmax of the uniform map is concept 0, so only the first matches
-        assert mt.concept_top1_accuracy(maps, targets) == 0.5
+        uniform = np.full((1, 4), 0.25)
+        # argmax of the uniform map is concept 0
+        assert mt._sample_concept_score(uniform, np.array([[1.0, 0, 0, 0]])) == 1.0
+        assert mt._sample_concept_score(uniform, np.array([[0, 1.0, 0, 0]])) == 0.0
 
     def test_mixed_batch_fraction(self):
-        hit = (np.array([[0.9, 0.1]]), np.array([[1.0, 0.0]]))
-        miss = (np.array([[0.9, 0.1]]), np.array([[0.0, 1.0]]))
-        pairs = [hit] * 9 + [miss]
-        maps, targets = zip(*pairs)
-        assert mt.concept_top1_accuracy(list(maps), list(targets)) == pytest.approx(0.9)
+        ds = labelled_dataset([0, 1, 2, 0, 1, 2, 0], targets=True)
+        cfg = eval_config("global")
+        params = tr.init_train_state(cfg).params
+        attn = reference_forward(ds, params, cfg, 1).attn_global.data
+        scores = [mt._sample_concept_score(a, s.h_global) for a, s in zip(attn, ds.samples)]
+        assert 0.0 < sum(scores) < 7  # some hits and some misses
+        assert tr.evaluate(ds, params, cfg, seed=1).concept_top1_acc == sum(scores) / 7
 
     def test_spatial_mode_averages_carrier_rows(self):
         attn = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
         target = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])  # last row non-carrier
         # carrier rows: row0 argmax 0 == 0 (hit), row1 argmax 1 != 0 (miss)
-        assert mt.concept_top1_accuracy([attn], [target]) == 0.5
+        assert mt._sample_concept_score(attn, target) == 0.5
 
     def test_skips_samples_without_targets(self):
-        maps = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
-        targets = [None, np.array([[0.0, 1.0]])]
-        assert mt.concept_top1_accuracy(maps, targets) == 1.0
+        assert mt._sample_concept_score(np.full((3, 2), 0.5), np.zeros((3, 2))) is None
+        ds = labelled_dataset([0, 1, 2, 0, 1, 2, 0], targets=True)
+        for s in ds.samples[1::3]:
+            s.h_spatial = s.h_global = None
+        cfg = eval_config()
+        params = tr.init_train_state(cfg).params
+        attn = reference_forward(ds, params, cfg, 1).attn_spatial.data
+        scores = [mt._sample_concept_score(a, s.h_spatial)
+                  for a, s in zip(attn, ds.samples) if s.h_spatial is not None]
+        assert len(scores) == 5
+        assert tr.evaluate(ds, params, cfg, seed=1).concept_top1_acc == sum(scores) / 5
 
-    def test_no_targets_rejected(self):
-        with pytest.raises(MetricError):
-            mt.concept_top1_accuracy([np.ones((1, 2))], [None])
+    def test_no_targets_gives_nan(self):
+        cfg = eval_config()
+        record = tr.evaluate(labelled_dataset([0, 1]), tr.init_train_state(cfg).params, cfg)
+        assert math.isnan(record.concept_top1_acc)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(MetricError, match="does not match"):
+            mt._sample_concept_score(np.ones((2, 3)), np.ones((1, 3)))
 
     def test_perfect_explanation_match_gives_perfect_accuracy(self):
         # attention equal to a one-hot target (explanation loss exactly 0)
@@ -68,16 +141,27 @@ class TestConceptTop1Accuracy:
         for _ in range(20):
             target = np.zeros((4, 3))
             target[np.arange(4), rng.integers(3, size=4)] = 1.0
-            assert mt.concept_top1_accuracy([target.copy()], [target]) == 1.0
+            assert mt._sample_concept_score(target.copy(), target) == 1.0
 
 
 class TestAttentionEntropy:
+    """mean_entropy and loss_sparse report the sparsity loss value."""
+
     def test_onehot_zero(self):
-        assert mt.attention_entropy(np.array([[1.0, 0.0], [0.0, 1.0]])) == 0.0
+        assert float(losses.sparsity_loss(Tensor([[1.0, 0.0], [0.0, 1.0]])).data) == 0.0
 
     def test_uniform(self):
-        assert mt.attention_entropy(np.full((3, 4), 0.25)) == pytest.approx(
+        assert float(losses.sparsity_loss(Tensor(np.full((3, 4), 0.25))).data) == pytest.approx(
             math.log(4) / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 8, 32])
+    def test_stack_matches_numpy_entropy_per_map(self, rows):
+        rng = np.random.default_rng(rows)
+        maps = rng.dirichlet(np.ones(12) * 0.3, size=(5, rows))
+        maps[0, 0] = np.eye(12)[3]  # exact zeros and a one
+        values = losses.sparsity_loss(Tensor(maps)).data
+        for value, a in zip(values.tolist(), maps):
+            assert value == float((a * np.log(np.maximum(a, 1e-9))).sum() * (-1.0 / a.size))
 
 
 class TestHeatmapExport:
@@ -149,7 +233,7 @@ class TestMetricsCsv:
         text = mt.METRICS_HEADER + "\n" + mt.format_metrics_row(record) + "\n"
         parsed = mt.parse_metrics_csv(text)
         assert len(parsed) == 1
-        assert mt.metrics_equal(parsed[0], record)
+        assert mt.format_metrics_row(parsed[0]) == mt.format_metrics_row(record)
 
     def test_nan_concept_accuracy_roundtrips(self):
         record = mt.Metrics(epoch=1, loss_cls=0.0, loss_expl=0.0, loss_sparse=0.0,

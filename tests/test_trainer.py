@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -120,6 +121,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(warmup_iters=-1)
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("lr", math.nan, "lr must be positive and finite"),
+        ("lr", math.inf, "lr must be positive and finite"),
+        ("weight_decay", math.nan, "weight_decay must be finite"),
+        ("weight_decay", -math.inf, "weight_decay must be finite"),
+        ("eps_opt", 0.0, "eps_opt must be positive and finite"),
+        ("eps_opt", math.nan, "eps_opt must be positive and finite"),
+        ("eps_opt", math.inf, "eps_opt must be positive and finite"),
+        ("seed", -1, "seed must be >= 0")])
+    def test_non_finite_or_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_config(**{name: value})
+
 
 class TestFit:
     def test_same_seed_same_metrics(self):
@@ -128,7 +142,6 @@ class TestFit:
         _, rec_b = tr.fit(ds, tiny_config())
         assert len(rec_a) == len(rec_b) == 2
         for a, b in zip(rec_a, rec_b):
-            assert mt.metrics_equal(a, b)
             assert mt.format_metrics_row(a) == mt.format_metrics_row(b)
 
     def test_different_seed_differs(self):
@@ -218,7 +231,7 @@ class TestEvaluate:
         state, _ = tr.fit(ds, cfg)
         a = tr.evaluate(ds, state.params, cfg, seed=0)
         b = tr.evaluate(ds, state.params, cfg, seed=0)
-        assert mt.metrics_equal(a, b)
+        assert mt.format_metrics_row(a) == mt.format_metrics_row(b)
 
     def test_empty_dataset_rejected(self):
         cfg = tiny_config()
@@ -237,6 +250,46 @@ class TestEvaluate:
                              [np.arange(len(ds.samples))], 0)
         untaped = tr.evaluate(ds, state.params, cfg, seed=3)
         assert mt.format_metrics_row(untaped) == mt.format_metrics_row(taped)
+
+
+def numpy_entropy(attn):
+    """Mean elementwise -a*ln(a) of one map, floored as the sparsity loss is."""
+    return float((attn * np.log(np.maximum(attn, 1e-9))).sum() * (-1.0 / attn.size))
+
+
+class TestEntropyMetric:
+    """mean_entropy and loss_sparse are the mean over samples of each sample's
+    numpy entropy averaged over its maps, whatever lambda_sparse is."""
+
+    @pytest.mark.parametrize("lambda_sparse", [0.0, 0.5])
+    @pytest.mark.parametrize("pathway", ["spatial", "dual"])
+    def test_fit_and_evaluate_rows(self, monkeypatch, lambda_sparse, pathway):
+        forward, seen = hd.head_forward, []
+
+        def recording_forward(*args):
+            out = forward(*args)
+            seen.append([a.data.copy() for a in out.maps()])
+            return out
+
+        def expected():
+            total = 0.0
+            for maps in seen:
+                for j in range(len(maps[0])):
+                    total += sum(numpy_entropy(m[j]) for m in maps) / len(maps)
+            seen.clear()
+            return total / len(ds.samples)
+
+        monkeypatch.setattr(hd, "head_forward", recording_forward)
+        ds = tiny_dataset()
+        head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
+                             variant="isa", pathway=pathway)
+        cfg = tiny_config(head=head, weights=LossWeights(lambda_sparse=lambda_sparse))
+        state, records = tr.fit(ds, cfg, epochs=1)
+        want = expected()
+        assert records[0].mean_entropy == records[0].loss_sparse == want
+        record = tr.evaluate(ds, state.params, cfg, seed=3)
+        want = expected()
+        assert record.mean_entropy == record.loss_sparse == want
 
 
 GRID = [(variant, pathway, heads) for variant in hd.VARIANTS for pathway in hd.PATHWAYS
@@ -277,6 +330,15 @@ class TestChunkedPass:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("non-finite loss at epoch 0, batch 0, sample 6: ")
+
+
+def replace_config(blob, old, new):
+    """The checkpoint with one text of its config block replaced and the
+    block's length prefix updated."""
+    start = blob.rindex(b"epoch=")  # the first config line
+    assert old in blob[start:]
+    config = blob[start:].replace(old, new)
+    return blob[:start - 4] + struct.pack("<I", len(config)) + config
 
 
 class TestCheckpoint:
@@ -362,8 +424,58 @@ class TestCheckpoint:
         cfg = tiny_config()
         state = tr.init_train_state(cfg)
         state.params.spatial.cross.out.data[0, 0] = np.nan
-        with pytest.raises(NumericError, match="non-finite"):
+        with pytest.raises(FormatError,
+                           match=r"tensor 'spatial\.cross\.out' holds non-finite values"):
             tr.parse_checkpoint(tr.checkpoint_bytes(state, cfg))
+
+    def test_non_utf8_tensor_name_rejected_with_offset(self):
+        cfg = tiny_config()
+        blob = bytearray(tr.checkpoint_bytes(tr.init_train_state(cfg), cfg))
+        assert blob[16:31] == b"spatial.slot.wq"  # magic, version, count, name length
+        blob[20] = 0xFF
+        with pytest.raises(FormatError, match="tensor name is not valid UTF-8") as err:
+            tr.parse_checkpoint(bytes(blob))
+        assert err.value.offset == 20
+
+    def test_non_utf8_config_rejected_with_offset(self):
+        cfg = tiny_config()
+        blob = bytearray(tr.checkpoint_bytes(tr.init_train_state(cfg), cfg))
+        at = blob.index(b"\nvariant=sa\n") + len(b"\nvariant=")
+        blob[at] = 0xC3  # a lead byte without its continuation
+        with pytest.raises(FormatError, match="config block is not valid UTF-8") as err:
+            tr.parse_checkpoint(bytes(blob))
+        assert err.value.offset == at
+
+    def test_tensor_rank_other_than_two_rejected(self):
+        cfg = tiny_config()
+        blob = bytearray(tr.checkpoint_bytes(tr.init_train_state(cfg), cfg))
+        assert blob[31:35] == struct.pack("<I", 2)  # the first tensor's rank
+        blob[31:35] = struct.pack("<I", 600)
+        with pytest.raises(FormatError, match="'spatial.slot.wq' has rank 600, expected 2"):
+            tr.parse_checkpoint(bytes(blob))
+
+    def test_optimizer_buffer_shape_checked(self):
+        cfg = tiny_config()
+        state = tr.init_train_state(cfg)
+        state.opt.v["spatial.slot.mu"] = np.zeros((2, 4))
+        with pytest.raises(FormatError,
+                           match=r"'v:spatial\.slot\.mu' has shape \(2, 4\), "
+                                 r"config expects \(1, 4\)"):
+            tr.parse_checkpoint(tr.checkpoint_bytes(state, cfg))
+
+    def test_generator_state_out_of_range_rejected(self):
+        cfg = tiny_config()
+        state = tr.init_train_state(cfg)
+        blob = tr.checkpoint_bytes(state, cfg)
+        old = f"\nrng_state={state.rng.bit_generator.state['state']['state']}\n".encode()
+        with pytest.raises(FormatError, match="generator state is out of range"):
+            tr.parse_checkpoint(replace_config(blob, old, f"\nrng_state={2**130}\n".encode()))
+
+    def test_zero_eps_opt_rejected(self):
+        cfg = tiny_config()
+        blob = tr.checkpoint_bytes(tr.init_train_state(cfg), cfg)
+        with pytest.raises(ConfigError, match="eps_opt must be positive"):
+            tr.parse_checkpoint(replace_config(blob, b"\neps_opt=1e-08\n", b"\neps_opt=0\n"))
 
     def test_tensor_and_config_layout_pinned(self):
         # older .cctk files stay loadable only while these names and orders hold
