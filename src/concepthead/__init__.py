@@ -11,7 +11,7 @@ small built-in reverse-mode autodiff core in float64.
 from .autodiff import Tensor, backward, grad_check
 from .data import Dataset, Sample, SynthConfig, gen_synthetic, read_emb, write_emb
 from .errors import (ConceptHeadError, ConfigError, DomainError, FormatError,
-                     MetricError, NumericError, ShapeError)
+                     MetricError, NumericError, RecordConsumedError, ShapeError)
 from .head import (CrossAttentionParams, HeadConfig, HeadOutput, HeadParams,
                    PathwayParams, SlotAttentionParams, head_forward, init_head_params)
 from .losses import LossWeights, cross_entropy, explanation_loss, sparsity_loss, total_loss
@@ -25,7 +25,7 @@ __all__ = [
     "Tensor", "backward", "grad_check",
     "Dataset", "Sample", "SynthConfig", "gen_synthetic", "read_emb", "write_emb",
     "ConceptHeadError", "ConfigError", "DomainError", "FormatError",
-    "MetricError", "NumericError", "ShapeError",
+    "MetricError", "NumericError", "RecordConsumedError", "ShapeError",
     "CrossAttentionParams", "HeadConfig", "HeadOutput", "HeadParams",
     "PathwayParams", "SlotAttentionParams", "head_forward", "init_head_params",
     "LossWeights", "cross_entropy", "explanation_loss", "sparsity_loss", "total_loss",

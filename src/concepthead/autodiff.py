@@ -4,10 +4,12 @@ Provides exactly the operations the concept head needs: matrix products,
 head split/merge/sum, axis softmax, layer norm, pointwise arithmetic and
 activations, a floored log (the only log), reductions, and a
 central-difference gradient checker. The operation record is rebuilt on
-every forward pass (define-by-run); `backward` walks it in reverse
-topological order exactly once, so calling it twice without a grad reset
-doubles every gradient. Inside `no_grad()` no record is kept at all, and
-that is also the one way to stop a gradient: a tensor made there is a
+every forward pass (define-by-run) and `backward` consumes it: the walk runs
+in reverse topological order and drops each node's closure, inputs and delta
+as soon as it has passed the node, so memory falls as the walk goes. A
+second `backward` over a walked record raises RecordConsumedError; a fresh
+gradient needs a fresh forward. Inside `no_grad()` no record is kept at all,
+and that is also the one way to stop a gradient: a tensor made there is a
 constant to the ops recorded after it.
 
 Axis convention: the last two axes of a tensor are one matrix (rows,
@@ -16,8 +18,19 @@ columns) and any axes before them are leading axes, one index per sample
 last two, so a (B, ...) stack gives the same numbers as B separate calls on
 its slices. A parameter is a plain 2-D (or (1, n) row) tensor that all
 samples share: matmul, add and mul broadcast it over the leading axes, and
-their vector-Jacobian products sum its gradient back over them. With one
-sample (a leading axis of length 1) that sum is the lone slice itself.
+the walk sums its gradient back over them. With one sample (a leading axis
+of length 1) that sum is the lone slice itself.
+
+Per-sample walk: `backward(loss, per_sample=True)` takes a (B,) loss, one
+entry per sample of a stack, and gives every leaf the gradient that B
+one-sample walks in sample order would give, bit for bit. The walk marks
+which tensors are shared, i.e. carry no sample axis: the leaves that
+require grad (parameters), and op outputs whose inputs are all shared,
+such as exp(log_sigma). `expand` makes a shared tensor per-sample, and a
+constant (a tensor that requires no grad) is taken to carry the sample
+axis. A shared tensor's delta keeps the sample axis, (B, *shape): each
+broadcast sums within its sample only, and a leaf adds its B slices into
+.grad in sample order, which is the order of B one-sample walks.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, RecordConsumedError, ShapeError
 
 # no_grad is the one gradient stop and clamped_log the one log. no_grad and
 # the head-axis helpers (split_heads, merge_heads, sum_heads) are not
@@ -86,7 +99,8 @@ class Tensor:
     """Dense row-major float64 array with an optional gradient buffer.
 
     Operation outputs keep references to their inputs plus a vector-Jacobian
-    closure; together these form the per-forward computation record.
+    closure; together these form the per-forward computation record. Once
+    backward has walked an output, its inputs are None and its closure gone.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -98,7 +112,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
 
     @property
@@ -140,19 +154,23 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
                      "row or a tensor matching the trailing axes broadcasts)")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...], samples: int = 0) -> np.ndarray:
     """Sum the gradient of a broadcast operand back down to its shape.
 
     A tensor shared over leading axes sums over them in sample order; with
     one sample that is the lone slice. A (1, n) row sums over all rows, which
-    for a 2-D g is g.sum(axis=0, keepdims=True) itself.
+    for a 2-D g is g.sum(axis=0, keepdims=True) itself. With samples=B the
+    first axis of g is the sample axis of a per-sample walk and the sums run
+    within each sample only, giving (B, *shape).
     """
-    if g.shape == shape:
+    lead = (samples,) if samples else ()
+    if g.shape == lead + shape:
         return g
+    axis = len(lead)
     if g.shape[-len(shape):] == shape:
-        g = g.reshape((-1,) + shape)
-        return g[0] if g.shape[0] == 1 else g.sum(axis=0)
-    return g.reshape(-1, shape[-1]).sum(axis=0, keepdims=True)
+        g = g.reshape(lead + (-1,) + shape)
+        return g.sum(axis=axis) if g.shape[axis] > 1 else g.squeeze(axis)
+    return g.reshape(lead + (-1, shape[-1])).sum(axis=axis, keepdims=True)
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
@@ -167,8 +185,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def vjp(g):
-        return (_unbroadcast(g @ _swap_last(b.data), a.shape),
-                _unbroadcast(_swap_last(a.data) @ g, b.shape))
+        return g @ _swap_last(b.data), _swap_last(a.data) @ g
 
     return _make(a.data @ b.data, (a, b), vjp, "matmul")
 
@@ -187,13 +204,14 @@ def transpose(a: Tensor) -> Tensor:
 def expand(a: Tensor, lead: tuple[int, ...]) -> Tensor:
     """a repeated over new leading axes: (C, d) -> (*lead, C, d), the
     gradient summed back over them. No leading axes return a itself, adding
-    no node."""
+    no node. The output carries the sample axis, also when a is shared."""
     if not lead:
         return a
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape),)
+        return (g,)
 
+    vjp.adds_sample_axis = True
     return _make(np.broadcast_to(a.data, tuple(lead) + a.shape), (a,), vjp, "expand")
 
 
@@ -249,7 +267,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
 
     def vjp(g):
-        return g, _unbroadcast(g, b.shape)
+        return g, g
 
     return _make(a.data + b.data, (a, b), vjp, "add")
 
@@ -269,7 +287,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
 
     def vjp(g):
-        return g * b.data, _unbroadcast(g * a.data, b.shape)
+        return g * b.data, g * a.data
 
     return _make(a.data * b.data, (a, b), vjp, "mul")
 
@@ -355,9 +373,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dxhat = g * g_row
         dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        dgain = (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.shape)
-        dbias = g.reshape(-1, d).sum(axis=0).reshape(bias.shape)
-        return dx, dgain, dbias
+        return dx, g * xhat, g
 
     return _make(xhat * g_row + b_row, (x, gain, bias), vjp, "layer_norm")
 
@@ -460,6 +476,10 @@ def _ordered_record(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise RecordConsumedError(
+                f"backward already walked the record behind {node!r}; "
+                "run the forward again for a new gradient")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -468,39 +488,81 @@ def _ordered_record(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
+def _shared(order: list[Tensor]) -> set[int]:
+    """ids of the recorded tensors that carry no sample axis: the leaves that
+    require grad, and op outputs whose inputs are all shared, unless the op
+    (expand) adds the sample axis. Constants carry it."""
+    shared: set[int] = set()
+    for node in order:
+        if node._vjp is None:
+            if node.requires_grad:
+                shared.add(id(node))
+        elif (not getattr(node._vjp, "adds_sample_axis", False)
+              and all(id(p) in shared for p in node._parents)):
+            shared.add(id(node))
+    return shared
+
+
+def backward(loss: Tensor, per_sample: bool = False) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every participating leaf.
 
     Leaves are the tensors that require grad but no op made (parameters,
     inputs built with requires_grad=True); op outputs get no .grad.
-    Gradients add across calls; reset grads between backward passes for
-    fresh values.
+    Gradients add across calls, so reset grads first for fresh values.
+
+    The loss is a scalar, or with per_sample=True a (B,) vector of per-sample
+    losses of one stacked forward, seeded with ones. That walk takes every
+    leaf that requires grad as shared by all samples, so the loss's sample
+    axis must come from a constant (ShapeError otherwise), and gives each
+    leaf the gradient of B one-sample walks run in sample order, bit for bit
+    (see the module docstring).
+
+    The walk consumes the record: each node's closure, inputs and delta are
+    dropped once the walk has passed it. Walking a loss, or any tensor
+    recorded before it, a second time raises RecordConsumedError.
     """
-    if loss.data.size != 1:
+    if per_sample:
+        if loss.data.ndim != 1:
+            raise ShapeError(f"per-sample backward requires a (B,) loss, got shape {loss.shape}")
+    elif loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    order = _ordered_record(loss)
     if not loss.requires_grad:
         return
-    order = _ordered_record(loss)
+    shared = _shared(order) if per_sample else set()
+    if id(loss) in shared:
+        raise ShapeError("per-sample backward needs a loss whose sample axis comes from a "
+                         "constant; the leaves that require grad are taken as shared")
+    samples = loss.shape[0] if per_sample else 0
     deltas: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         delta = deltas.pop(id(node), None)
-        if delta is None or not node.requires_grad:
-            continue
         if node._vjp is None:
+            if delta is None or not node.requires_grad:
+                continue
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
-            node.grad += delta
-            continue
-        for parent, contrib in zip(node._parents, node._vjp(delta)):
-            if contrib is None or not parent.requires_grad:
-                continue
-            prev = deltas.get(id(parent))
-            # No stored delta is changed in place: a VJP may hand one array to
-            # two parents, so a later contribution adds out of place.
-            if prev is None:
-                deltas[id(parent)] = np.asarray(contrib, dtype=np.float64, order="C")
+            if per_sample:  # (B, *shape): add the samples into .grad in order
+                node.grad = np.add.reduce(np.concatenate([node.grad[None], delta]), axis=0)
             else:
-                deltas[id(parent)] = prev + contrib
+                node.grad += delta
+            continue
+        if delta is not None:
+            for parent, contrib in zip(node._parents, node._vjp(delta)):
+                if contrib is None or not parent.requires_grad:
+                    continue
+                contrib = _unbroadcast(contrib, parent.shape,
+                                       samples if id(parent) in shared else 0)
+                prev = deltas.get(id(parent))
+                # No stored delta is changed in place: a VJP may hand one array
+                # to two parents, so a later contribution adds out of place.
+                if prev is None:
+                    deltas[id(parent)] = np.asarray(contrib, dtype=np.float64, order="C")
+                else:
+                    deltas[id(parent)] = prev + contrib
+        node._vjp = None
+        node._parents = None
 
 
 @dataclass

@@ -33,3 +33,7 @@ class FormatError(ConceptHeadError, ValueError):
 
 class MetricError(ConceptHeadError, ValueError):
     """A metric is undefined for the given inputs."""
+
+
+class RecordConsumedError(ConceptHeadError):
+    """backward was asked to walk an operation record it has already walked."""

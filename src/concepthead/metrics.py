@@ -2,8 +2,9 @@
 
 trainer's pass loop sums the metrics from the forward that gives the losses:
 class_acc counts argmax-logit hits (ties go to the lowest class),
-concept_top1_acc averages _sample_concept_score over the samples with
-targets, and mean_entropy (= loss_sparse) averages the sparsity loss.
+concept_top1_acc averages each sample's concept_top1_scores over the
+samples with targets, and mean_entropy (= loss_sparse) averages the
+sparsity loss.
 
 Metrics CSV rows are written with 17 significant digits so byte-level diffs
 detect any numeric drift. The wall_seconds column is reserved in the schema
@@ -23,9 +24,9 @@ from .errors import DomainError, MetricError
 __all__ = [
     "METRICS_HEADER",
     "Metrics",
+    "concept_top1_scores",
     "export_heatmap",
     "format_metrics_row",
-    "parse_metrics_csv",
     "write_topk_csv",
 ]
 
@@ -47,20 +48,24 @@ class Metrics:
     mean_entropy: float
 
 
-def _sample_concept_score(attn: np.ndarray, target: np.ndarray) -> float | None:
-    """Top-1 agreement of one (1, C) map with its target, or the mean over the
-    carrier rows (nonzero target) of an (L, C) map; None without carriers."""
-    if attn.shape != target.shape:
+def concept_top1_scores(attn: np.ndarray, target: np.ndarray) -> list[float | None]:
+    """Per-sample top-1 agreement of a (B, R, C) stack of maps with its targets.
+
+    A one-row map (R = 1) scores 1.0 when its argmax concept is the target's,
+    else 0.0. A map of several rows scores the share of its carrier rows
+    (nonzero target) whose argmax concept is the target's, and None without
+    carriers. Hits and carriers are counted for the whole stack at once; each
+    score is one Python division hits / carriers.
+    """
+    if attn.shape != target.shape or attn.ndim != 3:
         raise MetricError(f"attention shape {attn.shape} does not match "
                           f"target shape {target.shape}")
-    if attn.shape[0] == 1:
-        return 1.0 if int(np.argmax(attn[0])) == int(np.argmax(target[0])) else 0.0
-    carrier_rows = np.flatnonzero(target.sum(axis=1) > 0)
-    if carrier_rows.size == 0:
-        return None
-    hits = int(np.count_nonzero(np.argmax(attn[carrier_rows], axis=1)
-                                == np.argmax(target[carrier_rows], axis=1)))
-    return hits / carrier_rows.size
+    match = np.argmax(attn, axis=-1) == np.argmax(target, axis=-1)
+    carriers = (np.ones(match.shape, dtype=bool) if attn.shape[1] == 1
+                else target.sum(axis=-1) > 0)
+    hits = np.count_nonzero(match & carriers, axis=1).tolist()
+    counts = np.count_nonzero(carriers, axis=1).tolist()
+    return [h / c if c else None for h, c in zip(hits, counts)]
 
 
 def export_heatmap(attn: np.ndarray, path: str) -> None:
@@ -96,23 +101,6 @@ def format_metrics_row(m: Metrics) -> str:
     return ",".join([str(m.epoch), _f17(m.loss_cls), _f17(m.loss_expl),
                      _f17(m.loss_sparse), _f17(m.loss_total), _f17(m.class_acc),
                      _f17(m.concept_top1_acc), _f17(m.mean_entropy), _f17(0.0)])
-
-
-def parse_metrics_csv(text: str) -> list[Metrics]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != METRICS_HEADER:
-        raise MetricError("metrics CSV header missing or unrecognized")
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 9:
-            raise MetricError(f"metrics row has {len(parts)} columns, expected 9")
-        records.append(Metrics(epoch=int(parts[0]), loss_cls=float(parts[1]),
-                               loss_expl=float(parts[2]), loss_sparse=float(parts[3]),
-                               loss_total=float(parts[4]), class_acc=float(parts[5]),
-                               concept_top1_acc=float(parts[6]),
-                               mean_entropy=float(parts[7])))
-    return records
 
 
 def write_topk_csv(rows: Sequence[tuple[int, int, int, float]], path: str) -> None:

@@ -3,10 +3,14 @@ linear warmup, binary checkpoints, and per-epoch metric records.
 
 Every source of randomness is owned here: parameter init and slot sampling
 share one generator seeded from the config, and each epoch's shuffle is a
-Fisher-Yates pass seeded with seed XOR epoch. Gradients accumulate in
-sample-index order, so identical (dataset, config) pairs reproduce metric
-logs bit for bit, and a checkpoint restores enough state (parameters,
-optimizer moments, generator state, epoch) to continue a run unchanged.
+Fisher-Yates pass seeded with seed XOR epoch. Training runs each batch as
+chunks of TRAIN_CHUNK (16) samples, one forward and one per-sample backward
+walk per chunk; of the sizes tried (16, 32, 64) only 16 keeps peak memory
+within about 5% of one-sample training. Gradients still add in sample-index
+order, so the chunk size moves no bit, identical (dataset, config) pairs
+reproduce metric logs bit for bit, and a checkpoint restores enough state
+(parameters, optimizer moments, generator state, epoch) to continue a run
+unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .data import ByteReader, Dataset
 from .errors import ConfigError, FormatError, NumericError
 from .head import HeadConfig, HeadParams
 from .losses import LossWeights
-from .metrics import Metrics, _sample_concept_score
+from .metrics import Metrics, concept_top1_scores
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -48,6 +52,13 @@ __all__ = [
 CHECKPOINT_MAGIC = b"CCTK"
 CHECKPOINT_VERSION = 1
 
+# Samples per training chunk. A chunk's whole record is live when its walk
+# starts, so peak memory grows with the chunk. 16 keeps peak RSS within
+# about 5% of one-sample training on the perfbench workloads; 32 adds about
+# 11% and 64 about 30% on refine_dual and explain, past the benchmark's 10%
+# bound.
+TRAIN_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -67,6 +78,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not math.isfinite(self.weight_decay):
             raise ConfigError(f"weight_decay must be finite, got {self.weight_decay}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.eps_opt) and self.eps_opt > 0):
             raise ConfigError(f"eps_opt must be positive and finite, got {self.eps_opt}")
         if self.seed < 0:
@@ -202,15 +215,15 @@ def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
                     rng: np.random.Generator):
     """One chunk through the head, and each sample's loss terms.
 
-    Returns the head output, the (map, targets) pairs that carry targets,
-    and the per-sample cross-entropy, explanation (None without targets),
-    sparsity and total losses. The sparsity term, the mean over maps of
-    each map's entropy, is built whatever lambda_sparse is: it is also the
-    entropy metric. total_loss leaves it out when lambda_sparse is 0.
+    Returns the head output, the (map, stacked targets) pairs that carry
+    targets, and the per-sample cross-entropy, explanation (None without
+    targets), sparsity and total losses. The sparsity term, the mean over
+    maps of each map's entropy, is built whatever lambda_sparse is: it is
+    also the entropy metric. total_loss leaves it out when lambda_sparse is 0.
     """
     w = cfg.weights
     out = hd.head_forward(Tensor(_stack([s.features for s in samples])), params, cfg.head, rng)
-    pairs = [(a, targets) for a, targets in (
+    pairs = [(a, _stack(targets)) for a, targets in (
         (out.attn_spatial, [s.h_spatial for s in samples]),
         (out.attn_global, [s.h_global for s in samples]))
         if a is not None and targets[0] is not None]
@@ -218,7 +231,7 @@ def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
     expl = sparse = None
     if w.lambda_expl > 0.0:
         for attn, targets in pairs:
-            term = losses.explanation_loss(attn, _stack(targets))
+            term = losses.explanation_loss(attn, targets)
             expl = term if expl is None else ad.add(expl, term)
     maps = out.maps()
     for a in maps:
@@ -234,17 +247,19 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
               step=None) -> Metrics:
     """The one pass loop of train_epoch and evaluate.
 
-    Samples go forward as (B, L, D) chunks of a batch: one sample at a time
-    when step is given, each backpropagating its share of the batch-mean
-    loss (step() runs after each batch), else cfg.batch_size at a time.
-    Every op works per sample, so chunking changes no value, and the metric
-    sums are Python floats added in sample order. Overflow stays silent:
-    autodiff turns non-finite op outputs into NumericError. A chunk that
-    raises one is replayed one sample at a time from the generator state it
-    started with, so the error names the epoch, batch and sample.
+    Samples go forward as (B, L, D) chunks of a batch: TRAIN_CHUNK at a time
+    when step is given, each chunk backpropagating its samples' shares of the
+    batch-mean loss in one per-sample walk (step() runs after each batch),
+    else cfg.batch_size at a time. Every op works per sample, and the walk
+    adds each sample's gradient into the parameters in sample-index order,
+    so chunking changes no value; the metric sums are Python floats added in
+    sample order. Overflow stays silent: autodiff turns non-finite op
+    outputs into NumericError. A chunk that raises one is replayed one
+    sample at a time from the generator state it started with, so the error
+    names the epoch, batch and sample.
     """
     check_dataset(dataset, cfg.head)
-    size = 1 if step is not None else cfg.batch_size
+    size = TRAIN_CHUNK if step is not None else cfg.batch_size
     sum_cls = sum_expl = sum_entropy = sum_total = 0.0
     hits = 0
     concept_scores: list[float] = []
@@ -261,7 +276,7 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
                     out, pairs, cls, expl, sparse, total = _forward_losses(samples, params,
                                                                            cfg, rng)
                     if step is not None:
-                        ad.backward(ad.scale(total, 1.0 / len(batch)))
+                        ad.backward(ad.scale(total, 1.0 / len(batch)), per_sample=True)
                 except NumericError as err:
                     if saved is not None:
                         rng.bit_generator.state = saved
@@ -271,6 +286,7 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
                                        f"sample {chunk[0]}: {err}") from err
                 expl_v = [0.0] * len(chunk) if expl is None else expl.data.tolist()
                 predicted = np.argmax(out.logits.data, axis=-1).tolist()
+                chunk_scores = [concept_top1_scores(a.data, targets) for a, targets in pairs]
                 for j, (s, cls_j, sparse_j, total_j) in enumerate(zip(
                         samples, cls.data.tolist(), sparse.data.tolist(), total.data.tolist())):
                     sum_cls += cls_j
@@ -279,8 +295,7 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
                     sum_total += total_j
                     if predicted[j] == s.label:
                         hits += 1
-                    scores = [score for score in (_sample_concept_score(a.data[j], targets[j])
-                                                  for a, targets in pairs) if score is not None]
+                    scores = [per_map[j] for per_map in chunk_scores if per_map[j] is not None]
                     if scores:
                         concept_scores.append(sum(scores) / len(scores))
             if step is not None:
@@ -500,12 +515,19 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     algo, expected = value("rng_algo", str), rng.bit_generator.state["bit_generator"]
     if algo != expected:
         raise FormatError(f"checkpoint config key 'rng_algo' is {algo!r}, expected {expected!r}")
+    has_uint32, uinteger = value("rng_has_uint32"), value("rng_uinteger")
+    if has_uint32 not in (0, 1):
+        raise FormatError(f"checkpoint config key 'rng_has_uint32' is {has_uint32}, "
+                          "expected 0 or 1")
+    if not 0 <= uinteger < 2 ** 32:
+        raise FormatError(f"checkpoint config key 'rng_uinteger' is {uinteger}, "
+                          "expected a value in [0, 2**32)")
     try:
         rng.bit_generator.state = {
             "bit_generator": algo,
             "state": {"state": value("rng_state"), "inc": value("rng_inc")},
-            "has_uint32": value("rng_has_uint32"),
-            "uinteger": value("rng_uinteger"),
+            "has_uint32": has_uint32,
+            "uinteger": uinteger,
         }
     except (OverflowError, ValueError) as err:
         raise FormatError(f"checkpoint generator state is out of range: {err}") from err

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from concepthead import autodiff as ad
-from concepthead.errors import NumericError, ShapeError
+from concepthead.errors import NumericError, RecordConsumedError, ShapeError
 
 
 def t(values, grad=True):
@@ -144,22 +144,30 @@ class TestBackward:
         assert report.passed
 
     def test_two_backwards_double_gradients(self):
+        # the walk consumes the record: a second walk raises instead of adding
         x = t([[1.0, 2.0], [3.0, 4.0]])
         w = t([[0.5], [0.25]])
-        loss = ad.reduce_sum(ad.tanh(ad.matmul(x, w)))
+        hidden = ad.matmul(x, w)
+        loss = ad.reduce_sum(ad.tanh(hidden))
         ad.backward(loss)
         gx, gw = x.grad.copy(), w.grad.copy()
-        ad.backward(loss)
-        npt.assert_array_equal(x.grad, 2 * gx)
-        npt.assert_array_equal(w.grad, 2 * gw)
+        with pytest.raises(RecordConsumedError, match="already walked"):
+            ad.backward(loss)
+        with pytest.raises(RecordConsumedError, match="already walked"):
+            ad.backward(ad.reduce_sum(hidden))  # a new loss over the walked record
+        npt.assert_array_equal(x.grad, gx)
+        npt.assert_array_equal(w.grad, gw)
 
     def test_reset_restores_idempotence(self):
         x = t([1.0, 2.0])
-        loss = ad.reduce_sum(ad.mul(x, x))
-        ad.backward(loss)
+
+        def forward():
+            return ad.reduce_sum(ad.mul(x, x))
+
+        ad.backward(forward())
         first = x.grad.copy()
         x.reset_grad()
-        ad.backward(loss)
+        ad.backward(forward())
         npt.assert_array_equal(x.grad, first)
 
     def test_fanout_accumulates(self):
@@ -194,15 +202,120 @@ class TestLeanTape:
 
     def test_fanout_sums_in_walk_order(self):
         x = t([[0.25, -1.5]])
-        h = ad.scale(x, 3.0)
-        loss = ad.reduce_sum(ad.add(ad.add(ad.mul(h, h), h), ad.tanh(h)))
+
+        def forward():
+            h = ad.scale(x, 3.0)
+            return h, ad.reduce_sum(ad.add(ad.add(ad.mul(h, h), h), ad.tanh(h)))
+
+        h, loss = forward()
         ad.backward(loss)
         g = 2.0 * h.data + 1.0 + (1.0 - np.tanh(h.data) ** 2)
         npt.assert_allclose(x.grad, 3.0 * g, rtol=0, atol=1e-14)
         first = x.grad.copy()
         x.reset_grad()
-        ad.backward(loss)
+        ad.backward(forward()[1])
         npt.assert_array_equal(x.grad, first)
+
+    def test_walk_frees_each_node_as_it_passes(self):
+        x = t(np.ones((2, 2)))
+        inner = ad.tanh(x)
+        outer = ad.scale(inner, 2.0)
+        loss = ad.reduce_sum(outer)
+        walk_inner, seen = inner._vjp, []
+
+        def spy(g):
+            seen.append((outer._vjp, outer._parents, loss._vjp, loss._parents))
+            return walk_inner(g)
+
+        inner._vjp = spy
+        ad.backward(loss)
+        assert seen == [(None, None, None, None)]  # consumers freed before inner ran
+        assert inner._vjp is None and inner._parents is None
+        # the leaf keeps its empty record and takes a new forward
+        assert x._parents == () and x.grad is not None
+        ad.backward(ad.reduce_sum(ad.tanh(x)))
+
+
+SHARED_CASES = {
+    "matmul_shared_right": lambda x, p: ad.matmul(x, p["w"]),
+    "matmul_shared_left": lambda x, p: ad.matmul(p["square"], x),
+    "matmul_stacked": lambda x, p: ad.matmul(ad.matmul(x, p["w"]),
+                                             ad.transpose(ad.matmul(x, p["w"]))),
+    "matmul_of_shared": lambda x, p: ad.matmul(x, ad.matmul(ad.transpose(p["trailing"]),
+                                                            p["square"])),
+    "add_row": lambda x, p: ad.add(x, p["row"]),
+    "add_trailing": lambda x, p: ad.add(x, p["trailing"]),
+    "mul_row": lambda x, p: ad.mul(x, p["row"]),
+    "mul_trailing": lambda x, p: ad.mul(x, p["trailing"]),
+    "add_row_to_vectors": lambda x, p: ad.add(ad.reduce_mean_axis(x, -2), p["row"]),
+    "layer_norm": lambda x, p: ad.layer_norm(x, p["gain"], p["bias"]),
+    "expand": lambda x, p: ad.mul(ad.expand(p["trailing"], x.shape[:1]), x),
+    "exp_log_sigma": lambda x, p: ad.add(ad.mul(x, ad.exp(p["log_sigma"])), p["row"]),
+    "fan_out": lambda x, p: ad.add(ad.layer_norm(ad.add(x, p["row"]), p["gain"], p["bias"]),
+                                   ad.mul(x, p["row"])),
+}
+# a (1, 4) row broadcasts over one-row maps too (the global pathway's shape)
+ONE_ROW_CASES = {"matmul_shared_right", "matmul_stacked", "add_row", "mul_row",
+                 "add_row_to_vectors", "layer_norm", "exp_log_sigma", "fan_out"}
+
+
+class TestPerSampleWalk:
+    """One per-sample walk over a (B, ...) stack gives every shared leaf the
+    gradient of B one-sample walks run in sample order, bit for bit."""
+
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=(4, 3))
+    square = rng.normal(size=(3, 3))
+    row = rng.normal(size=(1, 4))
+    trailing = rng.normal(size=(3, 4))
+    gain, bias = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+    log_sigma = rng.normal(size=(1, 4)) * 0.1
+
+    def params(self):
+        return {name: t(getattr(self, name).copy())
+                for name in ("w", "square", "row", "trailing", "gain", "bias", "log_sigma")}
+
+    @staticmethod
+    def loss(y):
+        return ad.reduce_sum(ad.tanh(y), keep=1)
+
+    @pytest.mark.parametrize("case,rows,samples", [
+        (case, rows, samples) for case in sorted(SHARED_CASES)
+        for rows in ((3, 1) if case in ONE_ROW_CASES else (3,)) for samples in (1, 5)])
+    def test_matches_one_sample_walks(self, case, rows, samples):
+        stack = np.random.default_rng(12).normal(size=(samples, rows, 4))
+        build = SHARED_CASES[case]
+        batched = self.params()
+        ad.backward(ad.scale(self.loss(build(ad.Tensor(stack), batched)), 0.25),
+                    per_sample=True)
+        single = self.params()
+        for i in range(samples):
+            ad.backward(ad.scale(self.loss(build(ad.Tensor(stack[i:i + 1]), single)), 0.25))
+        reached = 0
+        for name, p in batched.items():
+            assert (p.grad is None) == (single[name].grad is None), name
+            if p.grad is not None:
+                reached += 1
+                assert np.array_equal(p.grad, single[name].grad), name
+        assert reached > 0
+
+    def test_adds_into_existing_grads_in_sample_order(self):
+        stack = np.random.default_rng(13).normal(size=(4, 3, 4))
+        batched, single = self.params(), self.params()
+        for p in (batched, single):
+            p["w"].grad = np.full((4, 3), 0.1)
+        ad.backward(self.loss(ad.matmul(ad.Tensor(stack), batched["w"])), per_sample=True)
+        for i in range(4):
+            ad.backward(self.loss(ad.matmul(ad.Tensor(stack[i:i + 1]), single["w"])))
+        assert np.array_equal(batched["w"].grad, single["w"].grad)
+
+    def test_loss_must_be_a_vector_over_constant_samples(self):
+        with pytest.raises(ShapeError, match=r"\(B,\) loss"):
+            ad.backward(ad.reduce_sum(t(np.ones((2, 3)))), per_sample=True)
+        stack = t(np.ones((3, 2, 4)))  # a stack that requires grad is not shared
+        with pytest.raises(ShapeError, match="sample axis comes from a constant"):
+            ad.backward(ad.reduce_sum(ad.matmul(stack, t(np.ones((4, 2)))), keep=1),
+                        per_sample=True)
 
 
 class TestLeadingAxis:

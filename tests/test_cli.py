@@ -49,8 +49,9 @@ class TestTrainEvalExplain:
         out_dir = str(tmp_path / "run")
         assert run(train_args(tiny_emb, out_dir)) == 0
         csv_path = os.path.join(out_dir, "metrics.csv")
-        records = mt.parse_metrics_csv(open(csv_path).read())
-        assert [r.epoch for r in records] == [1, 2]  # appended once per epoch
+        lines = open(csv_path).read().splitlines()
+        assert lines[0] == mt.METRICS_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]  # one row per epoch
         ckpt = os.path.join(out_dir, "model.cctk")
         assert os.path.exists(ckpt)
 
@@ -179,6 +180,13 @@ class TestBoundaryValues:
         capsys.readouterr()
         assert run(train_args(tiny_emb, str(out_dir), [flag, "nan"])) == 1
         assert_one_error_line(capsys, text)
+        assert not out_dir.exists()
+
+    def test_train_negative_weight_decay(self, tiny_emb, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert run(train_args(tiny_emb, str(out_dir), ["--weight-decay", "-0.5"])) == 1
+        assert_one_error_line(capsys, "weight_decay must be >= 0, got -0.5")
         assert not out_dir.exists()
 
     def test_gen_data_nan_noise(self, tmp_path, capsys):

@@ -83,26 +83,34 @@ class TestClassAccuracy:
             tr.evaluate(dat.Dataset(), tr.init_train_state(cfg).params, cfg)
 
 
+def top1(attn, target):
+    """concept_top1_scores of one map: a stack of one sample."""
+    return mt.concept_top1_scores(np.asarray(attn)[None], np.asarray(target)[None])[0]
+
+
 class TestConceptTop1Accuracy:
-    """Per-sample scores (_sample_concept_score) and their mean as
+    """Per-sample scores (concept_top1_scores) and their mean as
     trainer.evaluate reports it."""
 
     def test_global_onehot_match(self):
-        assert mt._sample_concept_score(np.array([[0.1, 0.8, 0.1]]),
-                                        np.array([[0.0, 1.0, 0.0]])) == 1.0
+        assert top1([[0.1, 0.8, 0.1]], [[0.0, 1.0, 0.0]]) == 1.0
+        # a one-row map always scores, also against an all-zero target (argmax 0)
+        assert top1([[0.1, 0.8, 0.1]], [[0.0, 0.0, 0.0]]) == 0.0
+        assert top1([[0.8, 0.1, 0.1]], [[0.0, 0.0, 0.0]]) == 1.0
 
     def test_uniform_attention_tie_break(self):
         uniform = np.full((1, 4), 0.25)
         # argmax of the uniform map is concept 0
-        assert mt._sample_concept_score(uniform, np.array([[1.0, 0, 0, 0]])) == 1.0
-        assert mt._sample_concept_score(uniform, np.array([[0, 1.0, 0, 0]])) == 0.0
+        assert top1(uniform, [[1.0, 0, 0, 0]]) == 1.0
+        assert top1(uniform, [[0, 1.0, 0, 0]]) == 0.0
 
     def test_mixed_batch_fraction(self):
         ds = labelled_dataset([0, 1, 2, 0, 1, 2, 0], targets=True)
         cfg = eval_config("global")
         params = tr.init_train_state(cfg).params
         attn = reference_forward(ds, params, cfg, 1).attn_global.data
-        scores = [mt._sample_concept_score(a, s.h_global) for a, s in zip(attn, ds.samples)]
+        scores = mt.concept_top1_scores(attn, np.stack([s.h_global for s in ds.samples]))
+        assert scores == [top1(a, s.h_global) for a, s in zip(attn, ds.samples)]
         assert 0.0 < sum(scores) < 7  # some hits and some misses
         assert tr.evaluate(ds, params, cfg, seed=1).concept_top1_acc == sum(scores) / 7
 
@@ -110,17 +118,22 @@ class TestConceptTop1Accuracy:
         attn = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
         target = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])  # last row non-carrier
         # carrier rows: row0 argmax 0 == 0 (hit), row1 argmax 1 != 0 (miss)
-        assert mt._sample_concept_score(attn, target) == 0.5
+        assert top1(attn, target) == 0.5
+        # a stack scores each sample on its own carrier rows
+        misses = np.array([[0.3, 0.7], [0.2, 0.8], [0.5, 0.5]])
+        assert mt.concept_top1_scores(np.stack([attn, misses, attn]),
+                                      np.stack([target, target, np.zeros((3, 2))])) == [
+            0.5, 0.0, None]
 
     def test_skips_samples_without_targets(self):
-        assert mt._sample_concept_score(np.full((3, 2), 0.5), np.zeros((3, 2))) is None
+        assert top1(np.full((3, 2), 0.5), np.zeros((3, 2))) is None
         ds = labelled_dataset([0, 1, 2, 0, 1, 2, 0], targets=True)
         for s in ds.samples[1::3]:
             s.h_spatial = s.h_global = None
         cfg = eval_config()
         params = tr.init_train_state(cfg).params
         attn = reference_forward(ds, params, cfg, 1).attn_spatial.data
-        scores = [mt._sample_concept_score(a, s.h_spatial)
+        scores = [top1(a, s.h_spatial)
                   for a, s in zip(attn, ds.samples) if s.h_spatial is not None]
         assert len(scores) == 5
         assert tr.evaluate(ds, params, cfg, seed=1).concept_top1_acc == sum(scores) / 5
@@ -132,16 +145,18 @@ class TestConceptTop1Accuracy:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MetricError, match="does not match"):
-            mt._sample_concept_score(np.ones((2, 3)), np.ones((1, 3)))
+            top1(np.ones((2, 3)), np.ones((1, 3)))
+        with pytest.raises(MetricError, match="does not match"):
+            mt.concept_top1_scores(np.ones((2, 3)), np.ones((2, 3)))  # not a stack
 
     def test_perfect_explanation_match_gives_perfect_accuracy(self):
         # attention equal to a one-hot target (explanation loss exactly 0)
         # always yields concept accuracy 1.0
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            target = np.zeros((4, 3))
+        targets = np.zeros((20, 4, 3))
+        for target in targets:
             target[np.arange(4), rng.integers(3, size=4)] = 1.0
-            assert mt._sample_concept_score(target.copy(), target) == 1.0
+        assert mt.concept_top1_scores(targets.copy(), targets) == [1.0] * 20
 
 
 class TestAttentionEntropy:
@@ -230,22 +245,30 @@ class TestMetricsCsv:
         record = mt.Metrics(epoch=3, loss_cls=1 / 3, loss_expl=2 / 7, loss_sparse=0.25,
                             loss_total=1.0, class_acc=0.875, concept_top1_acc=0.5,
                             mean_entropy=math.log(4) / 4)
-        text = mt.METRICS_HEADER + "\n" + mt.format_metrics_row(record) + "\n"
-        parsed = mt.parse_metrics_csv(text)
-        assert len(parsed) == 1
-        assert mt.format_metrics_row(parsed[0]) == mt.format_metrics_row(record)
+        row = mt.format_metrics_row(record)
+        assert row == ("3,0.33333333333333331,0.2857142857142857,0.25,1,0.875,0.5,"
+                       "0.34657359027997264,0")
+        fields = row.split(",")
+        assert int(fields[0]) == record.epoch
+        assert [float(v) for v in fields[1:8]] == [
+            record.loss_cls, record.loss_expl, record.loss_sparse, record.loss_total,
+            record.class_acc, record.concept_top1_acc, record.mean_entropy]
 
     def test_nan_concept_accuracy_roundtrips(self):
         record = mt.Metrics(epoch=1, loss_cls=0.0, loss_expl=0.0, loss_sparse=0.0,
                             loss_total=0.0, class_acc=1.0,
                             concept_top1_acc=float("nan"), mean_entropy=0.0)
-        parsed = mt.parse_metrics_csv(mt.METRICS_HEADER + "\n"
-                                      + mt.format_metrics_row(record) + "\n")
-        assert math.isnan(parsed[0].concept_top1_acc)
+        field = mt.format_metrics_row(record).split(",")[6]
+        assert field == "nan" and math.isnan(float(field))
 
     def test_header_required(self):
-        with pytest.raises(MetricError):
-            mt.parse_metrics_csv("nope\n1,2,3\n")
+        # the header names one column per field of a row, wall_seconds last
+        record = mt.Metrics(epoch=1, loss_cls=0.0, loss_expl=0.0, loss_sparse=0.0,
+                            loss_total=0.0, class_acc=0.0, concept_top1_acc=0.0,
+                            mean_entropy=0.0)
+        columns = mt.METRICS_HEADER.split(",")
+        assert len(columns) == len(mt.format_metrics_row(record).split(",")) == 9
+        assert columns[0] == "epoch" and columns[-1] == "wall_seconds"
 
     def test_wall_seconds_deterministic_zero(self):
         record = mt.Metrics(epoch=1, loss_cls=0.0, loss_expl=0.0, loss_sparse=0.0,

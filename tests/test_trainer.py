@@ -126,6 +126,7 @@ class TestConfigValidation:
         ("lr", math.inf, "lr must be positive and finite"),
         ("weight_decay", math.nan, "weight_decay must be finite"),
         ("weight_decay", -math.inf, "weight_decay must be finite"),
+        ("weight_decay", -0.5, "weight_decay must be >= 0, got -0.5"),
         ("eps_opt", 0.0, "eps_opt must be positive and finite"),
         ("eps_opt", math.nan, "eps_opt must be positive and finite"),
         ("eps_opt", math.inf, "eps_opt must be positive and finite"),
@@ -296,6 +297,13 @@ GRID = [(variant, pathway, heads) for variant in hd.VARIANTS for pathway in hd.P
         for heads in (1, 4)]
 
 
+def fit_outputs(ds, cfg, chunk, monkeypatch):
+    """Metric rows and checkpoint bytes after fitting with training chunks of `chunk`."""
+    monkeypatch.setattr(tr, "TRAIN_CHUNK", chunk)
+    state, records = tr.fit(ds, cfg)
+    return [mt.format_metrics_row(r) for r in records], tr.checkpoint_bytes(state, cfg)
+
+
 class TestChunkedPass:
     @pytest.mark.parametrize("variant,pathway,heads", GRID)
     def test_chunks_of_five_match_one_at_a_time(self, variant, pathway, heads):
@@ -330,6 +338,44 @@ class TestChunkedPass:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("non-finite loss at epoch 0, batch 0, sample 6: ")
+
+    @pytest.mark.parametrize("variant,pathway,heads", GRID)
+    def test_fit_is_bit_identical_across_chunk_sizes(self, variant, pathway, heads,
+                                                     monkeypatch):
+        ds = tiny_dataset(samples_per_class=36)  # batches of 70 and 2
+        head = hd.HeadConfig(concepts=4, slot_dim=8, input_dim=4, n_inputs=3, n_classes=2,
+                             variant=variant, heads=heads, pathway=pathway)
+        cfg = tiny_config(head=head, batch_size=70, lr=1e-2)
+        want = fit_outputs(ds, cfg, 1, monkeypatch)
+        for chunk in (5, 16, 64):
+            assert fit_outputs(ds, cfg, chunk, monkeypatch) == want, chunk
+
+    def test_fit_splits_where_target_kinds_change(self, monkeypatch):
+        ds = tiny_dataset(samples_per_class=10)
+        for s in ds.samples[3:9]:
+            s.h_spatial = None
+        for s in ds.samples[12:14]:
+            s.h_spatial = s.h_global = None
+        head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
+                             variant="sa", pathway="dual")
+        cfg = tiny_config(head=head, batch_size=20)
+        order = tr.shuffled_indices(20, cfg.seed)
+        assert len(tr._chunks(ds.samples, order, 16)) > 2  # kinds split the batch
+        want = fit_outputs(ds, cfg, 1, monkeypatch)
+        assert fit_outputs(ds, cfg, 16, monkeypatch) == want
+
+    def test_numeric_error_mid_chunk_names_the_sample(self, monkeypatch):
+        ds = tiny_dataset()
+        ds.samples[6].features[...] = 1e308  # the row sum in layer_norm overflows
+        cfg = tiny_config(batch_size=12)
+        messages = []
+        for chunk in (16, 1):
+            monkeypatch.setattr(tr, "TRAIN_CHUNK", chunk)
+            with pytest.raises(NumericError) as err:
+                tr.train_epoch(tr.init_train_state(cfg), ds, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("non-finite loss at epoch 1, batch 0, sample 6: ")
 
 
 def replace_config(blob, old, new):
@@ -470,6 +516,18 @@ class TestCheckpoint:
         old = f"\nrng_state={state.rng.bit_generator.state['state']['state']}\n".encode()
         with pytest.raises(FormatError, match="generator state is out of range"):
             tr.parse_checkpoint(replace_config(blob, old, f"\nrng_state={2**130}\n".encode()))
+
+    @pytest.mark.parametrize("key,bad", [
+        ("rng_has_uint32", -1), ("rng_has_uint32", 2),
+        ("rng_uinteger", -1), ("rng_uinteger", 2 ** 32)])
+    def test_generator_flag_and_buffer_out_of_range_name_key(self, key, bad):
+        cfg = tiny_config()
+        state = tr.init_train_state(cfg)
+        blob = tr.checkpoint_bytes(state, cfg)
+        field = key.removeprefix("rng_")
+        old = f"\n{key}={state.rng.bit_generator.state[field]}\n".encode()
+        with pytest.raises(FormatError, match=f"'{key}' is {bad}, expected"):
+            tr.parse_checkpoint(replace_config(blob, old, f"\n{key}={bad}\n".encode()))
 
     def test_zero_eps_opt_rejected(self):
         cfg = tiny_config()

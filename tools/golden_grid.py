@@ -1,6 +1,6 @@
 """Golden-grid hash: 18 small CLI runs whose output bytes must not change.
 
-    python3 tools/golden_grid.py ROOT
+    python3 tools/golden_grid.py ROOT [--expect HEX]
 
 imports concepthead from ROOT/src (a checkout, or an unpacked copy of one)
 and drives its CLI in this process. It writes one EMB1 file (gen-data
@@ -15,10 +15,13 @@ by its bytes. The total is the sha256 over the runs' raw digests, in grid
 order. One line per run and one for the total are printed. A change that
 keeps every output byte prints the same lines as its parent on the same
 machine; BLAS kernels differ between CPUs, so compare on one machine only.
+With --expect HEX the exit status is 1, and both totals are printed, when
+the total differs from HEX.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -62,10 +65,11 @@ def run_digest(cli, data: Path, work: Path, variant: str, pathway: str, heads: i
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: golden_grid.py ROOT", file=sys.stderr)
-        return 2
-    src = Path(argv[0]).resolve() / "src"
+    parser = argparse.ArgumentParser(prog="golden_grid.py")
+    parser.add_argument("root", help="checkout whose src/ holds concepthead")
+    parser.add_argument("--expect", metavar="HEX", help="total the run must reproduce")
+    args = parser.parse_args(argv)
+    src = Path(args.root).resolve() / "src"
     sys.path.insert(0, str(src))
     from concepthead import cli
 
@@ -79,6 +83,10 @@ def main(argv: list[str]) -> int:
             total.update(run)
             print(f"{variant:5s} {pathway:7s} heads={heads} {run.hex()}")
     print(f"total {total.hexdigest()}")
+    if args.expect is not None and total.hexdigest() != args.expect.lower():
+        print(f"golden_grid: total {total.hexdigest()} differs from the expected "
+              f"{args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 
