@@ -43,7 +43,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DomainError, NumericError, RecordConsumedError, ShapeError
+from .errors import NumericError, RecordConsumedError, ShapeError
 
 # no_grad is the one gradient stop and clamped_log the one log. no_grad and
 # the head-axis helpers (split_heads, merge_heads, sum_heads) are not
@@ -62,6 +62,7 @@ __all__ = [
     "sigmoid",
     "tanh",
     "exp",
+    "LOG_FLOOR",
     "clamped_log",
     "softmax_axis",
     "layer_norm",
@@ -328,12 +329,17 @@ def exp(a: Tensor) -> Tensor:
     return _make(out_data, (a,), vjp, "exp")
 
 
-def clamped_log(a: Tensor, floor: float = 1e-9) -> Tensor:
-    """log(max(x, floor)): finite at zero, gradient bounded by 1/floor."""
-    clamped = np.maximum(a.data, floor)
+# The one log floor: clamped_log's output never falls below log(LOG_FLOOR).
+LOG_FLOOR = 1e-9
+
+
+def clamped_log(a: Tensor) -> Tensor:
+    """log(max(x, LOG_FLOOR)): finite at zero, gradient bounded by 1/LOG_FLOOR
+    and zero at and below the floor."""
+    clamped = np.maximum(a.data, LOG_FLOOR)
 
     def vjp(g):
-        return (np.where(a.data > floor, g / clamped, 0.0),)
+        return (np.where(a.data > LOG_FLOOR, g / clamped, 0.0),)
 
     return _make(np.log(clamped), (a,), vjp, "clamped_log")
 
@@ -351,20 +357,19 @@ def softmax_axis(a: Tensor, axis: int) -> Tensor:
     return _make(out_data, (a,), vjp, "softmax_axis")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the last axis (population variance) followed
-    by an affine gain/bias that every row shares."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization over the last axis, (x - mean) / sqrt(var + 1e-5)
+    with the population variance, followed by an affine gain/bias that every
+    row shares."""
     if x.data.ndim < 2:
         raise ShapeError(f"layer_norm: expected at least 2 axes, got shape {x.shape}")
     d = x.shape[-1]
     if d < 1:
         raise ShapeError("layer_norm: rows must have at least one element")
-    if eps < 0:
-        raise DomainError("layer_norm: eps must be non-negative")
     mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     g_row = gain.data.reshape(1, d)
     b_row = bias.data.reshape(1, d)

@@ -173,12 +173,12 @@ def _cmd_explain(args) -> int:
         with ad.no_grad():
             out = hd.head_forward(Tensor(np.stack([s.features for s in chunk])),
                                   state.params, cfg.head, rng)
-        maps = out.attn_spatial if out.attn_spatial is not None else out.attn_global
-        for i, attn in enumerate(maps.data, start):
+            maps = out.attn_spatial if out.attn_spatial is not None else out.attn_global
+            rel = hd.relevance(maps).data  # (B, C), the gamma of the faithfulness identity
+        order = np.argsort(-rel, axis=-1, kind="stable")[:, :args.topk]
+        for i, attn, gamma, top in zip(range(start, start + len(chunk)), maps.data, rel, order):
             mt.export_heatmap(attn, os.path.join(args.out, f"sample_{i:04d}.pgm"))
-            rel = attn.mean(axis=0)
-            top = np.argsort(-rel, kind="stable")[:args.topk]
-            rows.extend((i, rank + 1, int(c), float(rel[c])) for rank, c in enumerate(top))
+            rows.extend((i, rank + 1, int(c), float(gamma[c])) for rank, c in enumerate(top))
     mt.write_topk_csv(rows, os.path.join(args.out, "topk.csv"))
     print(f"wrote {count} heatmaps and topk.csv to {args.out}")
     return 0

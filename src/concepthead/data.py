@@ -53,7 +53,6 @@ class SynthConfig:
     noise_std: float
     samples_per_class: int
     carrier_fraction: float = 1.0
-    orthogonalize: bool = True
 
     def __post_init__(self):
         if len(self.concepts_per_class) != self.n_classes:
@@ -65,7 +64,7 @@ class SynthConfig:
             raise ConfigError("class concept subsets must cover all concepts exactly")
         if not 0.0 < self.carrier_fraction <= 1.0:
             raise ConfigError(f"carrier_fraction must be in (0, 1], got {self.carrier_fraction}")
-        if self.orthogonalize and self.input_dim < self.n_concepts:
+        if self.input_dim < self.n_concepts:
             raise ConfigError(f"orthogonal prototypes need input_dim >= n_concepts "
                               f"({self.input_dim} < {self.n_concepts})")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
@@ -118,15 +117,13 @@ def build_explanations(carriers: np.ndarray, concept: int, n_inputs: int,
 
 
 def make_prototypes(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    """(C, D) unit-norm prototype rows, Gram-Schmidt orthogonalized when asked."""
+    """(C, D) orthonormal prototype rows: standard-normal draws, Gram-Schmidt
+    orthogonalized in row order (so D >= C)."""
     protos = rng.normal(size=(cfg.n_concepts, cfg.input_dim))
-    if cfg.orthogonalize:
-        for i in range(cfg.n_concepts):
-            for j in range(i):
-                protos[i] -= (protos[i] @ protos[j]) * protos[j]
-            protos[i] /= np.linalg.norm(protos[i])
-    else:
-        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+    for i in range(cfg.n_concepts):
+        for j in range(i):
+            protos[i] -= (protos[i] @ protos[j]) * protos[j]
+        protos[i] /= np.linalg.norm(protos[i])
     return protos
 
 
@@ -171,14 +168,20 @@ def emb_bytes(dataset: Dataset) -> bytes:
     dims = (n, dataset.n_inputs, dataset.input_dim, n_concepts)
     if any(not 0 <= v <= _U32_MAX for v in dims):
         raise FormatError(f"dimension overflow: {dims}")
+    shapes = (("features", (dataset.n_inputs, dataset.input_dim)),
+              ("h_spatial", (dataset.n_inputs, n_concepts)), ("h_global", (1, n_concepts)))
     out = bytearray()
     out += struct.pack("<4sIIIIIB", EMB_MAGIC, EMB_VERSION, *dims, flags)
     for i, s in enumerate(dataset.samples):
-        if s.features.shape != (dataset.n_inputs, dataset.input_dim):
-            raise FormatError(f"sample {i} features shape {s.features.shape} does not "
-                              f"match dataset ({dataset.n_inputs}, {dataset.input_dim})")
         if (s.h_spatial is not None) != has_spatial or (s.h_global is not None) != has_global:
             raise FormatError(f"sample {i} explanation presence differs from sample 0")
+        for name, want in shapes:
+            arr = getattr(s, name)
+            if arr is not None and np.shape(arr) != want:
+                raise FormatError(f"sample {i} {name} shape {np.shape(arr)} does not match "
+                                  f"dataset {want}")
+        if not (isinstance(s.label, (int, np.integer)) and 0 <= s.label <= _U32_MAX):
+            raise FormatError(f"sample {i} label {s.label!r} is not an integer in [0, 2**32)")
         out += s.features.astype("<f4").tobytes()
         out += struct.pack("<I", s.label)
         if has_spatial:

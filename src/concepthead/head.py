@@ -56,9 +56,9 @@ def default_iters(variant: str) -> int:
 class HeadConfig:
     """Shapes and behavior switches for one head.
 
-    identity_mode skips the input/slot layer norms and all q/k/v projections
-    (requires input_dim == slot_dim); it exists so that hand-computed
-    attention values are exact in tests.
+    Every configuration layer-normalizes inputs and slots and projects
+    queries, keys and values in both attentions, as slot attention is
+    published; there is no switch that skips them.
     """
 
     concepts: int                  # C
@@ -70,7 +70,6 @@ class HeadConfig:
     variant: str = "sa"
     heads: int = 1
     pathway: str = "spatial"
-    identity_mode: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -87,8 +86,6 @@ class HeadConfig:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.slot_dim % self.heads != 0:
             raise ConfigError(f"slot_dim {self.slot_dim} not divisible by heads {self.heads}")
-        if self.identity_mode and self.input_dim != self.slot_dim:
-            raise ConfigError("identity_mode requires input_dim == slot_dim")
 
 
 class _ParamTree:
@@ -179,10 +176,8 @@ def _param(rng: np.random.Generator, rows: int, cols: int, fan_in: int) -> Tenso
     return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(rows, cols)), requires_grad=True)
 
 
-def init_slot_params(cfg: HeadConfig, rng: np.random.Generator,
-                     sigma: float = 1.0) -> SlotAttentionParams:
-    if sigma <= 0.0:
-        raise ConfigError(f"slot init scale must be positive, got {sigma}")
+def init_slot_params(cfg: HeadConfig, rng: np.random.Generator) -> SlotAttentionParams:
+    """Draw one pathway's slot parameters; the slot init scale sigma starts at 1."""
     c, d, dim_in = cfg.concepts, cfg.slot_dim, cfg.input_dim
     init_queries = None
     if cfg.variant == "boqsa":
@@ -192,7 +187,7 @@ def init_slot_params(cfg: HeadConfig, rng: np.random.Generator,
         wk=_param(rng, dim_in, d, dim_in),
         wv=_param(rng, dim_in, d, dim_in),
         mu=Tensor(rng.normal(0.0, 1.0, size=(1, d)), requires_grad=True),
-        log_sigma=Tensor(np.full((1, d), np.log(sigma)), requires_grad=True),
+        log_sigma=Tensor(np.zeros((1, d)), requires_grad=True),
         init_queries=init_queries,
         wz=_param(rng, d, d, d), uz=_param(rng, d, d, d),
         bz=Tensor(np.zeros((1, d)), requires_grad=True),
@@ -258,12 +253,9 @@ def slot_attention(inputs: Tensor, slots: Tensor, p: SlotAttentionParams,
     Returns the renormalized attention (..., C, L) and the per-slot readout
     (..., C, d).
     """
-    if cfg.identity_mode:
-        q, k, v = slots, inputs, inputs
-    else:
-        q = ad.matmul(slots, p.wq)
-        k = ad.matmul(inputs, p.wk)
-        v = ad.matmul(inputs, p.wv)
+    q = ad.matmul(slots, p.wq)
+    k = ad.matmul(inputs, p.wk)
+    v = ad.matmul(inputs, p.wv)
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim))  # (..., C, L)
     attn = ad.row_normalize(ad.softmax_axis(scores, axis=-2))
     return attn, ad.matmul(attn, v)
@@ -291,14 +283,10 @@ def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
     """
     if e_raw.data.ndim < 2 or e_raw.shape[-1] != cfg.input_dim:
         raise ShapeError(f"expected inputs (*, {cfg.input_dim}), got {e_raw.shape}")
-    if cfg.identity_mode:
-        inputs = e_raw
-    else:
-        inputs = ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias)
+    inputs = ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias)
 
     def iterate(slots: Tensor) -> Tensor:
-        if not cfg.identity_mode:
-            slots = ad.layer_norm(slots, p.ln_slot_gain, p.ln_slot_bias)
+        slots = ad.layer_norm(slots, p.ln_slot_gain, p.ln_slot_bias)
         _, readout = slot_attention(inputs, slots, p, cfg)
         return gru_update(slots, readout, p)
 
@@ -319,10 +307,10 @@ def decomposed_logits(slots: Tensor, p: CrossAttentionParams, rel: Tensor,
     """Logits as relevance-weighted per-concept class scores.
 
     Equals the single-head readback logits up to floating rounding; that identity
-    is what makes the relevance scores a faithful explanation.
+    is what makes the relevance scores a faithful explanation. cfg is not
+    read; it keeps the signature of the readback it mirrors.
     """
-    v = slots if cfg.identity_mode else ad.matmul(slots, p.wv)
-    beta = ad.matmul(v, p.out)  # (C, n_classes)
+    beta = ad.matmul(ad.matmul(slots, p.wv), p.out)  # (C, n_classes)
     return ad.vecmat(rel, beta)
 
 
@@ -340,12 +328,9 @@ def multi_head_cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionPa
     output itself, the tensor that also feeds the readback product.
     """
     h = cfg.heads
-    if cfg.identity_mode:
-        q_full, k_full, v_full = e_raw, slots, slots
-    else:
-        q_full = ad.matmul(e_raw, p.wq)
-        k_full = ad.matmul(slots, p.wk)
-        v_full = ad.matmul(slots, p.wv)
+    q_full = ad.matmul(e_raw, p.wq)
+    k_full = ad.matmul(slots, p.wk)
+    v_full = ad.matmul(slots, p.wv)
     q, k, v = (ad.split_heads(t, h) for t in (q_full, k_full, v_full))
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim // h))
     attn = ad.softmax_axis(scores, axis=-1)

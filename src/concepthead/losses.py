@@ -1,8 +1,8 @@
 """Training objectives: classification, explanation match, attention sparsity.
 
 All logs are natural. The sparsity entropy uses the 0*log(0) = 0 convention
-in the forward pass and clamps the log argument at 1e-9 so the backward pass
-stays bounded at one-hot attention maps.
+in the forward pass and clamps the log argument at autodiff's LOG_FLOOR
+(1e-9) so the backward pass stays bounded at one-hot attention maps.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import LOG_FLOOR, Tensor
 from .errors import ConfigError, DomainError, ShapeError
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "sparsity_loss",
     "total_loss",
 ]
-
-LOG_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def sparsity_loss(attn: Tensor) -> Tensor:
     """Mean elementwise entropy -a*ln(a) of each attention map."""
     if np.any(attn.data < -1e-12) or np.any(attn.data > 1.0 + 1e-12):
         raise DomainError("sparsity_loss expects entries in [0, 1]")
-    per_entry = ad.mul(attn, ad.clamped_log(attn, LOG_FLOOR))
+    per_entry = ad.mul(attn, ad.clamped_log(attn))
     return ad.scale(_per_sample_sum(per_entry), -1.0 / (attn.shape[-2] * attn.shape[-1]))
 
 

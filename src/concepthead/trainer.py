@@ -362,6 +362,9 @@ def evaluate(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
 # magic "CCTK" | u32 version | u32 n_params | entries | u32 n_opt | entries |
 # u32 config_len | config utf-8 "key=value" lines.
 # Tensor entry: u32 name_len | name | u32 rank | u32 dims... | f64 LE payload.
+# The config key identity_mode is a fixed 0, kept for v1 compatibility: no
+# head skips its layer norms or projections, and a reader rejects any other
+# value.
 
 
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
@@ -386,7 +389,7 @@ def _config_lines(cfg: TrainConfig, state: TrainState) -> str:
         ("concepts", h.concepts), ("slot_dim", h.slot_dim), ("input_dim", h.input_dim),
         ("n_inputs", h.n_inputs), ("n_classes", h.n_classes), ("iters", h.iters),
         ("variant", h.variant), ("heads", h.heads), ("pathway", h.pathway),
-        ("identity_mode", int(h.identity_mode)),
+        ("identity_mode", 0),
         ("rng_algo", rng_state["bit_generator"]),
         ("rng_state", rng_state["state"]["state"]),
         ("rng_inc", rng_state["state"]["inc"]),
@@ -501,8 +504,10 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
         concepts=value("concepts"), slot_dim=value("slot_dim"),
         input_dim=value("input_dim"), n_inputs=value("n_inputs"),
         n_classes=value("n_classes"), iters=value("iters"),
-        variant=value("variant", str), heads=value("heads"), pathway=value("pathway", str),
-        identity_mode=bool(value("identity_mode")))
+        variant=value("variant", str), heads=value("heads"), pathway=value("pathway", str))
+    if value("identity_mode") != 0:
+        raise FormatError(f"checkpoint config key 'identity_mode' is {kv['identity_mode']!r}, "
+                          "expected 0")
     cfg = TrainConfig(
         head=head_cfg, epochs=value("epochs"), batch_size=value("batch_size"),
         lr=value("lr", float), warmup_iters=value("warmup_iters"),

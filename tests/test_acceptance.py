@@ -137,12 +137,13 @@ def test_criterion_4_hand_oracles():
         e = np.array([[1.0], [0.0]])
         s = np.array([[1.0], [0.0]])
         cfg = hd.HeadConfig(concepts=2, slot_dim=1, input_dim=1, n_inputs=2,
-                            n_classes=2, variant="boqsa", iters=1,
-                            identity_mode=True)
+                            n_classes=2, variant="boqsa", iters=1)
         rng = np.random.default_rng(0)
 
-        # competitive slot binding on the toy instance
+        # competitive slot binding on the toy instance, identity q/k/v projections
         slot_p = hd.init_slot_params(cfg, rng)
+        for name in ("wq", "wk", "wv"):
+            getattr(slot_p, name).data[...] = 1.0
         for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh"):
             getattr(slot_p, name).data[...] = 0.0
         slot_p.positions.data[...] = 0.0
@@ -155,6 +156,8 @@ def test_criterion_4_hand_oracles():
 
         # readback on the toy instance, both computation paths
         cross_p = hd.init_cross_params(cfg, rng)
+        for name in ("wq", "wk", "wv"):
+            getattr(cross_p, name).data[...] = 1.0
         cross_p.out.data[...] = [[1.0, -1.0]]
         ca_attn, logits = hd.multi_head_cross_attention(Tensor(e), Tensor(s), cross_p, cfg)
         ca_scores = e @ s.T
@@ -170,8 +173,7 @@ def test_criterion_4_hand_oracles():
 
         # scalar GRU step: z = 0.5, candidate = tanh(1)
         gru_cfg = hd.HeadConfig(concepts=1, slot_dim=1, input_dim=1, n_inputs=1,
-                                n_classes=2, variant="boqsa", iters=1,
-                                identity_mode=True)
+                                n_classes=2, variant="boqsa", iters=1)
         gru_p = hd.init_slot_params(gru_cfg, np.random.default_rng(0))
         for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh"):
             getattr(gru_p, name).data[...] = 0.0

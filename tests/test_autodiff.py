@@ -64,18 +64,20 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_row(self):
         out = ad.layer_norm(t([[5.0, 5.0, 5.0]]), t(np.ones((1, 3))),
-                            t(np.zeros((1, 3))), eps=1e-5)
+                            t(np.zeros((1, 3))))
         npt.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_already_normalized(self):
-        out = ad.layer_norm(t([[1.0, -1.0]]), t(np.ones((1, 2))),
-                            t(np.zeros((1, 2))), eps=0.0)
-        npt.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-15)
+        # population variance 1, so the 1e-5 in the denominator is all that moves it
+        out = ad.layer_norm(t([[1.0, -1.0]]), t(np.ones((1, 2))), t(np.zeros((1, 2))))
+        npt.assert_allclose(out.data, [[1.0, -1.0]] / np.sqrt(1.0 + 1e-5), atol=1e-15)
 
     def test_affine(self):
-        # row [0, 2]: mean 1, population std 1 -> normalized [-1, 1], then *3 + 1
-        out = ad.layer_norm(t([[0.0, 2.0]]), t([[3.0, 3.0]]), t([[1.0, 1.0]]), eps=0.0)
-        npt.assert_allclose(out.data, [[-2.0, 4.0]], atol=1e-15)
+        # row [0, 2]: mean 1, population std 1 -> normalized [-1, 1] / sqrt(1 + 1e-5),
+        # then *3 + 1
+        out = ad.layer_norm(t([[0.0, 2.0]]), t([[3.0, 3.0]]), t([[1.0, 1.0]]))
+        npt.assert_allclose(out.data, 3.0 * np.array([[-1.0, 1.0]]) / np.sqrt(1.0 + 1e-5) + 1.0,
+                            atol=1e-15)
 
 
 class TestElementwise:

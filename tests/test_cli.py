@@ -3,10 +3,13 @@ import os
 import numpy as np
 import pytest
 
+from concepthead import autodiff as ad
 from concepthead import cli
 from concepthead import data as dat
 from concepthead import head as hd
+from concepthead import metrics as mt
 from concepthead import trainer as tr
+from concepthead.autodiff import Tensor
 
 
 def run(argv):
@@ -203,6 +206,15 @@ class TestBoundaryValues:
         assert_one_error_line(capsys,
                               "checkpoint tensor 'spatial.slot.wq' holds non-finite values")
 
+    def test_eval_identity_mode_checkpoint(self, tiny_emb, ckpt, tmp_path, capsys):
+        blob = open(ckpt, "rb").read()
+        assert b"\nidentity_mode=0\n" in blob
+        bad = tmp_path / "identity.cctk"
+        bad.write_bytes(blob.replace(b"\nidentity_mode=0\n", b"\nidentity_mode=1\n"))
+        capsys.readouterr()
+        assert run(["eval", "--data", tiny_emb, "--checkpoint", str(bad)]) == 1
+        assert_one_error_line(capsys, "checkpoint config key 'identity_mode' is '1', expected 0")
+
     def test_eval_non_utf8_checkpoint(self, tiny_emb, ckpt, tmp_path, capsys):
         blob = bytearray(open(ckpt, "rb").read())
         blob[18] = 0x80  # inside the first tensor name
@@ -284,3 +296,40 @@ def test_explain_bytes_independent_of_chunk_size(tiny_emb, tmp_path, variant, pa
         outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
     assert len(outputs[0]) == 2 * 12 + 1  # a PGM and a CSV per sample, and topk.csv
     assert outputs[0] == outputs[1]
+
+
+def reference_topk_rows(dataset, state, cfg, seed, count, topk):
+    """The per-sample explain loop: one forward, map mean and argsort per sample."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i, sample in enumerate(dataset.samples[:count]):
+        with ad.no_grad():
+            out = hd.head_forward(Tensor(sample.features), state.params, cfg.head, rng)
+        rel = out.maps()[0].data.mean(axis=0)
+        top = np.argsort(-rel, kind="stable")[:topk]
+        rows.extend((i, rank + 1, int(c), float(rel[c])) for rank, c in enumerate(top))
+    return rows
+
+
+@pytest.mark.parametrize("n_inputs", [1, 8, 32])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("tied", [False, True])
+def test_explain_topk_matches_per_sample_reference(tmp_path, n_inputs, heads, tied):
+    data = str(tmp_path / "d.emb")
+    assert run(["gen-data", "--out", data, "--seed", "2", "--classes", "2", "--concepts", "6",
+                "--features", str(n_inputs), "--feature-dim", "8",
+                "--samples-per-class", "6"]) == 0
+    head = hd.HeadConfig(concepts=6, slot_dim=8, input_dim=8, n_inputs=n_inputs, n_classes=2,
+                         variant="sa", heads=heads)
+    cfg = tr.TrainConfig(head=head, batch_size=4, seed=1)
+    state = tr.init_train_state(cfg)
+    if tied:  # zero queries: uniform maps, so every gamma ties and ranks go by concept index
+        state.params.spatial.cross.wq.data[...] = 0.0
+    ckpt = str(tmp_path / "m.cctk")
+    tr.save_checkpoint(state, cfg, ckpt)
+    out_dir = tmp_path / "explain"
+    assert run(["explain", "--data", data, "--checkpoint", ckpt, "--out", str(out_dir),
+                "--seed", "9", "--topk", "4", "--limit", "7"]) == 0  # chunks of 4, then 3
+    want = tmp_path / "want.csv"
+    mt.write_topk_csv(reference_topk_rows(dat.read_emb(data), state, cfg, 9, 7, 4), str(want))
+    assert (out_dir / "topk.csv").read_bytes() == want.read_bytes()

@@ -39,8 +39,6 @@ class TestSynthConfig:
     def test_orthogonalization_needs_room(self):
         with pytest.raises(ConfigError):
             small_config(input_dim=4)  # fewer dims than concepts
-        cfg = small_config(input_dim=4, orthogonalize=False)
-        assert cfg.input_dim == 4
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
     def test_noise_std_finite_and_non_negative(self, value):
@@ -212,6 +210,42 @@ class TestEmbFormat:
                          n_inputs=1, input_dim=1)
         parsed = dat.parse_emb(dat.emb_bytes(ds))
         assert parsed.samples[0].features[0, 0] == np.float32(0.1)
+
+
+class TestEmbWriterChecks:
+    """emb_bytes refuses what parse_emb would misread, naming the sample."""
+
+    def dataset(self):
+        return dat.gen_synthetic(small_config(samples_per_class=1), seed=0)  # L=4, C=6
+
+    def test_spatial_targets_of_other_widths(self):
+        # widths 7 and 5 add up to the right file length; the reader would shift sample 1
+        ds = self.dataset()
+        ds.samples[0].h_spatial = np.zeros((4, 7))
+        ds.samples[1].h_spatial = np.zeros((4, 5))
+        with pytest.raises(FormatError, match=r"sample 0 h_spatial shape \(4, 7\) does not "
+                                              r"match dataset \(4, 6\)"):
+            dat.emb_bytes(ds)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6), (1, 5)])
+    def test_global_target_shape(self, shape):
+        ds = self.dataset()
+        ds.samples[2].h_global = np.zeros(shape)
+        with pytest.raises(FormatError, match=r"sample 2 h_global shape .* does not match "
+                                              r"dataset \(1, 6\)"):
+            dat.emb_bytes(ds)
+
+    @pytest.mark.parametrize("label", [-1, 2**32, 1.5])
+    def test_label_outside_u32(self, label):
+        ds = self.dataset()
+        ds.samples[1].label = label
+        with pytest.raises(FormatError, match=r"sample 1 label .* is not an integer in \[0, 2\*\*32\)"):
+            dat.emb_bytes(ds)
+
+    def test_largest_u32_label_round_trips(self):
+        ds = self.dataset()
+        ds.samples[1].label = np.uint32(2**32 - 1)
+        assert dat.parse_emb(dat.emb_bytes(ds)).samples[1].label == 2**32 - 1
 
 
 class TestNonFinitePayload:

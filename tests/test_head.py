@@ -44,14 +44,16 @@ def toy_config(concepts=2, dim=1, n_inputs=2, n_classes=2, variant="boqsa", iter
                heads=1, pathway="spatial"):
     return hd.HeadConfig(concepts=concepts, slot_dim=dim, input_dim=dim,
                          n_inputs=n_inputs, n_classes=n_classes, iters=iters,
-                         variant=variant, heads=heads, pathway=pathway,
-                         identity_mode=True)
+                         variant=variant, heads=heads, pathway=pathway)
 
 
 def toy_slot_params(cfg, init_queries=None, gru_scale=0.0, seed=0):
-    """identity-mode slot params: zero GRU (unless scaled), zero positions."""
+    """Slot params with identity q/k/v projections (x @ I is exact), zero GRU
+    (unless scaled) and zero positions."""
     rng = np.random.default_rng(seed)
     p = hd.init_slot_params(cfg, rng)
+    for tensor in (p.wq, p.wk, p.wv):
+        tensor.data[...] = np.eye(cfg.slot_dim)
     for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh"):
         tensor = getattr(p, name)
         tensor.data[...] = gru_scale * rng.normal(size=tensor.shape)
@@ -59,6 +61,20 @@ def toy_slot_params(cfg, init_queries=None, gru_scale=0.0, seed=0):
     if init_queries is not None:
         p.init_queries.data[...] = np.asarray(init_queries, dtype=np.float64)
     return p
+
+
+def eye_cross(cfg, rng):
+    """Readback params with identity q/k/v projections; out as drawn."""
+    p = hd.init_cross_params(cfg, rng)
+    for tensor in (p.wq, p.wk, p.wv):
+        tensor.data[...] = np.eye(cfg.slot_dim)
+    return p
+
+
+def oracle_layer_norm(x):
+    """Row-wise (x - mean) / sqrt(var + 1e-5) with unit gain and zero bias."""
+    centered = x - x.mean(axis=1, keepdims=True)
+    return centered / np.sqrt((centered ** 2).mean(axis=1, keepdims=True) + 1e-5)
 
 
 def random_head(cfg, seed):
@@ -70,13 +86,16 @@ def random_head(cfg, seed):
 
 TOY_E = np.array([[1.0], [0.0]])
 TOY_S = np.array([[1.0], [0.0]])
+TOY_E2 = np.array([[1.0, 0.0], [-0.5, 2.0]])  # dim-2 inputs for the layer-normed paths
+TOY_Q2 = np.array([[1.0, 0.0], [0.5, 3.0]])   # dim-2 boqsa init queries
 
 
 class TestInitSlots:
     def test_sigma_to_zero_limit(self):
         cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=2,
-                            n_classes=2, variant="sa", identity_mode=True)
-        p = hd.init_slot_params(cfg, np.random.default_rng(0), sigma=1e-12)
+                            n_classes=2, variant="sa")
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        p.log_sigma.data[...] = math.log(1e-12)
         slots = hd.init_slots(p, cfg, np.random.default_rng(1))
         npt.assert_allclose(slots.data, np.broadcast_to(p.mu.data, (3, 4)), atol=1e-10)
 
@@ -90,7 +109,7 @@ class TestInitSlots:
 
     def test_sa_same_seed_bitwise(self):
         cfg = hd.HeadConfig(concepts=2, slot_dim=2, input_dim=2, n_inputs=2,
-                            n_classes=2, variant="sa", identity_mode=True)
+                            n_classes=2, variant="sa")
         p = hd.init_slot_params(cfg, np.random.default_rng(0))
         p.mu.data[...] = 0.0
         p.log_sigma.data[...] = 0.0  # sigma = 1
@@ -100,16 +119,15 @@ class TestInitSlots:
 
     def test_nonpositive_sigma_rejected(self):
         cfg = toy_config(variant="sa")
-        with pytest.raises(ConfigError):
-            hd.init_slot_params(cfg, np.random.default_rng(0), sigma=0.0)
         p = hd.init_slot_params(cfg, np.random.default_rng(0))
-        p.log_sigma.data[...] = -800.0  # exp underflows to exactly 0
-        with pytest.raises(ConfigError):
-            hd.init_slots(p, cfg, np.random.default_rng(0))
+        for log_sigma in (-800.0, -np.inf):  # exp is exactly 0
+            p.log_sigma.data[...] = log_sigma
+            with pytest.raises(ConfigError):
+                hd.init_slots(p, cfg, np.random.default_rng(0))
 
     def test_gradients_flow_to_mu_and_sigma(self):
         cfg = hd.HeadConfig(concepts=2, slot_dim=3, input_dim=3, n_inputs=2,
-                            n_classes=2, variant="sa", identity_mode=True)
+                            n_classes=2, variant="sa")
         p = hd.init_slot_params(cfg, np.random.default_rng(0))
         slots = hd.init_slots(p, cfg, np.random.default_rng(3))
         ad.backward(ad.reduce_sum(ad.mul(slots, slots)))
@@ -210,18 +228,19 @@ class TestRefineSlots:
             assert np.array_equal(out_sa.data, out_isa.data)
 
     def test_zero_positions_passthrough(self):
-        cfg = toy_config(variant="boqsa", iters=1)
-        p = toy_slot_params(cfg, init_queries=[[1.0], [0.0]])
-        out = hd.refine_slots(Tensor(TOY_E), p, cfg, np.random.default_rng(0))
-        # zero GRU halves the init slots; positions are zero
-        npt.assert_allclose(out.data, 0.5 * np.array([[1.0], [0.0]]), atol=1e-15)
+        cfg = toy_config(dim=2, variant="boqsa", iters=1)
+        p = toy_slot_params(cfg, init_queries=TOY_Q2)
+        out = hd.refine_slots(Tensor(TOY_E2), p, cfg, np.random.default_rng(0))
+        # zero GRU halves the layer-normed init slots; positions are zero
+        npt.assert_allclose(out.data, 0.5 * oracle_layer_norm(TOY_Q2), atol=1e-15)
 
     def test_positions_added(self):
-        cfg = toy_config(variant="boqsa", iters=1)
-        p = toy_slot_params(cfg, init_queries=[[1.0], [0.0]])
-        p.positions.data[...] = [[10.0], [20.0]]
-        out = hd.refine_slots(Tensor(TOY_E), p, cfg, np.random.default_rng(0))
-        npt.assert_allclose(out.data, [[10.5], [20.0]], atol=1e-15)
+        cfg = toy_config(dim=2, variant="boqsa", iters=1)
+        p = toy_slot_params(cfg, init_queries=TOY_Q2)
+        positions = np.array([[0.25, -0.5], [0.75, 0.125]])
+        p.positions.data[...] = positions
+        out = hd.refine_slots(Tensor(TOY_E2), p, cfg, np.random.default_rng(0))
+        npt.assert_allclose(out.data, 0.5 * oracle_layer_norm(TOY_Q2) + positions, atol=1e-15)
 
     def test_iters_below_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -235,7 +254,7 @@ class TestRefineSlots:
 
     def test_isa_mu_gradient_differs_from_sa_at_t3(self):
         cfg_kwargs = dict(concepts=3, slot_dim=4, input_dim=4, n_inputs=3,
-                          n_classes=2, iters=3, identity_mode=True)
+                          n_classes=2, iters=3)
         e = np.random.default_rng(4).normal(size=(3, 4))
         grads = {}
         for variant in ("sa", "isa"):
@@ -291,8 +310,7 @@ class TestRefineSlots:
 class TestCrossAttention:
     def test_toy_oracle(self):
         cfg = toy_config()
-        rng = np.random.default_rng(0)
-        p = hd.init_cross_params(cfg, rng)
+        p = eye_cross(cfg, np.random.default_rng(0))
         p.out.data[...] = [[1.0, -1.0]]
         attn, logits = hd.multi_head_cross_attention(Tensor(TOY_E), Tensor(TOY_S), p, cfg)
         want_attn, want_logits = oracle_cross_attention(TOY_E, TOY_S, p.out.data, 1)
@@ -303,7 +321,7 @@ class TestCrossAttention:
 
     def test_identical_slots_give_uniform_attention(self):
         cfg = toy_config(concepts=3, dim=2, n_inputs=4, n_classes=3)
-        p = hd.init_cross_params(cfg, np.random.default_rng(1))
+        p = eye_cross(cfg, np.random.default_rng(1))
         slots = np.tile([[0.3, -0.7]], (3, 1))
         e = np.random.default_rng(2).normal(size=(4, 2))
         attn, logits = hd.multi_head_cross_attention(Tensor(e), Tensor(slots), p, cfg)
@@ -340,7 +358,7 @@ class TestRelevanceAndDecomposition:
 
     def test_matches_eq1_path(self):
         cfg = toy_config()
-        p = hd.init_cross_params(cfg, np.random.default_rng(0))
+        p = eye_cross(cfg, np.random.default_rng(0))
         p.out.data[...] = [[1.0, -1.0]]
         attn, logits = hd.multi_head_cross_attention(Tensor(TOY_E), Tensor(TOY_S), p, cfg)
         dec = hd.decomposed_logits(Tensor(TOY_S), p, hd.relevance(attn), cfg)
@@ -349,7 +367,7 @@ class TestRelevanceAndDecomposition:
 
     def test_onehot_relevance_selects_beta_row(self):
         cfg = toy_config(concepts=3, dim=2, n_classes=4)
-        p = hd.init_cross_params(cfg, np.random.default_rng(5))
+        p = eye_cross(cfg, np.random.default_rng(5))
         slots = np.random.default_rng(6).normal(size=(3, 2))
         beta = slots @ p.out.data
         for c in range(3):
@@ -542,24 +560,23 @@ class TestDualPathway:
         assert np.array_equal(out.logits.data, ad.scale(ad.add(*logits), 0.5).data)
 
     def test_toy_composition(self):
-        # identity-mode dual run on hand-checkable inputs
-        cfg = hd.HeadConfig(concepts=2, slot_dim=1, input_dim=1, n_inputs=2,
-                            n_classes=2, variant="boqsa", pathway="dual",
-                            identity_mode=True, iters=1)
+        # dual run with identity projections on hand-checkable inputs
+        cfg = toy_config(dim=2, variant="boqsa", pathway="dual", iters=1)
         rng = np.random.default_rng(0)
-        spatial = hd.PathwayParams(toy_slot_params(cfg, init_queries=[[1.0], [0.0]]),
-                                   hd.init_cross_params(cfg, rng))
-        global_ = hd.PathwayParams(toy_slot_params(cfg, init_queries=[[1.0], [0.0]]),
-                                   hd.init_cross_params(cfg, rng))
-        spatial.cross.out.data[...] = [[1.0, -1.0]]
-        global_.cross.out.data[...] = [[1.0, -1.0]]
-        logits = hd.head_forward(Tensor(TOY_E), hd.HeadParams(spatial, global_), cfg,
+        out_matrix = np.array([[1.0, -1.0], [0.5, 2.0]])
+        spatial = hd.PathwayParams(toy_slot_params(cfg, init_queries=TOY_Q2),
+                                   eye_cross(cfg, rng))
+        global_ = hd.PathwayParams(toy_slot_params(cfg, init_queries=TOY_Q2),
+                                   eye_cross(cfg, rng))
+        spatial.cross.out.data[...] = out_matrix
+        global_.cross.out.data[...] = out_matrix
+        logits = hd.head_forward(Tensor(TOY_E2), hd.HeadParams(spatial, global_), cfg,
                                  np.random.default_rng(0)).logits
-        # each pathway halves its init slots, then reads them back
-        slots = 0.5 * np.array([[1.0], [0.0]])
-        _, want_s = oracle_cross_attention(TOY_E, slots, np.array([[1.0, -1.0]]), 1)
-        _, want_g = oracle_cross_attention(TOY_E.mean(axis=0, keepdims=True), slots,
-                                           np.array([[1.0, -1.0]]), 1)
+        # each pathway halves its layer-normed init slots, then reads them back
+        slots = 0.5 * oracle_layer_norm(TOY_Q2)
+        _, want_s = oracle_cross_attention(TOY_E2, slots, out_matrix, 2)
+        _, want_g = oracle_cross_attention(TOY_E2.mean(axis=0, keepdims=True), slots,
+                                           out_matrix, 2)
         npt.assert_allclose(logits.data, (want_s + want_g) / 2, atol=1e-12)
 
 

@@ -566,6 +566,15 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="heads must be >= 1"):
             tr.parse_checkpoint(blob.replace(b"\nheads=1\n", b"\nheads=0\n"))
 
+    @pytest.mark.parametrize("value", [b"1", b"7"])  # one byte: the config length holds
+    def test_identity_mode_other_than_zero_rejected(self, value):
+        cfg = tiny_config()
+        blob = tr.checkpoint_bytes(tr.init_train_state(cfg), cfg)
+        assert b"\nidentity_mode=0\n" in blob
+        with pytest.raises(FormatError, match="'identity_mode' is '.*', expected 0"):
+            tr.parse_checkpoint(blob.replace(b"\nidentity_mode=0\n",
+                                             b"\nidentity_mode=" + value + b"\n"))
+
     def test_unknown_rng_algo_names_key(self):
         cfg = tiny_config()
         blob = tr.checkpoint_bytes(tr.init_train_state(cfg), cfg)

@@ -9,8 +9,9 @@ each seed this runs `python3 perfbench/run.py --workload W --seed S
 pairs 1, 3, 5, ..., the change first in pairs 2, 4, 6, ... It prints, for
 every end-to-end metric that PARENT/BENCHMARK.json declares, the median and
 quartiles of each side, the median gap over the parent's interquartile
-range, and how many pairs the change won. With --trace-seconds, one traced
-run per side (on the first seed) adds the per-layer values.
+range, how many pairs the change won, and a no-regression verdict against
+the metric's `bound` (see `verdict`). With --trace-seconds, one traced run
+per side (on the first seed) adds the per-layer values.
 
 The records go to --out (default: the current directory) as
 BENCH_baseline.json (PARENT) and BENCH_<label>.json (CHANGE), in the schema
@@ -74,6 +75,28 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """No-regression verdict for one end-to-end metric: ok, worse or unresolved.
+
+    worse: the change's median is worse than the parent's median by more
+    than `bound`, a fraction of the parent's median. unresolved: otherwise,
+    the parent's interquartile range is wider than `bound` times its median,
+    so its runs spread too widely to tell, unless every change run beats
+    every parent run. ok: neither.
+    """
+    qp, c = quartiles(parent), quartiles(change)["median"]
+    p = qp["median"]
+    if better == "higher":
+        worse, beats_all = c < p * (1.0 - bound), min(change) > max(parent)
+    else:
+        worse, beats_all = c > p * (1.0 + bound), max(change) < min(parent)
+    if worse:
+        return "worse"
+    if qp["q3"] - qp["q1"] > bound * abs(p) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def write_record(path: Path, label: str, checkout: Path, workload: str, runs: list[dict],
                  metrics: list[str], provenance: dict, per_layer: dict | None,
                  seconds: float, trace_seconds: float) -> None:
@@ -104,6 +127,7 @@ def main(argv: list[str]) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
+    bounds = {m["name"]: m["bound"] for m in declared}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     provenance: dict[str, dict] = {}
     for i, seed in enumerate(args.seeds):
@@ -133,7 +157,8 @@ def main(argv: list[str]) -> int:
         print(f"  {name:12s} {qp['median']:.6g} [{qp['q1']:.6g}, {qp['q3']:.6g}] -> "
               f"{qc['median']:.6g} [{qc['q1']:.6g}, {qc['q3']:.6g}]  "
               f"x{qc['median'] / qp['median']:.3f}  change won {wins}/{len(p)}  "
-              f"gap {gap:+.4g} vs parent IQR {iqr:.4g} ({better[name]} is better)")
+              f"gap {gap:+.4g} vs parent IQR {iqr:.4g} ({better[name]} is better)  "
+              f"{verdict(p, c, direction, bounds[name])} (bound {bounds[name]:g})")
     for side in sides:
         bad = [r["seed"] for r in runs[side] if not r["correct"] or r["failed"]]
         if bad:
