@@ -62,6 +62,8 @@ class SynthConfig:
         covered = {c for subset in self.concepts_per_class for c in subset}
         if covered != set(range(self.n_concepts)):
             raise ConfigError("class concept subsets must cover all concepts exactly")
+        if self.n_inputs < 1:
+            raise ConfigError(f"n_inputs must be >= 1, got {self.n_inputs}")
         if not 0.0 < self.carrier_fraction <= 1.0:
             raise ConfigError(f"carrier_fraction must be in (0, 1], got {self.carrier_fraction}")
         if self.input_dim < self.n_concepts:

@@ -14,6 +14,7 @@ stderr in the CLI.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,11 +69,33 @@ def concept_top1_scores(attn: np.ndarray, target: np.ndarray) -> list[float | No
     return [h / c if c else None for h, c in zip(hits, counts)]
 
 
+def _overwrite(path: str, blob: bytes) -> None:
+    """Make the file at path hold exactly blob: the bytes open(path, "wb") would leave.
+
+    An existing file is written in place and cut to length only when it is
+    longer than blob, so rerunning explain into the same directory skips the
+    truncate-to-zero that open(path, "wb") pays on every existing file. A new
+    file gets the mode open() gives it (0o666 less the umask). A character
+    device such as /dev/null takes the write and is never truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(blob)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(blob):
+            os.ftruncate(fd, len(blob))
+    finally:
+        os.close(fd)
+
+
 def export_heatmap(attn: np.ndarray, path: str) -> None:
     """Write a grayscale binary PGM of the map plus a full-precision CSV sibling.
 
     Pixels scale the map by 255/max (all zero when the map is identically
-    zero) and round half away from zero.
+    zero) and round half away from zero. An existing file is rewritten in
+    place (see _overwrite): explain reruns into one directory, and truncating
+    each file to zero before writing it again cost more than the write.
     """
     a = np.asarray(attn, dtype=np.float64)
     if a.ndim != 2:
@@ -83,14 +106,12 @@ def export_heatmap(attn: np.ndarray, path: str) -> None:
     scaled = np.zeros_like(a) if peak == 0 else a * (255.0 / peak)
     pixels = np.floor(scaled + 0.5).astype(np.uint8)
     height, width = a.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes())
+    _overwrite(path, f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes())
     csv_path = path[:-4] + ".csv" if path.endswith(".pgm") else path + ".csv"
     # "%.17g" % x is f"{x:.17g}" (_f17) for every float; one format string
     # renders the whole map at once.
     row = ",".join(["%.17g"] * width) + "\n"
-    with open(csv_path, "wb") as fh:
-        fh.write(((row * height) % tuple(a.ravel().tolist())).encode("ascii"))
+    _overwrite(csv_path, ((row * height) % tuple(a.ravel().tolist())).encode("ascii"))
 
 
 def _f17(x: float) -> str:
@@ -104,8 +125,13 @@ def format_metrics_row(m: Metrics) -> str:
 
 
 def write_topk_csv(rows: Sequence[tuple[int, int, int, float]], path: str) -> None:
-    """Per-sample ranked concept relevances: sample_index,rank,concept_index,gamma_value."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("sample_index,rank,concept_index,gamma_value\n")
-        for sample_index, rank, concept_index, gamma_value in rows:
-            fh.write(f"{sample_index},{rank},{concept_index},{_f17(gamma_value)}\n")
+    """Per-sample ranked concept relevances: sample_index,rank,concept_index,gamma_value.
+
+    The text is built once, and an existing file is rewritten in place (see
+    _overwrite) for the reason export_heatmap gives: a rerun of explain into
+    the same directory need not truncate the previous topk.csv first.
+    """
+    lines = ["sample_index,rank,concept_index,gamma_value\n"]
+    lines.extend(f"{sample_index},{rank},{concept_index},{_f17(gamma_value)}\n"
+                 for sample_index, rank, concept_index, gamma_value in rows)
+    _overwrite(path, "".join(lines).encode("ascii"))

@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -196,6 +197,13 @@ class TestBoundaryValues:
         assert run(["gen-data", "--out", str(tmp_path / "x.emb"), "--noise-std", "nan"]) == 1
         assert_one_error_line(capsys, "noise_std must be >= 0 and finite, got nan")
 
+    def test_gen_data_zero_features(self, tmp_path, capsys):
+        out = tmp_path / "x.emb"
+        assert run(["gen-data", "--out", str(out), "--features", "0",
+                    "--samples-per-class", "2"]) == 1
+        assert_one_error_line(capsys, "n_inputs must be >= 1, got 0")
+        assert not out.exists()
+
     def test_eval_non_finite_checkpoint_tensor(self, tiny_emb, ckpt, tmp_path, capsys):
         state, cfg = tr.load_checkpoint(ckpt)
         state.params.spatial.slot.wq.data[1, 2] = np.inf
@@ -333,3 +341,59 @@ def test_explain_topk_matches_per_sample_reference(tmp_path, n_inputs, heads, ti
     want = tmp_path / "want.csv"
     mt.write_topk_csv(reference_topk_rows(dat.read_emb(data), state, cfg, 9, 7, 4), str(want))
     assert (out_dir / "topk.csv").read_bytes() == want.read_bytes()
+
+
+def explain_model(tmp_path, name, n_inputs, heads, pathway):
+    """A gen-data file of L=n_inputs rows and an untrained checkpoint for it."""
+    data = str(tmp_path / f"{name}.emb")
+    assert run(["gen-data", "--out", data, "--seed", "4", "--classes", "2", "--concepts", "6",
+                "--features", str(n_inputs), "--feature-dim", "8",
+                "--samples-per-class", "5"]) == 0
+    head = hd.HeadConfig(concepts=6, slot_dim=8, input_dim=8, n_inputs=n_inputs, n_classes=2,
+                         variant="sa", heads=heads, pathway=pathway)
+    cfg = tr.TrainConfig(head=head, batch_size=4, seed=2)
+    ckpt = str(tmp_path / f"{name}.cctk")
+    tr.save_checkpoint(tr.init_train_state(cfg), cfg, ckpt)
+    return data, ckpt
+
+
+def explain_files(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def test_explain_rerun_into_same_directory(tmp_path):
+    """A rerun overwrites the files it writes with the bytes of a fresh run and
+    leaves the others as they were."""
+    big = explain_model(tmp_path, "big", 32, 4, "spatial")
+    small = explain_model(tmp_path, "small", 8, 1, "global")
+
+    def explain(model, out_dir, limit):
+        assert run(["explain", "--data", model[0], "--checkpoint", model[1],
+                    "--out", str(out_dir), "--seed", "3", "--limit", str(limit)]) == 0
+
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    explain(big, shared, 7)
+    first = explain_files(shared)
+    explain(small, shared, 3)
+    explain(small, fresh, 3)
+    second, want = explain_files(shared), explain_files(fresh)
+    assert len(first) == 2 * 7 + 1 and sorted(want) == sorted(first)[:6] + ["topk.csv"]
+    for name, blob in want.items():
+        assert second[name] == blob
+        assert len(first[name]) > len(blob)  # each rerun file had to shrink
+    assert {n: b for n, b in second.items() if n not in want} == {
+        n: b for n, b in first.items() if n not in want}
+
+
+def test_explain_output_path_is_directory(tiny_emb, tmp_path, capsys):
+    out_dir = tmp_path / "explain"
+    (out_dir / "sample_0000.csv").mkdir(parents=True)
+    cfg = tr.TrainConfig(head=hd.HeadConfig(concepts=4, slot_dim=4, input_dim=6, n_inputs=3,
+                                            n_classes=2), batch_size=4)
+    ckpt = str(tmp_path / "m.cctk")
+    tr.save_checkpoint(tr.init_train_state(cfg), cfg, ckpt)
+    capsys.readouterr()
+    assert run(["explain", "--data", tiny_emb, "--checkpoint", ckpt,
+                "--out", str(out_dir)]) == 1
+    assert_one_error_line(capsys, f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                                  f"'{out_dir / 'sample_0000.csv'}'")

@@ -45,6 +45,11 @@ class TestSynthConfig:
         with pytest.raises(ConfigError, match="noise_std must be >= 0 and finite"):
             small_config(noise_std=value)
 
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_n_inputs_positive(self, value):
+        with pytest.raises(ConfigError, match=f"n_inputs must be >= 1, got {value}"):
+            small_config(n_inputs=value)
+
     def test_carrier_count_ceil(self):
         assert small_config(carrier_fraction=1.0).n_carriers == 4
         assert small_config(carrier_fraction=0.5).n_carriers == 2

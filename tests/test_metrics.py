@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -238,6 +239,64 @@ class TestHeatmapExport:
     def test_negative_values_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             mt.export_heatmap(np.array([[-0.1, 0.5]]), str(tmp_path / "x.pgm"))
+
+
+PREFILLS = {"longer": b"#" * 5000, "shorter": b"P5\n", "empty": b""}
+
+
+class TestOverwrite:
+    """An existing output file ends up with exactly the bytes a fresh one gets."""
+
+    @staticmethod
+    def topk_rows():
+        return [(i, r, (3 * i + r) % 7, 1 / (i + r + 2)) for i in range(40) for r in (1, 2, 3)]
+
+    @pytest.mark.parametrize("prefill", PREFILLS)
+    @pytest.mark.parametrize("rows", [1, 32])
+    def test_heatmap_over_existing_file(self, tmp_path, prefill, rows):
+        a = np.random.default_rng(rows).dirichlet(np.ones(12), size=rows)
+        mt.export_heatmap(a, str(tmp_path / "fresh.pgm"))
+        for ext in ("pgm", "csv"):
+            (tmp_path / f"old.{ext}").write_bytes(PREFILLS[prefill])
+        mt.export_heatmap(a, str(tmp_path / "old.pgm"))
+        for ext in ("pgm", "csv"):
+            assert ((tmp_path / f"old.{ext}").read_bytes()
+                    == (tmp_path / f"fresh.{ext}").read_bytes())
+
+    @pytest.mark.parametrize("prefill", PREFILLS)
+    def test_topk_over_existing_file(self, tmp_path, prefill):
+        fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+        mt.write_topk_csv(self.topk_rows(), str(fresh))
+        old.write_bytes(PREFILLS[prefill])
+        mt.write_topk_csv(self.topk_rows(), str(old))
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_matches_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "ref", "wb"):
+                pass
+            mt.write_topk_csv(self.topk_rows(), str(tmp_path / "topk.csv"))
+            mt.export_heatmap(np.eye(3), str(tmp_path / "map.pgm"))
+        finally:
+            os.umask(previous)
+        want = os.stat(tmp_path / "ref").st_mode
+        assert want & 0o777 == 0o666 & ~umask
+        for name in ("topk.csv", "map.pgm", "map.csv"):
+            assert os.stat(tmp_path / name).st_mode == want
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_topk_to_null_device(self):
+        mt.write_topk_csv(self.topk_rows(), os.devnull)
+
+    def test_directory_at_target_rejected(self, tmp_path):
+        (tmp_path / "topk.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            mt.write_topk_csv(self.topk_rows(), str(tmp_path / "topk.csv"))
+        (tmp_path / "map.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            mt.export_heatmap(np.eye(2), str(tmp_path / "map.pgm"))
 
 
 class TestMetricsCsv:

@@ -7,7 +7,11 @@ and drives its CLI in this process. It writes one EMB1 file (gen-data
 --seed 3 --samples-per-class 12 --features 6 --feature-dim 16
 --carrier-fraction 0.5), then for every variant sa/isa/boqsa x pathway
 spatial/global/dual x heads 1/4 runs `train` (2 epochs, batch 16, lr 1e-2,
-slot-dim 16, seed 5), `eval` and `explain --limit 5` on it.
+slot-dim 16, seed 5), `eval` and `explain --limit 5` on it. All 18 explain
+runs share one --out directory, so every run after the first rewrites the 11
+files of the run before it: one-row global maps over six-row spatial and dual
+maps, and the reverse. The grid thus checks that an existing output file
+ends up holding exactly the bytes a fresh one would.
 
 A run's sha256 covers, in this order: metrics.csv, model.cctk, the eval
 stdout, then each explain output in name order as its name's bytes followed
@@ -45,8 +49,9 @@ def run_cli(cli, argv: list[str]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def run_digest(cli, data: Path, work: Path, variant: str, pathway: str, heads: int) -> bytes:
-    train_dir, explain_dir = work / "train", work / "explain"
+def run_digest(cli, data: Path, work: Path, explain_dir: Path, variant: str, pathway: str,
+               heads: int) -> bytes:
+    train_dir = work / "train"
     ckpt = train_dir / "model.cctk"
     run_cli(cli, ["train", "--data", str(data), "--out", str(train_dir), "--epochs", "2",
                   "--batch-size", "16", "--lr", "1e-2", "--slot-dim", "16", "--seed", "5",
@@ -79,7 +84,8 @@ def main(argv: list[str]) -> int:
         run_cli(cli, ["gen-data", "--out", str(data), "--seed", "3", "--samples-per-class", "12",
                       "--features", "6", "--feature-dim", "16", "--carrier-fraction", "0.5"])
         for i, (variant, pathway, heads) in enumerate(itertools.product(VARIANTS, PATHWAYS, HEADS)):
-            run = run_digest(cli, data, Path(tmp) / f"run{i:02d}", variant, pathway, heads)
+            run = run_digest(cli, data, Path(tmp) / f"run{i:02d}", Path(tmp) / "explain",
+                             variant, pathway, heads)
             total.update(run)
             print(f"{variant:5s} {pathway:7s} heads={heads} {run.hex()}")
     print(f"total {total.hexdigest()}")
