@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -55,13 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True, help="EMB1 training set")
     train.add_argument("--out", default=".", help="directory for metrics.csv and checkpoint")
     train.add_argument("--checkpoint", default=None, help="checkpoint path override")
-    train.add_argument("--epochs", type=int, default=20)
-    train.add_argument("--batch-size", type=int, default=64)
-    train.add_argument("--lr", type=float, default=5e-5)
-    train.add_argument("--warmup", type=int, default=10)
-    train.add_argument("--weight-decay", type=float, default=1e-3)
-    train.add_argument("--lambda-expl", type=float, default=1.0)
-    train.add_argument("--lambda-sparse", type=float, default=0.5)
+    train.add_argument("--epochs", type=int, default=tr.TrainConfig.epochs)
+    train.add_argument("--batch-size", type=int, default=tr.TrainConfig.batch_size)
+    train.add_argument("--lr", type=float, default=tr.TrainConfig.lr)
+    train.add_argument("--warmup", type=int, default=tr.TrainConfig.warmup_iters)
+    train.add_argument("--weight-decay", type=float, default=tr.TrainConfig.weight_decay)
+    train.add_argument("--lambda-expl", type=float, default=LossWeights.lambda_expl)
+    train.add_argument("--lambda-sparse", type=float, default=LossWeights.lambda_sparse)
     add_head_flags(train)
 
     ev = sub.add_parser("eval", help="print metrics for a checkpoint on a dataset")
@@ -147,9 +148,8 @@ def _cmd_eval(args) -> int:
         return 2
     state, cfg = tr.load_checkpoint(args.checkpoint)
     record = tr.evaluate(dataset, state.params, cfg, seed=args.seed)
-    for name in ("loss_cls", "loss_expl", "loss_sparse", "loss_total",
-                 "class_acc", "concept_top1_acc", "mean_entropy"):
-        print(f"{name}={getattr(record, name):.6f}")
+    for f in dataclasses.fields(record)[1:]:  # every metric but the epoch
+        print(f"{f.name}={getattr(record, f.name):.6f}")
     return 0
 
 

@@ -15,7 +15,7 @@ stderr in the CLI.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -31,10 +31,6 @@ __all__ = [
     "write_topk_csv",
 ]
 
-METRICS_HEADER = ("epoch,loss_cls,loss_expl,loss_sparse,loss_total,"
-                  "class_acc,concept_top1_acc,mean_entropy,wall_seconds")
-
-
 @dataclass
 class Metrics:
     """One epoch of training or evaluation measurements."""
@@ -47,6 +43,9 @@ class Metrics:
     class_acc: float
     concept_top1_acc: float   # NaN when the dataset carries no explanations
     mean_entropy: float
+
+
+METRICS_HEADER = ",".join([f.name for f in fields(Metrics)] + ["wall_seconds"])
 
 
 def concept_top1_scores(attn: np.ndarray, target: np.ndarray) -> list[float | None]:
@@ -119,9 +118,8 @@ def _f17(x: float) -> str:
 
 
 def format_metrics_row(m: Metrics) -> str:
-    return ",".join([str(m.epoch), _f17(m.loss_cls), _f17(m.loss_expl),
-                     _f17(m.loss_sparse), _f17(m.loss_total), _f17(m.class_acc),
-                     _f17(m.concept_top1_acc), _f17(m.mean_entropy), _f17(0.0)])
+    return ",".join([str(m.epoch)] + [_f17(getattr(m, f.name)) for f in fields(Metrics)[1:]]
+                    + [_f17(0.0)])
 
 
 def write_topk_csv(rows: Sequence[tuple[int, int, int, float]], path: str) -> None:

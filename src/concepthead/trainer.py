@@ -15,9 +15,12 @@ unchanged.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import math
 import struct
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +62,11 @@ CHECKPOINT_VERSION = 1
 # bound.
 TRAIN_CHUNK = 16
 
+# AdamW's moment decay rates and denominator epsilon, the usual fixed values
+# (Loshchilov & Hutter, arXiv:1711.05101).
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -68,8 +76,6 @@ class TrainConfig:
     lr: float = 5e-5
     warmup_iters: int = 10
     weight_decay: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps_opt: float = 1e-8
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
 
@@ -80,13 +86,8 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be finite, got {self.weight_decay}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not (math.isfinite(self.eps_opt) and self.eps_opt > 0):
-            raise ConfigError(f"eps_opt must be positive and finite, got {self.eps_opt}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        b1, b2 = self.betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
         if self.warmup_iters < 0 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1, warmup_iters >= 0")
 
@@ -123,7 +124,7 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 def adamw_step(params: HeadParams, opt: OptimizerState, cfg: TrainConfig,
                lr_t: float) -> None:
     """One AdamW update with decoupled weight decay; missing grads count as zero."""
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     opt.t += 1
     bc1 = 1.0 - b1 ** opt.t
     bc2 = 1.0 - b2 ** opt.t
@@ -138,7 +139,7 @@ def adamw_step(params: HeadParams, opt: OptimizerState, cfg: TrainConfig,
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_opt)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data -= lr_t * update
         if cfg.weight_decay != 0.0:
             p.data -= lr_t * cfg.weight_decay * p.data
@@ -362,9 +363,42 @@ def evaluate(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
 # magic "CCTK" | u32 version | u32 n_params | entries | u32 n_opt | entries |
 # u32 config_len | config utf-8 "key=value" lines.
 # Tensor entry: u32 name_len | name | u32 rank | u32 dims... | f64 LE payload.
-# The config key identity_mode is a fixed 0, kept for v1 compatibility: no
-# head skips its layer norms or projections, and a reader rejects any other
-# value.
+# The config lines hold the keys of _CONFIG_KEYS, each once and in that order.
+# A _Key gives the converter of its text and the path from _config_lines' roots
+# to its value; a value valid() rejects fails as "is V, expected <expected>".
+# beta1, beta2, eps_opt and identity_mode have no path: they are fixed values
+# kept for v1 files (ADAM_BETAS, ADAM_EPS, and 0, as no head skips its layer
+# norms or projections), and a reader rejects any other text there.
+_Key = namedtuple("_Key", "name convert path valid expected", defaults=(None, ""))
+
+
+def _fields(cls, *parent: str) -> list[_Key]:
+    """A key per field of a flat config dataclass, named as the field."""
+    convert = {"int": int, "float": float, "str": str}
+    return [_Key(f.name, convert[f.type.split()[0]], (*parent, f.name))
+            for f in dataclasses.fields(cls)]
+
+
+_CONFIG_KEYS = (
+    _Key("epoch", int, ("state", "epoch"), lambda v: v >= 0, "a value >= 0"),
+    _Key("step", int, ("state", "opt", "t"), lambda v: v >= 0, "a value >= 0"),
+    *(_Key(name, convert, ("cfg", name)) for name, convert in (
+        ("seed", int), ("epochs", int), ("batch_size", int), ("lr", float),
+        ("warmup_iters", int), ("weight_decay", float))),
+    _Key("beta1", str, None, expected=str(ADAM_BETAS[0])),
+    _Key("beta2", str, None, expected=str(ADAM_BETAS[1])),
+    _Key("eps_opt", str, None, expected=str(ADAM_EPS)),
+    *_fields(LossWeights, "cfg", "weights"),
+    *_fields(HeadConfig, "cfg", "head"),
+    _Key("identity_mode", str, None, expected="0"),
+    # the generator's bit_generator.state; np.random.default_rng gives PCG64
+    _Key("rng_algo", str, ("rng", "bit_generator"), lambda v: v == "PCG64", "'PCG64'"),
+    _Key("rng_state", int, ("rng", "state", "state")),
+    _Key("rng_inc", int, ("rng", "state", "inc")),
+    _Key("rng_has_uint32", int, ("rng", "has_uint32"), lambda v: v in (0, 1), "0 or 1"),
+    _Key("rng_uinteger", int, ("rng", "uinteger"), lambda v: 0 <= v < 2 ** 32,
+         "a value in [0, 2**32)"),
+)
 
 
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
@@ -376,27 +410,14 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 
 
 def _config_lines(cfg: TrainConfig, state: TrainState) -> str:
-    h = cfg.head
-    rng_state = state.rng.bit_generator.state
-    items = [
-        ("epoch", state.epoch), ("step", state.opt.t), ("seed", cfg.seed),
-        ("epochs", cfg.epochs), ("batch_size", cfg.batch_size), ("lr", repr(cfg.lr)),
-        ("warmup_iters", cfg.warmup_iters), ("weight_decay", repr(cfg.weight_decay)),
-        ("beta1", repr(cfg.betas[0])), ("beta2", repr(cfg.betas[1])),
-        ("eps_opt", repr(cfg.eps_opt)),
-        ("lambda_expl", repr(cfg.weights.lambda_expl)),
-        ("lambda_sparse", repr(cfg.weights.lambda_sparse)),
-        ("concepts", h.concepts), ("slot_dim", h.slot_dim), ("input_dim", h.input_dim),
-        ("n_inputs", h.n_inputs), ("n_classes", h.n_classes), ("iters", h.iters),
-        ("variant", h.variant), ("heads", h.heads), ("pathway", h.pathway),
-        ("identity_mode", 0),
-        ("rng_algo", rng_state["bit_generator"]),
-        ("rng_state", rng_state["state"]["state"]),
-        ("rng_inc", rng_state["state"]["inc"]),
-        ("rng_has_uint32", rng_state["has_uint32"]),
-        ("rng_uinteger", rng_state["uinteger"]),
-    ]
-    return "".join(f"{k}={v}\n" for k, v in items)
+    roots = {"cfg": cfg, "state": state, "rng": state.rng.bit_generator.state}
+    lines = []
+    for key in _CONFIG_KEYS:
+        value = roots if key.path is not None else key.expected
+        for part in key.path or ():
+            value = value[part] if isinstance(value, dict) else getattr(value, part)
+        lines.append(f"{key.name}={value}\n")
+    return "".join(lines)
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path: str) -> None:
@@ -485,55 +506,35 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     if cur.offset != len(blob):
         raise FormatError("trailing bytes after config block", offset=cur.offset)
 
-    kv: dict[str, str] = {}
-    for line in config_blob.splitlines():
-        if line:
-            key, _, text = line.partition("=")
-            kv[key] = text
-
-    def value(key: str, convert=int):
+    # The first config line out of place, and a value that does not parse or
+    # that its key does not allow, raise a FormatError naming the key.
+    lines = [line.partition("=") for line in config_blob.splitlines()]
+    pairs = itertools.zip_longest([key for key, _, _ in lines], [key.name for key in _CONFIG_KEYS])
+    for at, pair in enumerate(pairs):
+        if pair[0] != pair[1]:
+            got, want = ("the end of the block" if key is None else f"key {key!r}" for key in pair)
+            raise FormatError(f"checkpoint config line {at + 1}: found {got}, expected {want}")
+    tree: dict = {}  # the values, nested along their keys' paths
+    for key, (_, _, raw) in zip(_CONFIG_KEYS, lines):
         try:
-            return convert(kv[key])
-        except KeyError as err:
-            raise FormatError(f"checkpoint config is missing key {key!r}") from err
+            value = key.convert(raw)
         except ValueError as err:
-            raise FormatError(f"checkpoint config key {key!r} has malformed value "
-                              f"{kv[key]!r}") from err
-
-    head_cfg = HeadConfig(
-        concepts=value("concepts"), slot_dim=value("slot_dim"),
-        input_dim=value("input_dim"), n_inputs=value("n_inputs"),
-        n_classes=value("n_classes"), iters=value("iters"),
-        variant=value("variant", str), heads=value("heads"), pathway=value("pathway", str))
-    if value("identity_mode") != 0:
-        raise FormatError(f"checkpoint config key 'identity_mode' is {kv['identity_mode']!r}, "
-                          "expected 0")
-    cfg = TrainConfig(
-        head=head_cfg, epochs=value("epochs"), batch_size=value("batch_size"),
-        lr=value("lr", float), warmup_iters=value("warmup_iters"),
-        weight_decay=value("weight_decay", float),
-        betas=(value("beta1", float), value("beta2", float)),
-        eps_opt=value("eps_opt", float), seed=value("seed"),
-        weights=LossWeights(lambda_expl=value("lambda_expl", float),
-                            lambda_sparse=value("lambda_sparse", float)))
+            raise FormatError(f"checkpoint config key {key.name!r} has malformed value "
+                              f"{raw!r}") from err
+        fixed = key.path is None
+        if (fixed and value != key.expected) or (key.valid and not key.valid(value)):
+            raise FormatError(f"checkpoint config key {key.name!r} is {value!r}, "
+                              f"expected {key.expected}")
+        if not fixed:
+            *parents, leaf = key.path
+            node = functools.reduce(lambda d, part: d.setdefault(part, {}), parents, tree)
+            node[leaf] = value
+    settings = tree["cfg"]
+    head_cfg = HeadConfig(**settings.pop("head"))
+    cfg = TrainConfig(head=head_cfg, weights=LossWeights(**settings.pop("weights")), **settings)
     rng = np.random.default_rng(0)
-    algo, expected = value("rng_algo", str), rng.bit_generator.state["bit_generator"]
-    if algo != expected:
-        raise FormatError(f"checkpoint config key 'rng_algo' is {algo!r}, expected {expected!r}")
-    has_uint32, uinteger = value("rng_has_uint32"), value("rng_uinteger")
-    if has_uint32 not in (0, 1):
-        raise FormatError(f"checkpoint config key 'rng_has_uint32' is {has_uint32}, "
-                          "expected 0 or 1")
-    if not 0 <= uinteger < 2 ** 32:
-        raise FormatError(f"checkpoint config key 'rng_uinteger' is {uinteger}, "
-                          "expected a value in [0, 2**32)")
     try:
-        rng.bit_generator.state = {
-            "bit_generator": algo,
-            "state": {"state": value("rng_state"), "inc": value("rng_inc")},
-            "has_uint32": has_uint32,
-            "uinteger": uinteger,
-        }
+        rng.bit_generator.state = tree["rng"]
     except (OverflowError, ValueError) as err:
         raise FormatError(f"checkpoint generator state is out of range: {err}") from err
 
@@ -541,5 +542,5 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     named = list(params.named())
     opt = OptimizerState(m={name: _take(opt_entries, "m:" + name, p.shape) for name, p in named},
                          v={name: _take(opt_entries, "v:" + name, p.shape) for name, p in named},
-                         t=value("step"))
-    return TrainState(params=params, opt=opt, rng=rng, epoch=value("epoch")), cfg
+                         t=tree["state"]["opt"]["t"])
+    return TrainState(params=params, opt=opt, rng=rng, epoch=tree["state"]["epoch"]), cfg

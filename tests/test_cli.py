@@ -11,6 +11,7 @@ from concepthead import head as hd
 from concepthead import metrics as mt
 from concepthead import trainer as tr
 from concepthead.autodiff import Tensor
+from concepthead.losses import LossWeights
 
 
 def run(argv):
@@ -138,6 +139,20 @@ class TestTrainEvalExplain:
         assert args.weight_decay == 1e-3
         assert args.batch_size == 64
         assert args.lr == 5e-5
+
+    def test_train_without_hyperparameter_flags_uses_dataclass_defaults(
+            self, tiny_emb, tmp_path, monkeypatch):
+        seen = []
+
+        def fit(dataset, cfg, on_epoch=None):
+            seen.append(cfg)
+            return tr.init_train_state(cfg), []
+
+        monkeypatch.setattr(tr, "fit", fit)
+        assert run(["train", "--data", tiny_emb, "--out", str(tmp_path)]) == 0
+        [cfg] = seen
+        assert cfg == tr.TrainConfig(head=cfg.head)
+        assert cfg.weights == LossWeights()
 
 
 def assert_one_error_line(capsys, text):

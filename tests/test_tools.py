@@ -45,3 +45,19 @@ TIGHT = [99.0, 100.0, 100.0, 101.0, 100.0]  # IQR 0, median 100
 ])
 def test_bench_pairs_verdict(parent, change, better, want):
     assert load_tool("bench_pairs").verdict(parent, change, better, 0.15) == want
+
+
+def runs(*pairs):
+    return [{"failed": failed, "attempted": attempted} for failed, attempted in pairs]
+
+
+@pytest.mark.parametrize("parent,change,want", [
+    (runs((0, 100), (0, 120)), runs((0, 90), (0, 130)), ("0/220", "0/220", False)),
+    (runs((0, 100), (0, 100)), runs((1, 100), (0, 100)), ("0/200", "1/200", True)),
+    (runs((2, 100)), runs((2, 100), (0, 100)), ("2/100", "2/200", False)),   # 1% < 2%
+    (runs((1, 100)), runs((3, 200)), ("1/100", "3/200", True)),              # 1.5% > 1%
+    (runs((0, 0)), runs((0, 0)), ("0/0", "0/0", False)),
+    (runs((0, 0)), runs((1, 5)), ("0/0", "1/5", True)),
+])
+def test_bench_pairs_failed_share(parent, change, want):
+    assert load_tool("bench_pairs").failed_share_worse(parent, change) == want

@@ -10,8 +10,11 @@ pairs 1, 3, 5, ..., the change first in pairs 2, 4, 6, ... It prints, for
 every end-to-end metric that PARENT/BENCHMARK.json declares, the median and
 quartiles of each side, the median gap over the parent's interquartile
 range, how many pairs the change won, and a no-regression verdict against
-the metric's `bound` (see `verdict`). With --trace-seconds, one traced run
-per side (on the first seed) adds the per-layer values.
+the metric's `bound` (see `verdict`). It then prints each side's failed
+checks over its attempted ones, summed over its runs, and flags the change
+when it fails a larger share (see `failed_share_worse`). With
+--trace-seconds, one traced run per side (on the first seed) adds the
+per-layer values.
 
 The records go to --out (default: the current directory) as
 BENCH_baseline.json (PARENT) and BENCH_<label>.json (CHANGE), in the schema
@@ -97,6 +100,18 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "ok"
 
 
+def failed_share_worse(parent: list[dict], change: list[dict]) -> tuple[str, str, bool]:
+    """Each side's summed `failed`/`attempted` over its runs, and whether the
+    change fails a larger share of what it attempted. A side that attempted
+    nothing counts as a share of 0."""
+    shares, texts = [], []
+    for runs in (parent, change):
+        failed, attempted = (sum(r[key] for r in runs) for key in ("failed", "attempted"))
+        shares.append(failed / attempted if attempted else 0.0)
+        texts.append(f"{failed}/{attempted}")
+    return texts[0], texts[1], shares[1] > shares[0]
+
+
 def write_record(path: Path, label: str, checkout: Path, workload: str, runs: list[dict],
                  metrics: list[str], provenance: dict, per_layer: dict | None,
                  seconds: float, trace_seconds: float) -> None:
@@ -159,6 +174,9 @@ def main(argv: list[str]) -> int:
               f"x{qc['median'] / qp['median']:.3f}  change won {wins}/{len(p)}  "
               f"gap {gap:+.4g} vs parent IQR {iqr:.4g} ({better[name]} is better)  "
               f"{verdict(p, c, direction, bounds[name])} (bound {bounds[name]:g})")
+    parent_failed, change_failed, worse = failed_share_worse(runs["parent"], runs["change"])
+    print(f"  failed checks {parent_failed} -> {change_failed}  "
+          f"{'worse: the change fails a larger share' if worse else 'ok'}")
     for side in sides:
         bad = [r["seed"] for r in runs[side] if not r["correct"] or r["failed"]]
         if bad:
