@@ -80,10 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(ConceptHeadError):
+    """A usage error found after parsing; main exits 2 on it, as argparse does."""
+
+
 def _load_dataset(path: str) -> dat.Dataset:
     if not os.path.exists(path):
         raise ConceptHeadError(f"dataset file not found: {path}")
-    return dat.read_emb(path)
+    dataset = dat.read_emb(path)
+    if len(dataset) == 0:
+        raise _UsageError(f"dataset is empty: {path}")
+    return dataset
 
 
 def _head_config(args, dataset: dat.Dataset) -> hd.HeadConfig:
@@ -112,9 +119,6 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data)
-    if len(dataset) == 0:
-        print("error: training dataset is empty", file=sys.stderr)
-        return 2
     cfg = tr.TrainConfig(
         head=_head_config(args, dataset), epochs=args.epochs, batch_size=args.batch_size,
         lr=args.lr, warmup_iters=args.warmup, weight_decay=args.weight_decay,
@@ -143,9 +147,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     dataset = _load_dataset(args.data)
-    if len(dataset) == 0:
-        print("error: cannot evaluate an empty dataset", file=sys.stderr)
-        return 2
     state, cfg = tr.load_checkpoint(args.checkpoint)
     record = tr.evaluate(dataset, state.params, cfg, seed=args.seed)
     for f in dataclasses.fields(record)[1:]:  # every metric but the epoch
@@ -159,9 +160,6 @@ def _cmd_explain(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ConceptHeadError(f"--limit must be >= 0, got {args.limit}")
     dataset = _load_dataset(args.data)
-    if len(dataset) == 0:
-        print("error: cannot explain an empty dataset", file=sys.stderr)
-        return 2
     state, cfg = tr.load_checkpoint(args.checkpoint)
     tr.check_dataset(dataset, cfg.head, targets=False)
     os.makedirs(args.out, exist_ok=True)
@@ -209,12 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_seeds(args)
         return _COMMANDS[args.command](args)
-    except ConceptHeadError as err:
+    except (ConceptHeadError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, _UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 trainer's pass loop sums the metrics from the forward that gives the losses:
 class_acc counts argmax-logit hits (ties go to the lowest class),
-concept_top1_acc averages each sample's concept_top1_scores over the
-samples with targets, and mean_entropy (= loss_sparse) averages the
-sparsity loss.
+concept_top1_acc averages each sample's concept_top1_scores (their mean
+over the sample's maps) over the samples that have a score, and
+mean_entropy (= loss_sparse) averages the sparsity loss.
 
 Metrics CSV rows are written with 17 significant digits so byte-level diffs
 detect any numeric drift. The wall_seconds column is reserved in the schema
@@ -48,14 +48,14 @@ class Metrics:
 METRICS_HEADER = ",".join([f.name for f in fields(Metrics)] + ["wall_seconds"])
 
 
-def concept_top1_scores(attn: np.ndarray, target: np.ndarray) -> list[float | None]:
+def concept_top1_scores(attn: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-sample top-1 agreement of a (B, R, C) stack of maps with its targets.
 
     A one-row map (R = 1) scores 1.0 when its argmax concept is the target's,
     else 0.0. A map of several rows scores the share of its carrier rows
-    (nonzero target) whose argmax concept is the target's, and None without
-    carriers. Hits and carriers are counted for the whole stack at once; each
-    score is one Python division hits / carriers.
+    (nonzero target) whose argmax concept is the target's, and NaN without
+    carriers. Hits and carriers are counted for the whole stack at once, and
+    the (B,) scores come from one division hits / carriers.
     """
     if attn.shape != target.shape or attn.ndim != 3:
         raise MetricError(f"attention shape {attn.shape} does not match "
@@ -63,9 +63,9 @@ def concept_top1_scores(attn: np.ndarray, target: np.ndarray) -> list[float | No
     match = np.argmax(attn, axis=-1) == np.argmax(target, axis=-1)
     carriers = (np.ones(match.shape, dtype=bool) if attn.shape[1] == 1
                 else target.sum(axis=-1) > 0)
-    hits = np.count_nonzero(match & carriers, axis=1).tolist()
-    counts = np.count_nonzero(carriers, axis=1).tolist()
-    return [h / c if c else None for h, c in zip(hits, counts)]
+    hits = np.count_nonzero(match & carriers, axis=1)
+    counts = np.count_nonzero(carriers, axis=1)
+    return np.divide(hits, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
 
 
 def _overwrite(path: str, blob: bytes) -> None:

@@ -164,52 +164,32 @@ def init_train_state(cfg: TrainConfig) -> TrainState:
 def check_dataset(dataset: Dataset, head: HeadConfig, targets: bool = True) -> None:
     """Reject, before any forward pass, samples the model cannot take.
 
-    Every sample must hold (L, D) features with one L for all samples and D
-    equal to the model's input_dim. With targets, labels must be below
-    n_classes, and every explanation target present must be (L, C) spatially
-    or (1, C) globally with C equal to the model's concepts. The ConfigError
-    names the first offending sample and both values.
+    Every sample must hold (n_inputs, input_dim) features. With targets,
+    labels must be below n_classes, every sample must carry the kinds of
+    explanation target sample 0 carries (the rule an EMB1 file's flags
+    express), and each target must be (n_inputs, C) spatially or (1, C)
+    globally with C equal to the model's concepts. The ConfigError names the
+    first offending sample.
     """
-    if not dataset.samples:
-        return
-    shape = dataset.samples[0].features.shape
+    want = (head.n_inputs, head.input_dim)
     for i, s in enumerate(dataset.samples):
-        f = s.features
-        if f.ndim != 2 or f.shape[1] != head.input_dim:
-            raise ConfigError(f"sample {i} has features of shape {f.shape}, but the model "
-                              f"has input_dim {head.input_dim}")
-        if f.shape != shape:
-            raise ConfigError(f"sample {i} has features of shape {f.shape}, "
-                              f"but sample 0 has {shape}")
+        if s.features.shape != want:
+            raise ConfigError(f"sample {i} has features of shape {s.features.shape}, "
+                              f"but the model expects {want}")
         if not targets:
             continue
         if not 0 <= s.label < head.n_classes:
             raise ConfigError(f"sample {i} has label {s.label}, "
                               f"but the model has {head.n_classes} classes")
-        for name, h, rows in (("h_spatial", s.h_spatial, shape[0]), ("h_global", s.h_global, 1)):
+        first = dataset.samples[0]
+        if (s.h_spatial is None, s.h_global is None) != (first.h_spatial is None,
+                                                          first.h_global is None):
+            raise ConfigError(f"sample {i} explanation presence differs from sample 0")
+        for name, h, rows in (("h_spatial", s.h_spatial, head.n_inputs),
+                              ("h_global", s.h_global, 1)):
             if h is not None and h.shape != (rows, head.concepts):
                 raise ConfigError(f"sample {i} has {name} of shape {h.shape}, but the model "
                                   f"expects ({rows}, {head.concepts})")
-
-
-def _chunks(samples: list, batch: np.ndarray, size: int) -> list[list[int]]:
-    """Split a batch into runs of at most size indices, in batch order. A run
-    also ends where the kinds of explanation target a sample carries change,
-    so every sample of a chunk stacks the same targets."""
-    chunks: list[list[int]] = []
-    kinds = None
-    for idx in batch.tolist():
-        s = samples[idx]
-        kind = (s.h_spatial is None, s.h_global is None)
-        if not chunks or len(chunks[-1]) == size or kind != kinds:
-            chunks.append([])
-            kinds = kind
-        chunks[-1].append(idx)
-    return chunks
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
@@ -223,8 +203,8 @@ def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
     also the entropy metric. total_loss leaves it out when lambda_sparse is 0.
     """
     w = cfg.weights
-    out = hd.head_forward(Tensor(_stack([s.features for s in samples])), params, cfg.head, rng)
-    pairs = [(a, _stack(targets)) for a, targets in (
+    out = hd.head_forward(Tensor(np.stack([s.features for s in samples])), params, cfg.head, rng)
+    pairs = [(a, np.stack(targets)) for a, targets in (
         (out.attn_spatial, [s.h_spatial for s in samples]),
         (out.attn_global, [s.h_global for s in samples]))
         if a is not None and targets[0] is not None]
@@ -248,27 +228,29 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
               step=None) -> Metrics:
     """The one pass loop of train_epoch and evaluate.
 
-    Samples go forward as (B, L, D) chunks of a batch: TRAIN_CHUNK at a time
-    when step is given, each chunk backpropagating its samples' shares of the
-    batch-mean loss in one per-sample walk (step() runs after each batch),
-    else cfg.batch_size at a time. Every op works per sample, and the walk
-    adds each sample's gradient into the parameters in sample-index order,
-    so chunking changes no value; the metric sums are Python floats added in
-    sample order. Overflow stays silent: autodiff turns non-finite op
-    outputs into NumericError. A chunk that raises one is replayed one
-    sample at a time from the generator state it started with, so the error
-    names the epoch, batch and sample.
+    Samples go forward as (B, L, D) chunks, plain slices of a batch in batch
+    order: TRAIN_CHUNK at a time when step is given, each chunk
+    backpropagating its samples' shares of the batch-mean loss in one
+    per-sample walk (step() runs after each batch), else cfg.batch_size at a
+    time. Every op works per sample, and the walk adds each sample's gradient
+    into the parameters in sample-index order, so chunking changes no value.
+    Each chunk keeps one (6, B) array of its samples' losses, hits and
+    concept scores. The metric sums run sequentially over the samples in pass
+    order (np.add.accumulate): np.sum adds pairwise and Python's sum()
+    compensates from 3.12 on, and either would move the last bits of the
+    logged values with the chunking or the Python version. Overflow stays
+    silent: autodiff turns non-finite op outputs into NumericError. A chunk
+    that raises one is replayed one sample at a time from the generator state
+    it started with, so the error names the epoch, batch and sample.
     """
     check_dataset(dataset, cfg.head)
     size = TRAIN_CHUNK if step is not None else cfg.batch_size
-    sum_cls = sum_expl = sum_entropy = sum_total = 0.0
-    hits = 0
-    concept_scores: list[float] = []
+    values: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for b, batch in enumerate(batches):
             if step is not None:
                 params.reset_grads()
-            pending = deque(_chunks(dataset.samples, batch, size))
+            pending = deque(batch[i:i + size] for i in range(0, len(batch), size))
             while pending:
                 chunk = pending.popleft()
                 samples = [dataset.samples[i] for i in chunk]
@@ -285,29 +267,26 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
                         continue
                     raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}, "
                                        f"sample {chunk[0]}: {err}") from err
-                expl_v = [0.0] * len(chunk) if expl is None else expl.data.tolist()
-                predicted = np.argmax(out.logits.data, axis=-1).tolist()
-                chunk_scores = [concept_top1_scores(a.data, targets) for a, targets in pairs]
-                for j, (s, cls_j, sparse_j, total_j) in enumerate(zip(
-                        samples, cls.data.tolist(), sparse.data.tolist(), total.data.tolist())):
-                    sum_cls += cls_j
-                    sum_expl += expl_v[j]
-                    sum_entropy += sparse_j
-                    sum_total += total_j
-                    if predicted[j] == s.label:
-                        hits += 1
-                    scores = [per_map[j] for per_map in chunk_scores if per_map[j] is not None]
-                    if scores:
-                        concept_scores.append(sum(scores) / len(scores))
+                hits = np.argmax(out.logits.data, axis=-1) == [s.label for s in samples]
+                # (maps, B) scores; a sample's concept score is their mean over
+                # the maps that score it, NaN (0 / 0) where none does
+                scores = np.reshape([concept_top1_scores(a.data, targets)
+                                     for a, targets in pairs], (len(pairs), len(chunk)))
+                concept = np.nansum(scores, axis=0) / np.count_nonzero(~np.isnan(scores), axis=0)
+                values.append(np.stack([cls.data, np.zeros(len(chunk)) if expl is None
+                                        else expl.data, sparse.data, total.data, hits, concept]))
             if step is not None:
                 step()
-    n = len(dataset.samples)
-    return Metrics(epoch=epoch, loss_cls=sum_cls / n, loss_expl=sum_expl / n,
-                   loss_sparse=sum_entropy / n, loss_total=sum_total / n,
-                   class_acc=hits / n,
-                   concept_top1_acc=(sum(concept_scores) / len(concept_scores)
-                                     if concept_scores else float("nan")),
-                   mean_entropy=sum_entropy / n)
+    table = np.concatenate(values, axis=1)  # (6, n) in pass order
+    concept = table[5][~np.isnan(table[5])]
+    # Sums from 0.0, as the Python float sums ran, so -0.0 terms sum to 0.0.
+    mean_cls, mean_expl, mean_sparse, mean_total, class_acc = (
+        (np.add.accumulate(table[:5], axis=1)[:, -1] + 0.0) / table.shape[1]).tolist()
+    return Metrics(epoch=epoch, loss_cls=mean_cls, loss_expl=mean_expl,
+                   loss_sparse=mean_sparse, loss_total=mean_total, class_acc=class_acc,
+                   concept_top1_acc=(np.add.accumulate(concept)[-1].item() / concept.size
+                                     if concept.size else float("nan")),
+                   mean_entropy=mean_sparse)
 
 
 def train_epoch(state: TrainState, dataset: Dataset, cfg: TrainConfig) -> Metrics:
@@ -364,8 +343,10 @@ def evaluate(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
 # u32 config_len | config utf-8 "key=value" lines.
 # Tensor entry: u32 name_len | name | u32 rank | u32 dims... | f64 LE payload.
 # The config lines hold the keys of _CONFIG_KEYS, each once and in that order.
-# A _Key gives the converter of its text and the path from _config_lines' roots
-# to its value; a value valid() rejects fails as "is V, expected <expected>".
+# A _Key gives the converter of its value and the path from _config_lines' roots
+# to it; the writer writes convert(value), so an int in a float field is written
+# as the float a reader gets back, and a value valid() rejects fails as "is V,
+# expected <expected>".
 # beta1, beta2, eps_opt and identity_mode have no path: they are fixed values
 # kept for v1 files (ADAM_BETAS, ADAM_EPS, and 0, as no head skips its layer
 # norms or projections), and a reader rejects any other text there.
@@ -416,7 +397,7 @@ def _config_lines(cfg: TrainConfig, state: TrainState) -> str:
         value = roots if key.path is not None else key.expected
         for part in key.path or ():
             value = value[part] if isinstance(value, dict) else getattr(value, part)
-        lines.append(f"{key.name}={value}\n")
+        lines.append(f"{key.name}={key.convert(value)}\n")
     return "".join(lines)
 
 
@@ -462,28 +443,31 @@ def _read_tensor(r: ByteReader) -> tuple[str, np.ndarray]:
     return name, r.array(dims, "<f8")
 
 
-def _take(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Remove and return checkpoint tensor `name`, which must have `shape` and
-    hold only finite values."""
-    if name not in tensors:
-        raise FormatError(f"checkpoint is missing tensor {name!r}")
-    arr = tensors.pop(name)
-    if arr.shape != shape:
-        raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                          f"config expects {shape}")
-    if not np.isfinite(arr).all():
-        raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
-    return arr
+def _take(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]
+          ) -> dict[str, np.ndarray]:
+    """Exactly the checkpoint tensors that shapes names, each of its shape and
+    holding only finite values; a tensor shapes does not name is rejected."""
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise FormatError(f"checkpoint is missing tensor {name!r}")
+        arr = tensors[name]
+        if arr.shape != shape:
+            raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                              f"config expects {shape}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
+    extra = sorted(tensors.keys() - shapes.keys())
+    if extra:
+        raise FormatError(f"checkpoint has unexpected tensors: {extra[:3]}")
+    return {name: tensors[name] for name in shapes}
 
 
 def _build_params(cfg: HeadConfig, tensors: dict[str, np.ndarray]) -> HeadParams:
     """The configured parameter tree with every tensor taken from the checkpoint."""
     params = hd.init_head_params(cfg, np.random.default_rng(0))
-    remaining = dict(tensors)
+    taken = _take(tensors, {name: t.shape for name, t in params.named()})
     for name, t in params.named():
-        t.data = _take(remaining, name, t.shape)
-    if remaining:
-        raise FormatError(f"checkpoint has unexpected tensors: {sorted(remaining)[:3]}")
+        t.data = taken[name]
     return params
 
 
@@ -539,8 +523,10 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
         raise FormatError(f"checkpoint generator state is out of range: {err}") from err
 
     params = _build_params(head_cfg, tensors)
-    named = list(params.named())
-    opt = OptimizerState(m={name: _take(opt_entries, "m:" + name, p.shape) for name, p in named},
-                         v={name: _take(opt_entries, "v:" + name, p.shape) for name, p in named},
+    shapes = {name: p.shape for name, p in params.named()}
+    moments = _take(opt_entries, {f"{kind}:{name}": shape for kind in "mv"
+                                  for name, shape in shapes.items()})
+    opt = OptimizerState(m={name: moments["m:" + name] for name in shapes},
+                         v={name: moments["v:" + name] for name in shapes},
                          t=tree["state"]["opt"]["t"])
     return TrainState(params=params, opt=opt, rng=rng, epoch=tree["state"]["epoch"]), cfg

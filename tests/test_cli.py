@@ -81,7 +81,8 @@ class TestTrainEvalExplain:
         csv_b = open(os.path.join(out_b, "metrics.csv"), "rb").read()
         assert csv_a == csv_b
 
-    def test_eval_empty_dataset_usage_error(self, tmp_path, tiny_emb):
+    @pytest.mark.parametrize("command", ["train", "eval", "explain"])
+    def test_empty_dataset_usage_error(self, tmp_path, tiny_emb, capsys, command):
         empty = dat.Dataset(samples=[], n_classes=0, n_concepts=0,
                             n_inputs=3, input_dim=6)
         empty_path = str(tmp_path / "empty.emb")
@@ -89,7 +90,11 @@ class TestTrainEvalExplain:
         out_dir = str(tmp_path / "run")
         assert run(train_args(tiny_emb, out_dir)) == 0
         ckpt = os.path.join(out_dir, "model.cctk")
-        assert run(["eval", "--data", empty_path, "--checkpoint", ckpt]) == 2
+        argv = (train_args(empty_path, str(tmp_path / "again")) if command == "train"
+                else [command, "--data", empty_path, "--checkpoint", ckpt])
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: dataset is empty: {empty_path}\n"
 
     def test_runtime_failure_exits_1(self, tiny_emb, tmp_path):
         bad_ckpt = tmp_path / "bad.cctk"
@@ -263,10 +268,10 @@ class TestDatasetModelBoundary:
                     "--slot-dim", "8", "--seed", "2"]) == 0
         return data, os.path.join(out_dir, "model.cctk")
 
-    def gen(self, tmp_path, name, concepts, dim):
+    def gen(self, tmp_path, name, concepts, dim, rows=3):
         path = str(tmp_path / name)
         assert run(["gen-data", "--out", path, "--seed", "4", "--classes", "4",
-                    "--concepts", str(concepts), "--features", "3",
+                    "--concepts", str(concepts), "--features", str(rows),
                     "--feature-dim", str(dim), "--samples-per-class", "2"]) == 0
         return path
 
@@ -275,7 +280,14 @@ class TestDatasetModelBoundary:
         capsys.readouterr()
         assert run(["eval", "--data", data, "--checkpoint", model[1]]) == 1
         err = capsys.readouterr().err
-        assert "sample 0 has features of shape (3, 12), but the model has input_dim 16" in err
+        assert "sample 0 has features of shape (3, 12), but the model expects (3, 16)" in err
+
+    def test_eval_row_count_mismatch(self, model, tmp_path, capsys):
+        data = self.gen(tmp_path, "l4.emb", 12, 16, rows=4)
+        capsys.readouterr()
+        assert run(["eval", "--data", data, "--checkpoint", model[1]]) == 1
+        assert ("sample 0 has features of shape (4, 16), but the model expects (3, 16)"
+                in capsys.readouterr().err)
 
     def test_eval_concept_count_mismatch(self, model, tmp_path, capsys):
         data = self.gen(tmp_path, "c8.emb", 8, 16)
@@ -299,7 +311,7 @@ class TestDatasetModelBoundary:
         capsys.readouterr()
         assert run(["explain", "--data", other_d, "--checkpoint", model[1],
                     "--out", str(tmp_path / "explain12")]) == 1
-        assert "but the model has input_dim 16" in capsys.readouterr().err
+        assert "but the model expects (3, 16)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variant", hd.VARIANTS)

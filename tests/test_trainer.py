@@ -184,14 +184,23 @@ class TestFit:
         _, records = tr.fit(ds, cfg)
         assert math.isnan(records[-1].concept_top1_acc)
 
-    def test_samples_without_targets_contribute_zero_explanation(self):
+    def test_mixed_target_kinds_rejected_before_the_pass(self, monkeypatch):
+        # an EMB1 file's flags give every sample the same kinds of target
         ds = tiny_dataset()
-        for s in ds.samples[::2]:
+        for s in ds.samples[3:5]:
             s.h_spatial = None
-            s.h_global = None
-        _, records = tr.fit(ds, tiny_config())  # mixed batch trains fine
-        assert records[-1].loss_expl > 0.0
-        assert 0.0 <= records[-1].concept_top1_acc <= 1.0
+        cfg = tiny_config()
+        params = tr.init_train_state(cfg).params
+
+        def no_forward(*args):
+            raise AssertionError("the pass ran a forward")
+
+        monkeypatch.setattr(hd, "head_forward", no_forward)
+        message = "^sample 3 explanation presence differs from sample 0$"
+        with pytest.raises(ConfigError, match=message):
+            tr.fit(ds, cfg)
+        with pytest.raises(ConfigError, match=message):
+            tr.evaluate(ds, params, cfg)
 
     def test_explanation_loss_non_increasing_after_warmup(self):
         cfg_data = dat.SynthConfig(n_classes=2, n_concepts=4,
@@ -310,16 +319,6 @@ class TestChunkedPass:
                 for size in (5, 1)]
         assert rows[0] == rows[1]
 
-    def test_chunk_splits_where_target_kinds_change(self):
-        ds = tiny_dataset()
-        for s in ds.samples[3:5]:
-            s.h_spatial = None
-        chunks = tr._chunks(ds.samples, np.arange(12), 5)
-        assert chunks == [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9], [10, 11]]
-        rows = [mt.format_metrics_row(tr.evaluate(ds, tr.init_train_state(cfg).params, cfg))
-                for cfg in (tiny_config(batch_size=5), tiny_config(batch_size=1))]
-        assert rows[0] == rows[1]
-
     def test_numeric_error_in_a_chunk_names_the_sample(self):
         ds = tiny_dataset()
         ds.samples[6].features[...] = 1e308  # the row sum in layer_norm overflows
@@ -342,20 +341,6 @@ class TestChunkedPass:
         want = fit_outputs(ds, cfg, 1, monkeypatch)
         for chunk in (5, 16, 64):
             assert fit_outputs(ds, cfg, chunk, monkeypatch) == want, chunk
-
-    def test_fit_splits_where_target_kinds_change(self, monkeypatch):
-        ds = tiny_dataset(samples_per_class=10)
-        for s in ds.samples[3:9]:
-            s.h_spatial = None
-        for s in ds.samples[12:14]:
-            s.h_spatial = s.h_global = None
-        head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
-                             variant="sa", pathway="dual")
-        cfg = tiny_config(head=head, batch_size=20)
-        order = tr.shuffled_indices(20, cfg.seed)
-        assert len(tr._chunks(ds.samples, order, 16)) > 2  # kinds split the batch
-        want = fit_outputs(ds, cfg, 1, monkeypatch)
-        assert fit_outputs(ds, cfg, 16, monkeypatch) == want
 
     def test_numeric_error_mid_chunk_names_the_sample(self, monkeypatch):
         ds = tiny_dataset()
@@ -501,6 +486,24 @@ class TestCheckpoint:
                            match=r"'v:spatial\.slot\.mu' has shape \(2, 4\), "
                                  r"config expects \(1, 4\)"):
             tr.parse_checkpoint(tr.checkpoint_bytes(state, cfg))
+
+    def test_optimizer_tensor_the_model_does_not_use_rejected(self):
+        cfg = tiny_config()
+        state = tr.init_train_state(cfg)
+        blob = tr.checkpoint_bytes(state, cfg)
+        at = 12 + sum(len(tr._pack_tensor(name, p.data)) for name, p in state.params.named())
+        (n_opt,) = struct.unpack_from("<I", blob, at)
+        end = blob.rindex(b"epoch=") - 4  # the config length, after the last entry
+        blob = (blob[:at] + struct.pack("<I", n_opt + 1) + blob[at + 4:end]
+                + tr._pack_tensor("m:bogus", np.zeros((2, 2))) + blob[end:])
+        with pytest.raises(FormatError, match=r"unexpected tensors: \['m:bogus'\]"):
+            tr.parse_checkpoint(blob)
+
+    def test_int_in_float_field_round_trips_byte_stable(self):
+        cfg = tiny_config(lr=1, weights=LossWeights(0.25, 1))
+        blob = tr.checkpoint_bytes(tr.init_train_state(cfg), cfg)
+        assert b"\nlr=1.0\n" in blob and b"\nlambda_sparse=1.0\n" in blob
+        assert tr.checkpoint_bytes(*tr.parse_checkpoint(blob)) == blob
 
     def test_generator_state_out_of_range_rejected(self):
         cfg = tiny_config()
