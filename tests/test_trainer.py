@@ -184,23 +184,25 @@ class TestFit:
         _, records = tr.fit(ds, cfg)
         assert math.isnan(records[-1].concept_top1_acc)
 
-    def test_mixed_target_kinds_rejected_before_the_pass(self, monkeypatch):
-        # an EMB1 file's flags give every sample the same kinds of target
+    def test_samples_without_targets_contribute_zero_explanation(self, monkeypatch):
         ds = tiny_dataset()
-        for s in ds.samples[3:5]:
+        for s in ds.samples:
             s.h_spatial = None
-        cfg = tiny_config()
-        params = tr.init_train_state(cfg).params
-
-        def no_forward(*args):
-            raise AssertionError("the pass ran a forward")
-
-        monkeypatch.setattr(hd, "head_forward", no_forward)
-        message = "^sample 3 explanation presence differs from sample 0$"
-        with pytest.raises(ConfigError, match=message):
-            tr.fit(ds, cfg)
-        with pytest.raises(ConfigError, match=message):
-            tr.evaluate(ds, params, cfg)
+            s.h_global = None
+        _, records = tr.fit(ds, tiny_config())  # lambda_expl = 1 weighs nothing
+        for r in records:
+            assert r.loss_expl == 0.0
+            assert r.loss_total > r.loss_cls
+        # an EMB1 file's flags give every sample the same kinds of target, so a
+        # dataset where only some samples carry them is refused before a forward
+        mixed = tiny_dataset()
+        for s in mixed.samples[::2]:
+            s.h_spatial = None
+            s.h_global = None
+        monkeypatch.setattr(hd, "head_forward", forward_must_not_run)
+        with pytest.raises(ConfigError,
+                           match="^sample 1 explanation presence differs from sample 0$"):
+            tr.fit(mixed, tiny_config())
 
     def test_explanation_loss_non_increasing_after_warmup(self):
         cfg_data = dat.SynthConfig(n_classes=2, n_concepts=4,
@@ -299,6 +301,10 @@ GRID = [(variant, pathway, heads) for variant in hd.VARIANTS for pathway in hd.P
         for heads in (1, 4)]
 
 
+def forward_must_not_run(*args):
+    raise AssertionError("the pass ran a forward")
+
+
 def fit_outputs(ds, cfg, chunk, monkeypatch):
     """Metric rows and checkpoint bytes after fitting with training chunks of `chunk`."""
     monkeypatch.setattr(tr, "TRAIN_CHUNK", chunk)
@@ -318,6 +324,19 @@ class TestChunkedPass:
                                                   seed=3))
                 for size in (5, 1)]
         assert rows[0] == rows[1]
+
+    def test_chunk_splits_where_target_kinds_change(self, monkeypatch):
+        # a chunk is a plain slice of its batch: a dataset whose target kinds
+        # change between samples is refused, whatever the chunk size
+        ds = tiny_dataset()
+        for s in ds.samples[3:5]:
+            s.h_spatial = None
+        monkeypatch.setattr(hd, "head_forward", forward_must_not_run)
+        for size in (5, 1):
+            cfg = tiny_config(batch_size=size)
+            with pytest.raises(ConfigError,
+                               match="^sample 3 explanation presence differs from sample 0$"):
+                tr.evaluate(ds, tr.init_train_state(cfg).params, cfg)
 
     def test_numeric_error_in_a_chunk_names_the_sample(self):
         ds = tiny_dataset()
@@ -341,6 +360,22 @@ class TestChunkedPass:
         want = fit_outputs(ds, cfg, 1, monkeypatch)
         for chunk in (5, 16, 64):
             assert fit_outputs(ds, cfg, chunk, monkeypatch) == want, chunk
+
+    def test_fit_splits_where_target_kinds_change(self, monkeypatch):
+        ds = tiny_dataset(samples_per_class=10)
+        for s in ds.samples:
+            s.h_spatial = None  # every sample carries a global target only
+        head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
+                             variant="sa", pathway="dual")
+        cfg = tiny_config(head=head, batch_size=20)
+        want = fit_outputs(ds, cfg, 1, monkeypatch)
+        assert fit_outputs(ds, cfg, 16, monkeypatch) == want
+        for s in ds.samples[12:14]:
+            s.h_global = None  # the kinds now change at sample 12
+        monkeypatch.setattr(hd, "head_forward", forward_must_not_run)
+        with pytest.raises(ConfigError,
+                           match="^sample 12 explanation presence differs from sample 0$"):
+            tr.fit(ds, cfg)
 
     def test_numeric_error_mid_chunk_names_the_sample(self, monkeypatch):
         ds = tiny_dataset()
