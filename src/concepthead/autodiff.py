@@ -12,6 +12,13 @@ gradient needs a fresh forward. Inside `no_grad()` no record is kept at all,
 and that is also the one way to stop a gradient: a tensor made there is a
 constant to the ops recorded after it.
 
+The record is slim: it holds the graph, not the op outputs. A recorded op
+output carries a `_Node` with its parents' record entries (a parent's node,
+or the parent tensor itself when it is a leaf or a constant), its VJP and
+its shape. Each VJP keeps only the arrays or shapes it reads, so an
+intermediate no VJP reads (an `add` or `transpose` output, a GRU
+pre-activation sum) is freed as soon as the code that made it drops it.
+
 Axis convention: the last two axes of a tensor are one matrix (rows,
 columns) and any axes before them are leading axes, one index per sample
 (and, inside the readback, per head). Every op acts on the last axis or the
@@ -99,12 +106,15 @@ def no_grad():
 class Tensor:
     """Dense row-major float64 array with an optional gradient buffer.
 
-    Operation outputs keep references to their inputs plus a vector-Jacobian
-    closure; together these form the per-forward computation record. Once
-    backward has walked an output, its inputs are None and its closure gone.
+    A recorded operation output holds its `_Node` (see _Node); every other
+    tensor (a leaf or a constant) has none and is its own record entry, one
+    with no parents and no VJP.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+    # a tensor as a record entry: always a leaf
+    _parents: tuple = ()
+    _vjp = None
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64, order="C")
@@ -113,8 +123,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] | None = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,6 +136,24 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """The record entry of one recorded op output: its parents' entries, its
+    VJP and its shape, but not its value. The walk sets both parents and vjp
+    to None once it has passed the node."""
+
+    __slots__ = ("_parents", "_vjp", "shape")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, vjp: Callable[[np.ndarray], tuple],
+                 shape: tuple[int, ...]):
+        self._parents: tuple | None = parents
+        self._vjp: Callable[[np.ndarray], tuple] | None = vjp
+        self.shape = shape
+
+    def __repr__(self) -> str:
+        return f"_Node(shape={self.shape})"
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     if not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
@@ -134,12 +161,8 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     out.data = np.asarray(data, dtype=np.float64, order="C")
     out.grad = None
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out._parents = ()
-        out._vjp = None
+    out._node = (_Node(tuple(p._node or p for p in parents), vjp, out.data.shape)
+                 if out.requires_grad else None)
     return out
 
 
@@ -184,11 +207,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]
             or (a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return g @ _swap_last(b.data), _swap_last(a.data) @ g
+        return g @ _swap_last(b_data), _swap_last(a_data) @ g
 
-    return _make(a.data @ b.data, (a, b), vjp, "matmul")
+    return _make(a_data @ b_data, (a, b), vjp, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -223,12 +247,13 @@ def split_heads(a: Tensor, heads: int) -> Tensor:
         return a
     if a.data.ndim < 2 or heads < 1 or a.shape[-1] % heads != 0:
         raise ShapeError(f"split_heads: cannot split shape {a.shape} into {heads} heads")
-    rows, cols = a.shape[-2:]
+    shape = a.shape
+    rows, cols = shape[-2:]
 
     def vjp(g):
-        return (np.swapaxes(g, -3, -2).reshape(a.shape),)
+        return (np.swapaxes(g, -3, -2).reshape(shape),)
 
-    return _make(np.swapaxes(a.data.reshape(a.shape[:-1] + (heads, cols // heads)), -3, -2),
+    return _make(np.swapaxes(a.data.reshape(shape[:-1] + (heads, cols // heads)), -3, -2),
                  (a,), vjp, "split_heads")
 
 
@@ -255,9 +280,10 @@ def sum_heads(a: Tensor, heads: int) -> Tensor:
         return a
     if a.data.ndim < 3 or a.shape[-3] != heads:
         raise ShapeError(f"sum_heads: shape {a.shape} does not stack {heads} heads")
+    shape = a.shape
 
     def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, -3), a.shape),)
+        return (np.broadcast_to(np.expand_dims(g, -3), shape),)
 
     return _make(functools.reduce(np.add, (a.data[..., j, :, :] for j in range(heads))),
                  (a,), vjp, "sum_heads")
@@ -286,11 +312,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """a * b elementwise; b may broadcast over a (see _check_broadcast)."""
     _check_broadcast(a, b, "mul")
+    a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return g * b.data, g * a.data
+        return g * b_data, g * a_data
 
-    return _make(a.data * b.data, (a, b), vjp, "mul")
+    return _make(a_data * b_data, (a, b), vjp, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -336,10 +363,11 @@ LOG_FLOOR = 1e-9
 def clamped_log(a: Tensor) -> Tensor:
     """log(max(x, LOG_FLOOR)): finite at zero, gradient bounded by 1/LOG_FLOOR
     and zero at and below the floor."""
-    clamped = np.maximum(a.data, LOG_FLOOR)
+    a_data = a.data
+    clamped = np.maximum(a_data, LOG_FLOOR)
 
     def vjp(g):
-        return (np.where(a.data > LOG_FLOOR, g / clamped, 0.0),)
+        return (np.where(a_data > LOG_FLOOR, g / clamped, 0.0),)
 
     return _make(np.log(clamped), (a,), vjp, "clamped_log")
 
@@ -399,12 +427,13 @@ def row_normalize(a: Tensor) -> Tensor:
 def reduce_mean_axis(a: Tensor, axis: int) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"reduce_mean_axis: axis {axis} invalid for shape {a.shape}")
-    n = a.shape[axis]
+    shape = a.shape
+    n = shape[axis]
     if n == 0:
         raise ShapeError("reduce_mean_axis: zero-length axis")
 
     def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape),)
 
     return _make(a.data.mean(axis=axis), (a,), vjp, "reduce_mean_axis")
 
@@ -414,10 +443,11 @@ def reduce_sum(a: Tensor, keep: int = 0) -> Tensor:
     a scalar, keep=1 gives one sum per sample of a (B, ...) stack."""
     if not 0 <= keep <= a.data.ndim:
         raise ShapeError(f"reduce_sum: cannot keep {keep} axes of shape {a.shape}")
-    lead = a.shape[:keep]
+    shape = a.shape
+    lead = shape[:keep]
 
     def vjp(g):
-        return (np.broadcast_to(g.reshape(lead + (1,) * (a.data.ndim - keep)), a.shape),)
+        return (np.broadcast_to(g.reshape(lead + (1,) * (len(shape) - keep)), shape),)
 
     return _make(np.asarray(a.data.reshape(lead + (-1,)).sum(axis=-1)), (a,), vjp, "reduce_sum")
 
@@ -449,11 +479,12 @@ def pick(a: Tensor, index) -> Tensor:
     if np.any((idx < 0) | (idx >= n)):
         raise IndexError(f"pick: index {index} out of range for length {n}")
     flat = idx + n * np.arange(idx.size).reshape(idx.shape)
+    shape, size = a.shape, a.data.size
 
     def vjp(g):
-        out = np.zeros(a.data.size)
+        out = np.zeros(size)
         out[flat] = g
-        return (out.reshape(a.shape),)
+        return (out.reshape(shape),)
 
     return _make(np.asarray(a.data.reshape(-1)[flat]), (a,), vjp, "pick")
 
@@ -462,18 +493,20 @@ def vecmat(v: Tensor, m: Tensor) -> Tensor:
     """(n,) vector times (n, k) matrix -> (k,) vector."""
     if v.data.ndim != 1 or m.data.ndim != 2 or v.shape[0] != m.shape[0]:
         raise ShapeError(f"vecmat: incompatible shapes {v.shape} and {m.shape}")
+    v_data, m_data = v.data, m.data
 
     def vjp(g):
-        return m.data @ g, np.outer(v.data, g)
+        return m_data @ g, np.outer(v_data, g)
 
-    return _make(v.data @ m.data, (v, m), vjp, "vecmat")
+    return _make(v_data @ m_data, (v, m), vjp, "vecmat")
 
 
-def _ordered_record(root: Tensor) -> list[Tensor]:
-    """Operations in forward (topological) order: producers before consumers."""
-    order: list[Tensor] = []
+def _ordered_record(root: Tensor | _Node) -> list[Tensor | _Node]:
+    """Record entries in forward (topological) order: producers before
+    consumers."""
+    order: list[Tensor | _Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -493,8 +526,8 @@ def _ordered_record(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _shared(order: list[Tensor]) -> set[int]:
-    """ids of the recorded tensors that carry no sample axis: the leaves that
+def _shared(order: list[Tensor | _Node]) -> set[int]:
+    """ids of the record entries that carry no sample axis: the leaves that
     require grad, and op outputs whose inputs are all shared, unless the op
     (expand) adds the sample axis. Constants carry it."""
     shared: set[int] = set()
@@ -531,15 +564,16 @@ def backward(loss: Tensor, per_sample: bool = False) -> None:
             raise ShapeError(f"per-sample backward requires a (B,) loss, got shape {loss.shape}")
     elif loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    order = _ordered_record(loss)
+    root = loss._node or loss
+    order = _ordered_record(root)
     if not loss.requires_grad:
         return
     shared = _shared(order) if per_sample else set()
-    if id(loss) in shared:
+    if id(root) in shared:
         raise ShapeError("per-sample backward needs a loss whose sample axis comes from a "
                          "constant; the leaves that require grad are taken as shared")
     samples = loss.shape[0] if per_sample else 0
-    deltas: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    deltas: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while order:
         node = order.pop()
         delta = deltas.pop(id(node), None)

@@ -4,13 +4,13 @@ linear warmup, binary checkpoints, and per-epoch metric records.
 Every source of randomness is owned here: parameter init and slot sampling
 share one generator seeded from the config, and each epoch's shuffle is a
 Fisher-Yates pass seeded with seed XOR epoch. Training runs each batch as
-chunks of TRAIN_CHUNK (16) samples, one forward and one per-sample backward
-walk per chunk; of the sizes tried (16, 32, 64) only 16 keeps peak memory
-within about 5% of one-sample training. Gradients still add in sample-index
-order, so the chunk size moves no bit, identical (dataset, config) pairs
-reproduce metric logs bit for bit, and a checkpoint restores enough state
-(parameters, optimizer moments, generator state, epoch) to continue a run
-unchanged.
+near-equal chunks, one forward and one per-sample backward walk per chunk,
+each chunk as large as RECORD_BUDGET allows: a chunk's record is live in
+full when its walk starts, and record_bytes_per_sample estimates its share
+per sample from the head config. Gradients still add in sample-index order,
+so the chunk size moves no bit, identical (dataset, config) pairs reproduce
+metric logs bit for bit, and a checkpoint restores enough state (parameters,
+optimizer moments, generator state, epoch) to continue a run unchanged.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "lr_at",
     "init_train_state",
     "check_dataset",
+    "record_bytes_per_sample",
     "train_epoch",
     "fit",
     "evaluate",
@@ -55,12 +56,12 @@ __all__ = [
 CHECKPOINT_MAGIC = b"CCTK"
 CHECKPOINT_VERSION = 1
 
-# Samples per training chunk. A chunk's whole record is live when its walk
-# starts, so peak memory grows with the chunk. 16 keeps peak RSS within
-# about 5% of one-sample training on the perfbench workloads; 32 adds about
-# 11% and 64 about 30% on refine_dual and explain, past the benchmark's 10%
-# bound.
-TRAIN_CHUNK = 16
+# Bytes of record one training chunk may hold when its walk starts. Larger
+# chunks spread the fixed per-call cost of every op and walk node over more
+# samples, and peak memory grows with the record. On the perfbench workload
+# shapes (batch 64) 6 MiB gives one 64-sample chunk per batch on recovery,
+# 2 x 32 on refine_dual and 3 x 21-22 on explain.
+RECORD_BUDGET = 6 * 2 ** 20
 
 # AdamW's moment decay rates and denominator epsilon, the usual fixed values
 # (Loshchilov & Hutter, arXiv:1711.05101).
@@ -146,13 +147,17 @@ def adamw_step(params: HeadParams, opt: OptimizerState, cfg: TrainConfig,
 
 
 def shuffled_indices(n: int, seed: int) -> np.ndarray:
-    """Fisher-Yates permutation of range(n) from a dedicated generator."""
-    rng = np.random.default_rng(seed)
-    idx = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(i + 1))
+    """Fisher-Yates permutation of range(n) from a dedicated generator.
+
+    Position i = n-1, ..., 1 swaps with j drawn from [0, i]. All n-1 draws
+    come from one integers() call, which gives the values of n-1 calls in
+    that order.
+    """
+    idx = list(range(n))
+    targets = np.random.default_rng(seed).integers(np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), targets):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return np.array(idx, dtype=np.int64)
 
 
 def init_train_state(cfg: TrainConfig) -> TrainState:
@@ -192,6 +197,32 @@ def check_dataset(dataset: Dataset, head: HeadConfig, targets: bool = True) -> N
                                   f"expects ({rows}, {head.concepts})")
 
 
+def record_bytes_per_sample(head: HeadConfig) -> int:
+    """Estimated bytes one sample adds to a training chunk's record when its
+    walk starts: the float64 arrays its VJPs keep, plus the input, targets
+    and outputs the pass holds. It counts, per pathway of `rows` input rows
+    (L spatial, 1 global) and per recorded refinement iteration (one for
+    isa, whose earlier iterations run untaped), the arrays named below; the
+    few Python objects of each node are per chunk, not per sample.
+    """
+    c, d, k, heads = head.concepts, head.slot_dim, head.n_classes, head.heads
+    recorded = 1 if head.variant == "isa" else head.iters
+    floats = k  # the exponentials cross-entropy keeps
+    for name, rows in (("spatial", head.n_inputs), ("global", 1)):
+        if head.pathway not in (name, "dual"):
+            continue
+        floats += (
+            rows * (3 * head.input_dim + 1)  # input; layer norm: output, xhat, 1/std
+            + (head.variant != "boqsa") * c * d  # slot noise, or isa's untaped slots
+            # each iteration: slot layer norm (output, xhat, 1/std); q, k^T, v,
+            # softmax, row-normalized map, row sums and readout; five GRU arrays
+            + recorded * (9 * c * d + 2 * c + 2 * rows * d + 2 * c * rows)
+            + 3 * c * d + 2 * rows * d + k  # refined slots; readback k^T, v, q, merged, logits
+            + heads * rows * c + (heads > 1) * rows * c  # per-head maps, their mean
+            + 4 * rows * c)  # explanation target and residual; entropy's clamp and log
+    return 8 * floats
+
+
 def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
                     rng: np.random.Generator):
     """One chunk through the head, and each sample's loss terms.
@@ -228,11 +259,12 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
               step=None) -> Metrics:
     """The one pass loop of train_epoch and evaluate.
 
-    Samples go forward as (B, L, D) chunks, plain slices of a batch in batch
-    order: TRAIN_CHUNK at a time when step is given, each chunk
-    backpropagating its samples' shares of the batch-mean loss in one
-    per-sample walk (step() runs after each batch), else cfg.batch_size at a
-    time. Every op works per sample, and the walk adds each sample's gradient
+    Samples go forward as (B, L, D) chunks, near-equal plain slices of a
+    batch in batch order. When step is given, each holds at most
+    RECORD_BUDGET // record_bytes_per_sample samples and backpropagates its
+    samples' shares of the batch-mean loss in one per-sample walk (step()
+    runs after each batch); otherwise each holds at most cfg.batch_size.
+    Every op works per sample, and the walk adds each sample's gradient
     into the parameters in sample-index order, so chunking changes no value.
     Each chunk keeps one (6, B) array of its samples' losses, hits and
     concept scores. The metric sums run sequentially over the samples in pass
@@ -244,13 +276,14 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
     it started with, so the error names the epoch, batch and sample.
     """
     check_dataset(dataset, cfg.head)
-    size = TRAIN_CHUNK if step is not None else cfg.batch_size
+    largest = (max(1, RECORD_BUDGET // record_bytes_per_sample(cfg.head)) if step is not None
+               else cfg.batch_size)
     values: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for b, batch in enumerate(batches):
             if step is not None:
                 params.reset_grads()
-            pending = deque(batch[i:i + size] for i in range(0, len(batch), size))
+            pending = deque(np.array_split(batch, -(-len(batch) // largest)))
             while pending:
                 chunk = pending.popleft()
                 samples = [dataset.samples[i] for i in chunk]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -223,19 +224,37 @@ class TestLeanTape:
         inner = ad.tanh(x)
         outer = ad.scale(inner, 2.0)
         loss = ad.reduce_sum(outer)
-        walk_inner, seen = inner._vjp, []
+        node, seen = inner._node, []
+        # an op output's entry is its node; the leaf is its own entry
+        assert outer._node._parents == (node,) and node._parents == (x,)
+        walk_inner = node._vjp
 
         def spy(g):
-            seen.append((outer._vjp, outer._parents, loss._vjp, loss._parents))
+            seen.append((outer._node._vjp, outer._node._parents,
+                         loss._node._vjp, loss._node._parents))
             return walk_inner(g)
 
-        inner._vjp = spy
+        node._vjp = spy
         ad.backward(loss)
         assert seen == [(None, None, None, None)]  # consumers freed before inner ran
-        assert inner._vjp is None and inner._parents is None
-        # the leaf keeps its empty record and takes a new forward
-        assert x._parents == () and x.grad is not None
+        assert node._vjp is None and node._parents is None
+        # the leaf keeps no node and takes a new forward
+        assert x._node is None and x.grad is not None
         ad.backward(ad.reduce_sum(ad.tanh(x)))
+
+    def test_record_keeps_only_what_vjps_read(self):
+        x, w = t(np.ones((2, 3))), t(np.full((3, 2), 0.5))
+        product = ad.matmul(x, w)
+        summed = ad.add(product, product)  # add's VJP reads neither input
+        out = ad.tanh(summed)  # tanh's VJP reads its output
+        loss = ad.reduce_sum(ad.mul(out, out))
+        unread = [weakref.ref(product.data), weakref.ref(summed.data)]
+        read = weakref.ref(out.data)
+        del product, summed, out
+        assert [ref() for ref in unread] == [None, None]  # freed, the record alive
+        assert read() is not None
+        ad.backward(loss)
+        assert read() is None  # the walk dropped the last VJP that read it
 
 
 SHARED_CASES = {
@@ -568,7 +587,7 @@ class TestNoGrad:
         x, w = t(np.ones((2, 3))), t(np.full((3, 2), 0.5))
         with ad.no_grad():
             out = ad.softmax_axis(ad.matmul(x, w), 1)
-        assert out._parents == () and out._vjp is None and not out.requires_grad
+        assert out._node is None and not out.requires_grad
         npt.assert_array_equal(out.data, ad.softmax_axis(ad.matmul(x, w), 1).data)
         assert ad.matmul(x, w).requires_grad
 

@@ -61,3 +61,17 @@ def runs(*pairs):
 ])
 def test_bench_pairs_failed_share(parent, change, want):
     assert load_tool("bench_pairs").failed_share_worse(parent, change) == want
+
+
+def test_bench_pairs_per_layer_medians():
+    def runs(*values):
+        return [{"seed": 1, "correct": True, "attempted": 3, "failed": 0,
+                 "autodiff.backward_us_per_sample": v, "trace.overhead_pct": 0.0}
+                for v in values]
+
+    lines = load_tool("bench_pairs").per_layer_lines(runs(30.0, 10.0, 20.0),
+                                                     runs(5.0, 15.0, 10.0))
+    assert len(lines) == 2  # one per value, none for the run's own entries
+    assert lines[0].split() == ["autodiff.backward_us_per_sample", "20", "[15,", "25]", "->",
+                                "10", "[7.5,", "12.5]", "x0.500"]
+    assert lines[1].split()[-1] == "n/a"  # a parent median of 0 has no ratio

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -166,6 +167,20 @@ class TestFit:
         assert sorted(a.tolist()) == list(range(10))
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 256, 2000, 5001])
+    def test_shuffle_matches_one_draw_per_swap(self, n):
+        def reference(n, seed):  # Fisher-Yates with one integers() call per swap
+            rng = np.random.default_rng(seed)
+            idx = np.arange(n)
+            for i in range(n - 1, 0, -1):
+                j = int(rng.integers(i + 1))
+                idx[i], idx[j] = idx[j], idx[i]
+            return idx
+
+        for seed in range(8):
+            got = tr.shuffled_indices(n, seed)
+            assert got.dtype == np.int64 and np.array_equal(got, reference(n, seed)), seed
+
     def test_metrics_fields_in_range(self):
         ds = tiny_dataset()
         _, records = tr.fit(ds, tiny_config())
@@ -305,11 +320,44 @@ def forward_must_not_run(*args):
     raise AssertionError("the pass ran a forward")
 
 
+def largest_chunk(monkeypatch, cfg, samples):
+    """Set the record budget to `samples` samples' estimated record under cfg."""
+    monkeypatch.setattr(tr, "RECORD_BUDGET", samples * tr.record_bytes_per_sample(cfg.head))
+
+
+def forwarded_chunks(monkeypatch):
+    """A list that collects the samples of every chunk the pass forwards."""
+    chunks, forward = [], tr._forward_losses
+
+    def recording(samples, *args):
+        chunks.append(samples)
+        return forward(samples, *args)
+
+    monkeypatch.setattr(tr, "_forward_losses", recording)
+    return chunks
+
+
 def fit_outputs(ds, cfg, chunk, monkeypatch):
-    """Metric rows and checkpoint bytes after fitting with training chunks of `chunk`."""
-    monkeypatch.setattr(tr, "TRAIN_CHUNK", chunk)
-    state, records = tr.fit(ds, cfg)
-    return [mt.format_metrics_row(r) for r in records], tr.checkpoint_bytes(state, cfg)
+    """Metric rows and checkpoint bytes after fitting with training chunks of
+    at most `chunk` samples, and the chunk sizes the fit ran."""
+    with monkeypatch.context() as m:
+        largest_chunk(m, cfg, chunk)
+        chunks = forwarded_chunks(m)
+        state, records = tr.fit(ds, cfg)
+    return ([mt.format_metrics_row(r) for r in records], tr.checkpoint_bytes(state, cfg),
+            {len(c) for c in chunks})
+
+
+def record_bytes(samples, params, cfg):
+    """tracemalloc bytes a training chunk holds when its walk would start."""
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = tr._forward_losses(samples, params, cfg, rng)  # alive while measured
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestChunkedPass:
@@ -353,13 +401,15 @@ class TestChunkedPass:
     @pytest.mark.parametrize("variant,pathway,heads", GRID)
     def test_fit_is_bit_identical_across_chunk_sizes(self, variant, pathway, heads,
                                                      monkeypatch):
-        ds = tiny_dataset(samples_per_class=36)  # batches of 70 and 2
+        ds = tiny_dataset(samples_per_class=36)  # batches of 64 and 8
         head = hd.HeadConfig(concepts=4, slot_dim=8, input_dim=4, n_inputs=3, n_classes=2,
                              variant=variant, heads=heads, pathway=pathway)
-        cfg = tiny_config(head=head, batch_size=70, lr=1e-2)
-        want = fit_outputs(ds, cfg, 1, monkeypatch)
-        for chunk in (5, 16, 64):
-            assert fit_outputs(ds, cfg, chunk, monkeypatch) == want, chunk
+        cfg = tiny_config(head=head, batch_size=64, lr=1e-2)
+        *want, sizes = fit_outputs(ds, cfg, 1, monkeypatch)
+        assert sizes == {1}
+        for chunk, ran in ((5, {5, 4}), (16, {16, 8}), (64, {64, 8})):
+            *got, sizes = fit_outputs(ds, cfg, chunk, monkeypatch)
+            assert got == want and sizes == ran, chunk
 
     def test_fit_splits_where_target_kinds_change(self, monkeypatch):
         ds = tiny_dataset(samples_per_class=10)
@@ -368,8 +418,8 @@ class TestChunkedPass:
         head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
                              variant="sa", pathway="dual")
         cfg = tiny_config(head=head, batch_size=20)
-        want = fit_outputs(ds, cfg, 1, monkeypatch)
-        assert fit_outputs(ds, cfg, 16, monkeypatch) == want
+        want = fit_outputs(ds, cfg, 1, monkeypatch)[:2]
+        assert fit_outputs(ds, cfg, 16, monkeypatch)[:2] == want
         for s in ds.samples[12:14]:
             s.h_global = None  # the kinds now change at sample 12
         monkeypatch.setattr(hd, "head_forward", forward_must_not_run)
@@ -383,12 +433,39 @@ class TestChunkedPass:
         cfg = tiny_config(batch_size=12)
         messages = []
         for chunk in (16, 1):
-            monkeypatch.setattr(tr, "TRAIN_CHUNK", chunk)
+            largest_chunk(monkeypatch, cfg, chunk)
             with pytest.raises(NumericError) as err:
                 tr.train_epoch(tr.init_train_state(cfg), ds, cfg)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("non-finite loss at epoch 1, batch 0, sample 6: ")
+
+    def test_batch_splits_into_near_equal_slices_in_order(self, monkeypatch):
+        ds = tiny_dataset(samples_per_class=36)  # 72 samples: batches of 64 and 8
+        cfg = tiny_config(batch_size=64)
+        largest_chunk(monkeypatch, cfg, 23)
+        chunks = forwarded_chunks(monkeypatch)
+        tr.train_epoch(tr.init_train_state(cfg), ds, cfg)
+        assert [len(c) for c in chunks] == [22, 21, 21, 8]
+        position = {id(s): i for i, s in enumerate(ds.samples)}
+        assert ([position[id(s)] for c in chunks for s in c]
+                == tr.shuffled_indices(72, cfg.seed).tolist())
+
+    @pytest.mark.parametrize("variant,pathway,heads", GRID)
+    def test_record_estimate_matches_traced_record(self, variant, pathway, heads):
+        for rows in (8, 32):
+            ds = dat.gen_synthetic(dat.SynthConfig(
+                n_classes=4, n_concepts=12, concepts_per_class=dat.block_concept_map(4, 12),
+                n_inputs=rows, input_dim=32, noise_std=0.1, samples_per_class=6), 0)
+            head = hd.HeadConfig(concepts=12, slot_dim=32, input_dim=32, n_inputs=rows,
+                                 n_classes=4, variant=variant, heads=heads, pathway=pathway)
+            cfg = tiny_config(head=head)
+            params = tr.init_train_state(cfg).params
+            # per sample: the difference of two chunk sizes, so the
+            # per-chunk Python objects of the nodes cancel
+            measured = (record_bytes(ds.samples[:20], params, cfg)
+                        - record_bytes(ds.samples[:4], params, cfg)) / 16
+            assert tr.record_bytes_per_sample(head) == pytest.approx(measured, rel=0.2), rows
 
 
 def replace_config(blob, old, new):

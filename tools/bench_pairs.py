@@ -13,8 +13,10 @@ range, how many pairs the change won, and a no-regression verdict against
 the metric's `bound` (see `verdict`). It then prints each side's failed
 checks over its attempted ones, summed over its runs, and flags the change
 when it fails a larger share (see `failed_share_worse`). With
---trace-seconds, one traced run per side (on the first seed) adds the
-per-layer values.
+--trace-seconds, TRACED_RUNS traced runs per side (`--trace 1`, on the
+first seeds, cycling when fewer are given, paired and alternating as above)
+add each per-layer value's median and quartiles: a single traced run's
+layer times move by 15-30% with no code change.
 
 The records go to --out (default: the current directory) as
 BENCH_baseline.json (PARENT) and BENCH_<label>.json (CHANGE), in the schema
@@ -34,6 +36,8 @@ from pathlib import Path
 
 MACHINE_KEYS = ("nproc", "usable_cpus", "python", "numpy", "blas", "blas_threads",
                 "ref_iter_s")
+RUN_KEYS = ("seed", "correct", "attempted", "failed")  # a flat run's entries besides metrics
+TRACED_RUNS = 3
 
 
 def parse_args(argv):
@@ -44,7 +48,8 @@ def parse_args(argv):
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace-seconds", type=float, default=0.0,
-                        help="seconds of one traced run per side; 0 skips per-layer values")
+                        help=f"seconds of each of {TRACED_RUNS} traced runs per side; "
+                             "0 skips per-layer values")
     parser.add_argument("--label", default="change")
     parser.add_argument("--out", type=Path, default=Path("."))
     return parser.parse_args(argv)
@@ -69,6 +74,45 @@ def flat_run(seed: int, result: dict) -> dict:
            "failed": result["failed"]}
     row.update({name: m["value"] for name, m in result["metrics"].items()})
     return row
+
+
+def paired_runs(sides: dict[str, Path], workload: str, seeds: list[int], seconds: float,
+                trace: int) -> tuple[dict[str, list[dict]], dict[str, dict]]:
+    """One run per side and seed, the parent first on even pairs: each side's
+    flat runs, and the provenance of each side's last record."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    provenance: dict[str, dict] = {}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result, provenance[side] = run_bench(sides[side], workload, seed, seconds, trace)
+            runs[side].append(flat_run(seed, result))
+            print(f"pair {i + 1} seed {seed} {side}{' traced' if trace else ''}: "
+                  f"correct={result['correct']} failed={result['failed']}",
+                  file=sys.stderr, flush=True)
+    return runs, provenance
+
+
+def summarize(runs: list[dict], names: list[str]) -> dict:
+    return {name: quartiles([r[name] for r in runs]) for name in names}
+
+
+def metric_names(runs: list[dict]) -> list[str]:
+    return [name for name in runs[0] if name not in RUN_KEYS]
+
+
+def per_layer_lines(parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per per-layer value: each side's median [q1, q3] and the
+    ratio of the medians (n/a where the parent's median is 0)."""
+    names = metric_names(parent)
+    qp, qc = summarize(parent, names), summarize(change, names)
+    lines = []
+    for name in names:
+        p, c = qp[name], qc[name]
+        ratio = f"x{c['median'] / p['median']:.3f}" if p["median"] else "n/a"
+        lines.append(f"  {name:36s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+                     f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {ratio}")
+    return lines
 
 
 def quartiles(values: list[float]) -> dict:
@@ -113,17 +157,17 @@ def failed_share_worse(parent: list[dict], change: list[dict]) -> tuple[str, str
 
 
 def write_record(path: Path, label: str, checkout: Path, workload: str, runs: list[dict],
-                 metrics: list[str], provenance: dict, per_layer: dict | None,
+                 metrics: list[str], provenance: dict, traced: list[dict] | None,
                  seconds: float, trace_seconds: float) -> None:
     record = json.loads(path.read_text()) if path.exists() else {}
-    entry = {"runs": runs,
-             "summary": {name: quartiles([r[name] for r in runs]) for name in metrics}}
-    if per_layer is not None:
-        entry["per_layer"] = per_layer
+    entry = {"runs": runs, "summary": summarize(runs, metrics)}
+    if traced:
+        entry["per_layer"] = {"runs": traced, "summary": summarize(traced, metric_names(traced))}
     workloads = record.get("workloads", {})
     workloads[workload] = entry
     command = (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
-               + (f" (per-layer: --seconds {trace_seconds:g} --trace 1)" if trace_seconds else ""))
+               + (f" (per-layer: {TRACED_RUNS} runs of --seconds {trace_seconds:g} --trace 1)"
+                  if trace_seconds else ""))
     record.update({
         "label": label,
         "commit": provenance.get("git_commit") or f"checkout {checkout.name}",
@@ -143,22 +187,11 @@ def main(argv: list[str]) -> int:
     declared = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
     bounds = {m["name"]: m["bound"] for m in declared}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    provenance: dict[str, dict] = {}
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result, provenance[side] = run_bench(sides[side], args.workload, seed,
-                                                 args.seconds, 0)
-            runs[side].append(flat_run(seed, result))
-            print(f"pair {i + 1} seed {seed} {side}: correct={result['correct']} "
-                  f"failed={result['failed']}", file=sys.stderr, flush=True)
-    per_layer = {"parent": None, "change": None}
+    runs, provenance = paired_runs(sides, args.workload, args.seeds, args.seconds, 0)
+    traced = {"parent": None, "change": None}
     if args.trace_seconds:
-        for side in sides:
-            result, _ = run_bench(sides[side], args.workload, args.seeds[0],
-                                  args.trace_seconds, 1)
-            per_layer[side] = flat_run(args.seeds[0], result)
+        seeds = [args.seeds[i % len(args.seeds)] for i in range(TRACED_RUNS)]
+        traced, _ = paired_runs(sides, args.workload, seeds, args.trace_seconds, 1)
 
     print(f"{args.workload}: {len(args.seeds)} pairs, {args.seconds:g} s runs; "
           f"median [q1, q3], parent -> change")
@@ -181,11 +214,15 @@ def main(argv: list[str]) -> int:
         bad = [r["seed"] for r in runs[side] if not r["correct"] or r["failed"]]
         if bad:
             print(f"  {side}: seeds {bad} had failed checks")
+    if args.trace_seconds:
+        print(f"  per layer, median [q1, q3] over {TRACED_RUNS} traced "
+              f"{args.trace_seconds:g} s runs, parent -> change")
+        print("\n".join(per_layer_lines(traced["parent"], traced["change"])))
 
     args.out.mkdir(parents=True, exist_ok=True)
     for side, label in (("parent", "baseline"), ("change", args.label)):
         write_record(args.out / f"BENCH_{label}.json", label, sides[side], args.workload,
-                     runs[side], list(better), provenance[side], per_layer[side],
+                     runs[side], list(better), provenance[side], traced[side],
                      args.seconds, args.trace_seconds)
     return 0
 
