@@ -167,14 +167,14 @@ def _cmd_explain(args) -> int:
     rows = []
     count = len(dataset) if args.limit is None else min(args.limit, len(dataset))
     for start in range(0, count, cfg.batch_size):
-        chunk = dataset.samples[start:min(start + cfg.batch_size, count)]
+        stop = min(start + cfg.batch_size, count)
         with ad.no_grad():
-            out = hd.head_forward(Tensor(np.stack([s.features for s in chunk])),
-                                  state.params, cfg.head, rng)
+            out = hd.head_forward(Tensor(dataset.features[start:stop]), state.params,
+                                  cfg.head, rng)
             maps = out.attn_spatial if out.attn_spatial is not None else out.attn_global
             rel = hd.relevance(maps).data  # (B, C), the gamma of the faithfulness identity
         order = np.argsort(-rel, axis=-1, kind="stable")[:, :args.topk]
-        for i, attn, gamma, top in zip(range(start, start + len(chunk)), maps.data, rel, order):
+        for i, attn, gamma, top in zip(range(start, stop), maps.data, rel, order):
             mt.export_heatmap(attn, os.path.join(args.out, f"sample_{i:04d}.pgm"))
             rows.extend((i, rank + 1, int(c), float(gamma[c])) for rank, c in enumerate(top))
     mt.write_topk_csv(rows, os.path.join(args.out, "topk.csv"))

@@ -4,6 +4,11 @@ Each synthetic sample plants one concept prototype into a subset of its
 feature rows (the carriers), which gives exact ground-truth explanation
 matrices: one-hot carrier rows spatially, a one-hot concept vector globally.
 
+In memory a Dataset of N samples holds one array per field: features
+(N, L, D) float64, labels (N,) int64, and the explanation targets h_spatial
+(N, L, C) and h_global (N, 1, C) float64, each present for every sample or
+for none. A batch is a gather of rows, features[idx].
+
 EMB1 layout (little-endian): magic "CCTE", u32 version=1, u32 N, u32 L,
 u32 D, u32 C (0 when no explanations), u8 flags (bit0 spatial H, bit1
 global H); then per sample: L*D float32 row-major features, u32 label,
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,25 +84,74 @@ class SynthConfig:
         return int(np.ceil(self.carrier_fraction * self.n_inputs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample:
-    features: np.ndarray                # (L, D) float64
+    """One read-only row of a Dataset's columns (see Dataset.samples)."""
+
+    features: np.ndarray                # (L, D)
     label: int
     h_spatial: np.ndarray | None = None  # (L, C)
     h_global: np.ndarray | None = None   # (1, C)
-    concept: int | None = None           # planted concept, when known
 
 
-@dataclass
+def _kind(x) -> str:
+    """An array's dtype and shape, or another object's type, for an error text."""
+    return f"{x.dtype} of shape {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: list[Sample] = field(default_factory=list)
+    """N samples as the columns the module docstring lays out, with
+    C = n_concepts. Any other column is refused with a ConfigError naming it."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    h_spatial: np.ndarray | None = None
+    h_global: np.ndarray | None = None
     n_classes: int = 0
     n_concepts: int = 0
-    n_inputs: int = 0
-    input_dim: int = 0
+
+    def __post_init__(self):
+        features = self.features
+        if not (isinstance(features, np.ndarray) and features.dtype == np.float64
+                and features.ndim == 3):
+            raise ConfigError(f"features must be float64 of shape (N, L, D), got {_kind(features)}")
+        n, rows = features.shape[:2]
+        for name, dtype, want in (("labels", np.int64, (n,)),
+                                  ("h_spatial", np.float64, (n, rows, self.n_concepts)),
+                                  ("h_global", np.float64, (n, 1, self.n_concepts))):
+            column = getattr(self, name)
+            if column is None and name != "labels":
+                continue
+            if not (isinstance(column, np.ndarray) and column.dtype == dtype
+                    and column.shape == want):
+                raise ConfigError(f"{name} must be {dtype.__name__} of shape {want}, "
+                                  f"got {_kind(column)}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.features.shape[0]
+
+    @property
+    def n_inputs(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def input_dim(self) -> int:
+        return self.features.shape[2]
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The rows as frozen Samples over read-only views of the columns.
+        Nothing in this package reads it; it serves callers that walk samples."""
+        def rows(column):
+            if column is None:
+                return [None] * len(self)
+            view = column.view()
+            view.flags.writeable = False
+            return view
+
+        return [Sample(*row) for row in zip(rows(self.features), self.labels.tolist(),
+                                            rows(self.h_spatial), rows(self.h_global))]
 
 
 def block_concept_map(n_classes: int, n_concepts: int) -> tuple[tuple[int, ...], ...]:
@@ -140,19 +194,21 @@ def gen_synthetic(cfg: SynthConfig, seed: int,
     rng = np.random.default_rng(seed)
     protos = make_prototypes(cfg, rng if prototype_seed is None
                              else np.random.default_rng(prototype_seed))
-    samples = []
-    for cls, subset in enumerate(cfg.concepts_per_class):
-        for _ in range(cfg.samples_per_class):
-            concept = int(subset[rng.integers(len(subset))])
-            carriers = np.sort(rng.permutation(cfg.n_inputs)[:cfg.n_carriers])
-            features = cfg.noise_std * rng.standard_normal((cfg.n_inputs, cfg.input_dim))
-            features[carriers] += protos[concept]
-            h_spatial, h_global = build_explanations(
-                carriers, concept, cfg.n_inputs, cfg.n_concepts)
-            samples.append(Sample(features=features, label=cls, h_spatial=h_spatial,
-                                  h_global=h_global, concept=concept))
-    return Dataset(samples=samples, n_classes=cfg.n_classes, n_concepts=cfg.n_concepts,
-                   n_inputs=cfg.n_inputs, input_dim=cfg.input_dim)
+    n = cfg.n_classes * cfg.samples_per_class
+    features = np.empty((n, cfg.n_inputs, cfg.input_dim))
+    h_spatial = np.empty((n, cfg.n_inputs, cfg.n_concepts))
+    h_global = np.empty((n, 1, cfg.n_concepts))
+    labels = np.repeat(np.arange(cfg.n_classes), cfg.samples_per_class)
+    for i, cls in enumerate(labels.tolist()):  # the draws of one sample, in sample order
+        subset = cfg.concepts_per_class[cls]
+        concept = int(subset[rng.integers(len(subset))])
+        carriers = np.sort(rng.permutation(cfg.n_inputs)[:cfg.n_carriers])
+        features[i] = cfg.noise_std * rng.standard_normal((cfg.n_inputs, cfg.input_dim))
+        features[i, carriers] += protos[concept]
+        h_spatial[i], h_global[i] = build_explanations(
+            carriers, concept, cfg.n_inputs, cfg.n_concepts)
+    return Dataset(features, labels, h_spatial, h_global, n_classes=cfg.n_classes,
+                   n_concepts=cfg.n_concepts)
 
 
 def write_emb(dataset: Dataset, path: str) -> None:
@@ -161,36 +217,36 @@ def write_emb(dataset: Dataset, path: str) -> None:
         fh.write(emb_bytes(dataset))
 
 
+def _record(n_inputs: int, input_dim: int, n_concepts: int, has_spatial: bool,
+            has_global: bool) -> list:
+    """The fields of one EMB1 sample record, named as the Dataset columns."""
+    fields = [("features", "<f4", (n_inputs, input_dim)), ("labels", "<u4")]
+    if has_spatial:
+        fields.append(("h_spatial", "<f4", (n_inputs, n_concepts)))
+    if has_global:
+        fields.append(("h_global", "<f4", (1, n_concepts)))
+    return fields
+
+
 def emb_bytes(dataset: Dataset) -> bytes:
-    n = len(dataset.samples)
-    has_spatial = n > 0 and dataset.samples[0].h_spatial is not None
-    has_global = n > 0 and dataset.samples[0].h_global is not None
+    n = len(dataset)
+    # an empty dataset is written without explanation targets
+    has_spatial = n > 0 and dataset.h_spatial is not None
+    has_global = n > 0 and dataset.h_global is not None
     n_concepts = dataset.n_concepts if (has_spatial or has_global) else 0
     flags = (1 if has_spatial else 0) | (2 if has_global else 0)
     dims = (n, dataset.n_inputs, dataset.input_dim, n_concepts)
     if any(not 0 <= v <= _U32_MAX for v in dims):
         raise FormatError(f"dimension overflow: {dims}")
-    shapes = (("features", (dataset.n_inputs, dataset.input_dim)),
-              ("h_spatial", (dataset.n_inputs, n_concepts)), ("h_global", (1, n_concepts)))
-    out = bytearray()
-    out += struct.pack("<4sIIIIIB", EMB_MAGIC, EMB_VERSION, *dims, flags)
-    for i, s in enumerate(dataset.samples):
-        if (s.h_spatial is not None) != has_spatial or (s.h_global is not None) != has_global:
-            raise FormatError(f"sample {i} explanation presence differs from sample 0")
-        for name, want in shapes:
-            arr = getattr(s, name)
-            if arr is not None and np.shape(arr) != want:
-                raise FormatError(f"sample {i} {name} shape {np.shape(arr)} does not match "
-                                  f"dataset {want}")
-        if not (isinstance(s.label, (int, np.integer)) and 0 <= s.label <= _U32_MAX):
-            raise FormatError(f"sample {i} label {s.label!r} is not an integer in [0, 2**32)")
-        out += s.features.astype("<f4").tobytes()
-        out += struct.pack("<I", s.label)
-        if has_spatial:
-            out += np.asarray(s.h_spatial).astype("<f4").tobytes()
-        if has_global:
-            out += np.asarray(s.h_global).astype("<f4").tobytes()
-    return bytes(out)
+    bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels > _U32_MAX))
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"sample {i} label {int(dataset.labels[i])!r} is not an integer "
+                          f"in [0, 2**32)")
+    records = np.empty(n, _record(*dims[1:], has_spatial, has_global))
+    for name in records.dtype.names:
+        records[name] = getattr(dataset, name).astype(records.dtype[name].base)
+    return struct.pack("<4sIIIIIB", EMB_MAGIC, EMB_VERSION, *dims, flags) + records.tobytes()
 
 
 class ByteReader:
@@ -240,13 +296,8 @@ def parse_emb(blob: bytes) -> Dataset:
     if (has_spatial or has_global) and n_concepts == 0:
         raise FormatError("explanation flags set but concept count is zero", offset=24)
     body = r.offset
-    fields = [("features", "<f4", (n_inputs, input_dim)), ("label", "<u4")]
-    if has_spatial:
-        fields.append(("h_spatial", "<f4", (n_inputs, n_concepts)))
-    if has_global:
-        fields.append(("h_global", "<f4", (1, n_concepts)))
     try:
-        record = np.dtype(fields)
+        record = np.dtype(_record(n_inputs, input_dim, n_concepts, has_spatial, has_global))
     except ValueError as err:  # a record NumPy cannot describe: no file holds one
         raise FormatError(f"sample dimensions (L={n_inputs}, D={input_dim}, C={n_concepts}) "
                           f"are too large: {err}", offset=12) from err
@@ -258,13 +309,13 @@ def parse_emb(blob: bytes) -> Dataset:
     if end < len(blob):
         raise FormatError("trailing bytes after last sample", offset=end)
     # One view of the fixed-size records; each float field is widened once
-    # for all samples, and each sample holds its slice.
+    # for all samples into its column.
     records = np.frombuffer(blob, record, count=n, offset=body)
     with np.errstate(invalid="ignore"):  # widening a signaling NaN; rejected below
-        values = {name: records[name].astype(np.float64) for name, *_ in fields
-                  if name != "label"}
+        columns = {name: records[name].astype(np.float64) for name in record.names
+                   if name != "labels"}
     bad = []  # (first sample holding NaN/Inf, field order, field) per field
-    for k, (name, block) in enumerate(values.items()):
+    for k, (name, block) in enumerate(columns.items()):
         rows = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))
         if rows.size:
             bad.append((int(rows[0]), k, name))
@@ -272,10 +323,6 @@ def parse_emb(blob: bytes) -> Dataset:
         i, _, name = min(bad)
         raise FormatError(f"sample {i} has non-finite {name} values",
                           offset=body + i * record.itemsize + record.fields[name][1])
-    no_target = [None] * n
-    samples = [Sample(features=f, label=y, h_spatial=hs, h_global=hg) for f, y, hs, hg in zip(
-        values["features"], records["label"].tolist(), values.get("h_spatial", no_target),
-        values.get("h_global", no_target))]
-    n_classes = 1 + max((s.label for s in samples), default=-1)
-    return Dataset(samples=samples, n_classes=n_classes, n_concepts=n_concepts,
-                   n_inputs=n_inputs, input_dim=input_dim)
+    labels = records["labels"].astype(np.int64)
+    return Dataset(labels=labels, n_classes=int(labels.max()) + 1 if n else 0,
+                   n_concepts=n_concepts, **columns)

@@ -4,13 +4,14 @@ linear warmup, binary checkpoints, and per-epoch metric records.
 Every source of randomness is owned here: parameter init and slot sampling
 share one generator seeded from the config, and each epoch's shuffle is a
 Fisher-Yates pass seeded with seed XOR epoch. Training runs each batch as
-near-equal chunks, one forward and one per-sample backward walk per chunk,
-each chunk as large as RECORD_BUDGET allows: a chunk's record is live in
-full when its walk starts, and record_bytes_per_sample estimates its share
-per sample from the head config. Gradients still add in sample-index order,
-so the chunk size moves no bit, identical (dataset, config) pairs reproduce
-metric logs bit for bit, and a checkpoint restores enough state (parameters,
-optimizer moments, generator state, epoch) to continue a run unchanged.
+near-equal chunks, each a gather of dataset rows (features[chunk] and the
+like) for one forward and one per-sample backward walk, each as large as
+RECORD_BUDGET allows: a chunk's record is live in full when its walk starts,
+and record_bytes_per_sample estimates its share per sample from the head
+config. Gradients still add in sample-index order, so the chunk size moves
+no bit, identical (dataset, config) pairs reproduce metric logs bit for bit,
+and a checkpoint restores enough state (parameters, optimizer moments,
+generator state, epoch) to continue a run unchanged.
 """
 
 from __future__ import annotations
@@ -167,34 +168,32 @@ def init_train_state(cfg: TrainConfig) -> TrainState:
 
 
 def check_dataset(dataset: Dataset, head: HeadConfig, targets: bool = True) -> None:
-    """Reject, before any forward pass, samples the model cannot take.
+    """Reject, before any forward pass, a dataset the model cannot take.
 
-    Every sample must hold (n_inputs, input_dim) features. With targets,
-    labels must be below n_classes, every sample must carry the kinds of
-    explanation target sample 0 carries (the rule an EMB1 file's flags
-    express), and each target must be (n_inputs, C) spatially or (1, C)
-    globally with C equal to the model's concepts. The ConfigError names the
-    first offending sample.
+    Features must be (n_inputs, input_dim) per sample. With targets, labels
+    must be below n_classes, and each target must be (n_inputs, C) spatially
+    or (1, C) globally per sample with C equal to the model's concepts. The
+    ConfigError names the first offending sample: sample 0 for a shape, which
+    every sample shares.
     """
     want = (head.n_inputs, head.input_dim)
-    for i, s in enumerate(dataset.samples):
-        if s.features.shape != want:
-            raise ConfigError(f"sample {i} has features of shape {s.features.shape}, "
-                              f"but the model expects {want}")
-        if not targets:
-            continue
-        if not 0 <= s.label < head.n_classes:
-            raise ConfigError(f"sample {i} has label {s.label}, "
-                              f"but the model has {head.n_classes} classes")
-        first = dataset.samples[0]
-        if (s.h_spatial is None, s.h_global is None) != (first.h_spatial is None,
-                                                          first.h_global is None):
-            raise ConfigError(f"sample {i} explanation presence differs from sample 0")
-        for name, h, rows in (("h_spatial", s.h_spatial, head.n_inputs),
-                              ("h_global", s.h_global, 1)):
-            if h is not None and h.shape != (rows, head.concepts):
-                raise ConfigError(f"sample {i} has {name} of shape {h.shape}, but the model "
-                                  f"expects ({rows}, {head.concepts})")
+    if len(dataset) and dataset.features.shape[1:] != want:
+        raise ConfigError(f"sample 0 has features of shape {dataset.features.shape[1:]}, "
+                          f"but the model expects {want}")
+    if not targets:
+        return
+    bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels >= head.n_classes))
+    first = int(bad[0]) if bad.size else len(dataset)
+    # a sample's label is checked before its targets, so sample 0's targets
+    # are named unless its own label is bad (or there is no sample)
+    for name, h, rows in (("h_spatial", dataset.h_spatial, head.n_inputs),
+                          ("h_global", dataset.h_global, 1)):
+        if first > 0 and h is not None and h.shape[1:] != (rows, head.concepts):
+            raise ConfigError(f"sample 0 has {name} of shape {h.shape[1:]}, but the model "
+                              f"expects ({rows}, {head.concepts})")
+    if bad.size:
+        raise ConfigError(f"sample {first} has label {dataset.labels[first]}, "
+                          f"but the model has {head.n_classes} classes")
 
 
 def record_bytes_per_sample(head: HeadConfig) -> int:
@@ -223,23 +222,22 @@ def record_bytes_per_sample(head: HeadConfig) -> int:
     return 8 * floats
 
 
-def _forward_losses(samples: list, params: HeadParams, cfg: TrainConfig,
-                    rng: np.random.Generator):
-    """One chunk through the head, and each sample's loss terms.
+def _forward_losses(dataset: Dataset, chunk: np.ndarray, params: HeadParams,
+                    cfg: TrainConfig, rng: np.random.Generator):
+    """The dataset rows `chunk` through the head, and each sample's loss terms.
 
-    Returns the head output, the (map, stacked targets) pairs that carry
+    Returns the head output, the (map, gathered targets) pairs that carry
     targets, and the per-sample cross-entropy, explanation (None without
     targets), sparsity and total losses. The sparsity term, the mean over
     maps of each map's entropy, is built whatever lambda_sparse is: it is
     also the entropy metric. total_loss leaves it out when lambda_sparse is 0.
     """
     w = cfg.weights
-    out = hd.head_forward(Tensor(np.stack([s.features for s in samples])), params, cfg.head, rng)
-    pairs = [(a, np.stack(targets)) for a, targets in (
-        (out.attn_spatial, [s.h_spatial for s in samples]),
-        (out.attn_global, [s.h_global for s in samples]))
-        if a is not None and targets[0] is not None]
-    cls = losses.cross_entropy(out.logits, [s.label for s in samples])
+    out = hd.head_forward(Tensor(dataset.features[chunk]), params, cfg.head, rng)
+    pairs = [(a, targets[chunk]) for a, targets in ((out.attn_spatial, dataset.h_spatial),
+                                                    (out.attn_global, dataset.h_global))
+             if a is not None and targets is not None]
+    cls = losses.cross_entropy(out.logits, dataset.labels[chunk])
     expl = sparse = None
     if w.lambda_expl > 0.0:
         for attn, targets in pairs:
@@ -259,8 +257,9 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
               step=None) -> Metrics:
     """The one pass loop of train_epoch and evaluate.
 
-    Samples go forward as (B, L, D) chunks, near-equal plain slices of a
-    batch in batch order. When step is given, each holds at most
+    Samples go forward as chunks, near-equal plain slices of a batch in
+    batch order, each a gather of the dataset's columns: (B, L, D) features,
+    B labels and (B, rows, C) targets. When step is given, each holds at most
     RECORD_BUDGET // record_bytes_per_sample samples and backpropagates its
     samples' shares of the batch-mean loss in one per-sample walk (step()
     runs after each batch); otherwise each holds at most cfg.batch_size.
@@ -286,11 +285,10 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
             pending = deque(np.array_split(batch, -(-len(batch) // largest)))
             while pending:
                 chunk = pending.popleft()
-                samples = [dataset.samples[i] for i in chunk]
                 saved = rng.bit_generator.state if len(chunk) > 1 else None
                 try:
-                    out, pairs, cls, expl, sparse, total = _forward_losses(samples, params,
-                                                                           cfg, rng)
+                    out, pairs, cls, expl, sparse, total = _forward_losses(dataset, chunk,
+                                                                           params, cfg, rng)
                     if step is not None:
                         ad.backward(ad.scale(total, 1.0 / len(batch)), per_sample=True)
                 except NumericError as err:
@@ -300,7 +298,7 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
                         continue
                     raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}, "
                                        f"sample {chunk[0]}: {err}") from err
-                hits = np.argmax(out.logits.data, axis=-1) == [s.label for s in samples]
+                hits = np.argmax(out.logits.data, axis=-1) == dataset.labels[chunk]
                 # (maps, B) scores; a sample's concept score is their mean over
                 # the maps that score it, NaN (0 / 0) where none does
                 scores = np.reshape([concept_top1_scores(a.data, targets)
@@ -324,7 +322,7 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
 
 def train_epoch(state: TrainState, dataset: Dataset, cfg: TrainConfig) -> Metrics:
     """One pass over the shuffled dataset; returns the epoch's mean metrics."""
-    n = len(dataset.samples)
+    n = len(dataset)
     if n == 0:
         raise ConfigError("cannot train on an empty dataset")
     order = shuffled_indices(n, cfg.seed ^ state.epoch)
@@ -363,11 +361,11 @@ def evaluate(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
     The pass runs under no_grad, so no operation record is built. The record
     reports epoch 0, as does a NumericError raised on the way.
     """
-    if len(dataset.samples) == 0:
+    if len(dataset) == 0:
         raise ConfigError("cannot evaluate an empty dataset")
     with ad.no_grad():
         return _run_pass(dataset, params, cfg, np.random.default_rng(seed),
-                         [np.arange(len(dataset.samples))], 0)
+                         [np.arange(len(dataset))], 0)
 
 
 # --- checkpoint format ------------------------------------------------------

@@ -318,15 +318,18 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
                             int(rng.integers(1, 4)))
             concepts = int(rng.integers(1, 4))
             flavor = int(rng.integers(4))
-            samples = [dat.Sample(
-                features=rng.normal(size=(rows, dim)),
-                label=int(rng.integers(6)),
-                h_spatial=rng.uniform(size=(rows, concepts)) if flavor in (1, 3) else None,
-                h_global=rng.uniform(size=(1, concepts)) if flavor in (2, 3) else None)
-                for _ in range(n)]
-            blob = dat.emb_bytes(dat.Dataset(samples=samples, n_classes=6,
-                                             n_concepts=concepts, n_inputs=rows,
-                                             input_dim=dim))
+            features, labels = np.empty((n, rows, dim)), np.empty(n, dtype=np.int64)
+            h_spatial = np.empty((n, rows, concepts)) if flavor in (1, 3) else None
+            h_global = np.empty((n, 1, concepts)) if flavor in (2, 3) else None
+            for i in range(n):  # the draws of one sample, in sample order
+                features[i] = rng.normal(size=(rows, dim))
+                labels[i] = rng.integers(6)
+                if h_spatial is not None:
+                    h_spatial[i] = rng.uniform(size=(rows, concepts))
+                if h_global is not None:
+                    h_global[i] = rng.uniform(size=(1, concepts))
+            blob = dat.emb_bytes(dat.Dataset(features, labels, h_spatial, h_global,
+                                             n_classes=6, n_concepts=concepts))
             assert dat.emb_bytes(dat.parse_emb(blob)) == blob
 
 

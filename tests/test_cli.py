@@ -39,7 +39,7 @@ class TestGenData:
         ds = dat.read_emb(tiny_emb)
         assert len(ds) == 12
         assert ds.n_concepts == 4
-        assert ds.samples[0].h_spatial is not None
+        assert ds.h_spatial is not None
 
     def test_unknown_flag_exits_2(self, tmp_path):
         assert run(["gen-data", "--out", str(tmp_path / "x.emb"), "--bogus"]) == 2
@@ -83,8 +83,7 @@ class TestTrainEvalExplain:
 
     @pytest.mark.parametrize("command", ["train", "eval", "explain"])
     def test_empty_dataset_usage_error(self, tmp_path, tiny_emb, capsys, command):
-        empty = dat.Dataset(samples=[], n_classes=0, n_concepts=0,
-                            n_inputs=3, input_dim=6)
+        empty = dat.Dataset(np.zeros((0, 3, 6)), np.zeros(0, dtype=np.int64))
         empty_path = str(tmp_path / "empty.emb")
         dat.write_emb(empty, empty_path)
         out_dir = str(tmp_path / "run")
@@ -337,9 +336,9 @@ def reference_topk_rows(dataset, state, cfg, seed, count, topk):
     """The per-sample explain loop: one forward, map mean and argsort per sample."""
     rng = np.random.default_rng(seed)
     rows = []
-    for i, sample in enumerate(dataset.samples[:count]):
+    for i, features in enumerate(dataset.features[:count]):
         with ad.no_grad():
-            out = hd.head_forward(Tensor(sample.features), state.params, cfg.head, rng)
+            out = hd.head_forward(Tensor(features), state.params, cfg.head, rng)
         rel = out.maps()[0].data.mean(axis=0)
         top = np.argsort(-rel, kind="stable")[:topk]
         rows.extend((i, rank + 1, int(c), float(rel[c])) for rank, c in enumerate(top))

@@ -1,5 +1,9 @@
+import dataclasses
+import importlib.util
 import math
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -61,26 +65,23 @@ class TestGenSynthetic:
         cfg = small_config(noise_std=0.0, carrier_fraction=1.0)
         ds = dat.gen_synthetic(cfg, seed=3)
         protos = dat.make_prototypes(cfg, np.random.default_rng(3))
-        for s in ds.samples:
-            for row in s.features:
-                npt.assert_array_equal(row, protos[s.concept])
+        for features, h_global in zip(ds.features, ds.h_global):
+            for row in features:
+                npt.assert_array_equal(row, protos[h_global.argmax()])
 
     def test_same_seed_bitwise_identical(self):
         cfg = small_config()
         a = dat.gen_synthetic(cfg, seed=11)
         b = dat.gen_synthetic(cfg, seed=11)
         assert len(a) == len(b)
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.features, sb.features)
-            assert sa.label == sb.label and sa.concept == sb.concept
-            assert np.array_equal(sa.h_spatial, sb.h_spatial)
-            assert np.array_equal(sa.h_global, sb.h_global)
+        for name in ("features", "labels", "h_spatial", "h_global"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_different_seed_differs(self):
         cfg = small_config()
         a = dat.gen_synthetic(cfg, seed=1)
         b = dat.gen_synthetic(cfg, seed=2)
-        assert not np.array_equal(a.samples[0].features, b.samples[0].features)
+        assert not np.array_equal(a.features[0], b.features[0])
 
     def test_class_recoverable_from_concept(self):
         cfg = dat.SynthConfig(n_classes=4, n_concepts=12,
@@ -89,23 +90,24 @@ class TestGenSynthetic:
                               samples_per_class=10)
         ds = dat.gen_synthetic(cfg, seed=0)
         inverse = {c: cls for cls, subset in enumerate(cfg.concepts_per_class) for c in subset}
-        assert all(inverse[s.concept] == s.label for s in ds.samples)
+        concepts = ds.h_global[:, 0].argmax(axis=-1).tolist()
+        assert [inverse[c] for c in concepts] == ds.labels.tolist()
 
     def test_label_marginals_exact(self):
         cfg = small_config(samples_per_class=7)
         ds = dat.gen_synthetic(cfg, seed=5)
-        counts = np.bincount([s.label for s in ds.samples], minlength=3)
+        counts = np.bincount(ds.labels, minlength=3)
         npt.assert_array_equal(counts, [7, 7, 7])
 
     def test_nearest_prototype_recovery_at_zero_noise(self):
         cfg = small_config(noise_std=0.0, carrier_fraction=0.5, samples_per_class=20)
         ds = dat.gen_synthetic(cfg, seed=9)
         protos = dat.make_prototypes(cfg, np.random.default_rng(9))
-        for s in ds.samples:
-            carriers = np.flatnonzero(s.h_spatial.sum(axis=1) > 0)
+        for features, h_spatial, h_global in zip(ds.features, ds.h_spatial, ds.h_global):
+            carriers = np.flatnonzero(h_spatial.sum(axis=1) > 0)
             for r in carriers:
-                sims = protos @ s.features[r]
-                assert int(np.argmax(sims)) == s.concept
+                sims = protos @ features[r]
+                assert int(np.argmax(sims)) == h_global.argmax()
 
     def test_prototypes_orthonormal(self):
         cfg = small_config()
@@ -124,14 +126,12 @@ class TestBuildExplanations:
     def test_full_carriers_all_rows_onehot(self):
         cfg = small_config(carrier_fraction=1.0)
         ds = dat.gen_synthetic(cfg, seed=4)
-        for s in ds.samples:
-            npt.assert_array_equal(s.h_spatial.sum(axis=1), np.ones(cfg.n_inputs))
+        npt.assert_array_equal(ds.h_spatial.sum(axis=2), np.ones((len(ds), cfg.n_inputs)))
 
     def test_spatial_mass_equals_carrier_count(self):
         cfg = small_config(carrier_fraction=0.6)  # ceil(2.4) = 3 carriers
         ds = dat.gen_synthetic(cfg, seed=4)
-        for s in ds.samples:
-            assert s.h_spatial.sum() == 3
+        npt.assert_array_equal(ds.h_spatial.sum(axis=(1, 2)), np.full(len(ds), 3.0))
 
 
 class TestEmbFormat:
@@ -149,20 +149,22 @@ class TestEmbFormat:
             n, el, d = int(rng.integers(0, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
             which = rng.integers(4)
-            samples = []
-            for _ in range(n):
-                samples.append(dat.Sample(
-                    features=rng.normal(size=(el, d)),
-                    label=int(rng.integers(5)),
-                    h_spatial=rng.uniform(size=(el, c)) if which in (1, 3) else None,
-                    h_global=rng.uniform(size=(1, c)) if which in (2, 3) else None))
-            ds = dat.Dataset(samples=samples, n_classes=5, n_concepts=c,
-                             n_inputs=el, input_dim=d)
+            features, labels = np.empty((n, el, d)), np.empty(n, dtype=np.int64)
+            h_spatial = np.empty((n, el, c)) if which in (1, 3) else None
+            h_global = np.empty((n, 1, c)) if which in (2, 3) else None
+            for i in range(n):  # the draws of one sample, in sample order
+                features[i] = rng.normal(size=(el, d))
+                labels[i] = rng.integers(5)
+                if h_spatial is not None:
+                    h_spatial[i] = rng.uniform(size=(el, c))
+                if h_global is not None:
+                    h_global[i] = rng.uniform(size=(1, c))
+            ds = dat.Dataset(features, labels, h_spatial, h_global, n_classes=5, n_concepts=c)
             blob = dat.emb_bytes(ds)
             assert dat.emb_bytes(dat.parse_emb(blob)) == blob
 
     def test_empty_dataset_valid(self):
-        ds = dat.Dataset(samples=[], n_classes=0, n_concepts=0, n_inputs=2, input_dim=3)
+        ds = dat.Dataset(np.zeros((0, 2, 3)), np.zeros(0, dtype=np.int64))
         parsed = dat.parse_emb(dat.emb_bytes(ds))
         assert len(parsed) == 0
         assert parsed.n_inputs == 2 and parsed.input_dim == 3
@@ -174,10 +176,9 @@ class TestEmbFormat:
         blob += features.tobytes() + struct.pack("<I", 3)
         ds = dat.parse_emb(blob)
         assert len(ds) == 1
-        sample = ds.samples[0]
-        npt.assert_array_equal(sample.features, features.astype(np.float64))
-        assert sample.label == 3
-        assert sample.h_spatial is None and sample.h_global is None
+        npt.assert_array_equal(ds.features, features.astype(np.float64)[None])
+        npt.assert_array_equal(ds.labels, [3])
+        assert ds.h_spatial is None and ds.h_global is None
         assert ds.n_classes == 4
 
     def test_bad_magic(self):
@@ -210,47 +211,144 @@ class TestEmbFormat:
 
     def test_float32_on_disk(self):
         # a float64 value that is not float32-representable gets rounded once
-        sample = dat.Sample(features=np.array([[0.1]]), label=0)
-        ds = dat.Dataset(samples=[sample], n_classes=1, n_concepts=0,
-                         n_inputs=1, input_dim=1)
+        ds = dat.Dataset(np.array([[[0.1]]]), np.array([0]), n_classes=1)
         parsed = dat.parse_emb(dat.emb_bytes(ds))
-        assert parsed.samples[0].features[0, 0] == np.float32(0.1)
+        assert parsed.features[0, 0, 0] == np.float32(0.1)
 
 
 class TestEmbWriterChecks:
-    """emb_bytes refuses what parse_emb would misread, naming the sample."""
+    """What emb_bytes would write wrong never reaches a file: a target shape
+    parse_emb would misread is refused when the dataset is built, and a
+    label outside u32 by emb_bytes, naming the sample."""
 
     def dataset(self):
         return dat.gen_synthetic(small_config(samples_per_class=1), seed=0)  # L=4, C=6
 
     def test_spatial_targets_of_other_widths(self):
-        # widths 7 and 5 add up to the right file length; the reader would shift sample 1
+        # a file's records share one width, and so does the column; one of
+        # another width than the dataset's C would shift every later sample
         ds = self.dataset()
-        ds.samples[0].h_spatial = np.zeros((4, 7))
-        ds.samples[1].h_spatial = np.zeros((4, 5))
-        with pytest.raises(FormatError, match=r"sample 0 h_spatial shape \(4, 7\) does not "
-                                              r"match dataset \(4, 6\)"):
-            dat.emb_bytes(ds)
+        with pytest.raises(ConfigError, match=r"^h_spatial must be float64 of shape "
+                                              r"\(3, 4, 6\), got float64 of shape \(3, 4, 7\)$"):
+            dataclasses.replace(ds, h_spatial=np.zeros((3, 4, 7)))
 
     @pytest.mark.parametrize("shape", [(6,), (2, 6), (1, 5)])
     def test_global_target_shape(self, shape):
         ds = self.dataset()
-        ds.samples[2].h_global = np.zeros(shape)
-        with pytest.raises(FormatError, match=r"sample 2 h_global shape .* does not match "
-                                              r"dataset \(1, 6\)"):
-            dat.emb_bytes(ds)
+        with pytest.raises(ConfigError, match=r"^h_global must be float64 of shape "
+                                              r"\(3, 1, 6\), got float64 of shape "):
+            dataclasses.replace(ds, h_global=np.zeros((3, *shape)))
 
     @pytest.mark.parametrize("label", [-1, 2**32, 1.5])
     def test_label_outside_u32(self, label):
         ds = self.dataset()
-        ds.samples[1].label = label
+        labels = np.array([0, label, 2])
+        if labels.dtype.kind == "f":  # a float label cannot enter a dataset
+            with pytest.raises(ConfigError, match=r"^labels must be int64 of shape \(3,\)"):
+                dataclasses.replace(ds, labels=labels)
+            return
+        ds = dataclasses.replace(ds, labels=labels)
         with pytest.raises(FormatError, match=r"sample 1 label .* is not an integer in \[0, 2\*\*32\)"):
             dat.emb_bytes(ds)
 
     def test_largest_u32_label_round_trips(self):
         ds = self.dataset()
-        ds.samples[1].label = np.uint32(2**32 - 1)
-        assert dat.parse_emb(dat.emb_bytes(ds)).samples[1].label == 2**32 - 1
+        ds.labels[1] = 2**32 - 1
+        assert dat.parse_emb(dat.emb_bytes(ds)).labels[1] == 2**32 - 1
+
+
+class TestDatasetColumns:
+    """A Dataset holds one array per field, and refuses at construction any
+    column of another shape or dtype, naming it."""
+
+    def dataset(self):
+        return dat.gen_synthetic(small_config(samples_per_class=1), seed=0)  # N=3, L=4, C=6
+
+    def test_shape_properties(self):
+        ds = self.dataset()
+        assert (len(ds), ds.n_inputs, ds.input_dim) == (3, 4, 8)
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert ds.h_spatial.shape == (3, 4, 6) and ds.h_global.shape == (3, 1, 6)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([True, False, True]),   # emb_bytes would write True as class 1
+        np.array([0.0, 1.0, 2.0]),
+        np.array([[0, 1, 2]]),
+        np.array([0, 1]),
+        np.array([0, 1, 2], dtype=np.int32),
+        [0, 1, 2],
+    ], ids=["bool", "float", "2-D", "short", "int32", "list"])
+    def test_labels_must_be_int64_one_per_sample(self, labels):
+        with pytest.raises(ConfigError, match=r"^labels must be int64 of shape \(3,\), got "):
+            dataclasses.replace(self.dataset(), labels=labels)
+
+    def test_features_must_be_three_dimensional(self):
+        with pytest.raises(ConfigError, match=r"^features must be float64 of shape \(N, L, D\), "
+                                              r"got float64 of shape \(3, 32\)$"):
+            dataclasses.replace(self.dataset(), features=np.zeros((3, 32)))
+        with pytest.raises(ConfigError, match=r"^features must be float64 .* got float32 of "):
+            dataclasses.replace(self.dataset(), features=np.zeros((3, 4, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("name,shape", [("h_spatial", (3, 5, 6)), ("h_spatial", (2, 4, 6)),
+                                            ("h_spatial", (3, 6)), ("h_global", (3, 4, 6)),
+                                            ("h_global", (3, 6))])
+    def test_targets_must_match_features_and_concepts(self, name, shape):
+        with pytest.raises(ConfigError, match=f"^{name} must be float64 of shape "):
+            dataclasses.replace(self.dataset(), **{name: np.zeros(shape)})
+
+    def test_targets_must_share_their_concept_count(self):
+        ds = self.dataset()
+        with pytest.raises(ConfigError, match=r"^h_global must be float64 of shape \(3, 1, 6\), "
+                                              r"got float64 of shape \(3, 1, 5\)$"):
+            dataclasses.replace(ds, h_global=np.zeros((3, 1, 5)))
+        with pytest.raises(ConfigError, match=r"^h_spatial .* got float64 of shape \(3, 4, 5\)$"):
+            dataclasses.replace(ds, h_spatial=np.zeros((3, 4, 5)), h_global=np.zeros((3, 1, 5)))
+
+    def test_a_target_for_only_some_samples_is_refused(self):
+        ds = self.dataset()
+        with pytest.raises(ConfigError, match=r"^h_global must be float64 of shape .*, got list$"):
+            dataclasses.replace(ds, h_global=[ds.h_global[0], None, ds.h_global[2]])
+
+    def test_samples_are_a_read_only_view(self):
+        ds = self.dataset()
+        rows = ds.samples
+        assert [s.label for s in rows] == ds.labels.tolist()
+        npt.assert_array_equal(rows[2].features, ds.features[2])
+        npt.assert_array_equal(rows[1].h_global, ds.h_global[1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rows[1].label = 0
+        with pytest.raises(ValueError, match="read-only"):
+            rows[1].features[0, 0] = 1.0
+        ds.features[1, 0, 0] = 5.0  # the columns stay writable
+        assert ds.samples[1].features[0, 0] == 5.0
+
+
+def load_workloads(monkeypatch):
+    """The benchmark's own input writer, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_emb_writers_agree(monkeypatch):
+    """A file from the benchmark's structured-array writer parses into the
+    float32-rounded columns it was built from and is written back unchanged."""
+    wl = load_workloads(monkeypatch)
+    rng = np.random.default_rng(4)
+    protos = np.linalg.qr(rng.standard_normal((wl.DIM, wl.N_CONCEPTS)))[0].T
+    features, labels, concepts = wl.planted_concepts(rng, protos, 10, 5)
+    blob = wl.emb1_bytes(features, labels, concepts)
+    ds = dat.parse_emb(blob)
+    assert dat.emb_bytes(ds) == blob
+    npt.assert_array_equal(ds.features, features.astype(np.float32))
+    npt.assert_array_equal(ds.labels, labels)
+    one_hot = np.eye(wl.N_CONCEPTS)[concepts][:, None, :]
+    npt.assert_array_equal(ds.h_spatial, np.broadcast_to(one_hot, (10, 5, wl.N_CONCEPTS)))
+    npt.assert_array_equal(ds.h_global, one_hot)
+    assert (ds.n_classes, ds.n_concepts) == (wl.N_CLASSES, wl.N_CONCEPTS)
 
 
 class TestNonFinitePayload:
@@ -258,7 +356,7 @@ class TestNonFinitePayload:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejected_with_sample_and_field(self, field, value):
         ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
-        getattr(ds.samples[3], field)[0, 1] = value
+        getattr(ds, field)[3, 0, 1] = value
         blob = dat.emb_bytes(ds)
         with pytest.raises(FormatError, match=f"sample 3 has non-finite {field} values") as err:
             dat.parse_emb(blob)
@@ -274,7 +372,7 @@ class TestNonFinitePayload:
 
     def test_first_bad_sample_is_named(self):
         ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
-        ds.samples[2].h_global[0, 0] = np.nan
-        ds.samples[1].features[1, 0] = np.inf
+        ds.h_global[2, 0, 0] = np.nan
+        ds.features[1, 1, 0] = np.inf
         with pytest.raises(FormatError, match="sample 1 has non-finite features"):
             dat.parse_emb(dat.emb_bytes(ds))

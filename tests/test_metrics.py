@@ -18,15 +18,13 @@ from concepthead.errors import ConfigError, DomainError, MetricError
 def labelled_dataset(labels, seed=0, targets=False):
     """Random (3, 4) features with the given labels; one-hot spatial and global
     targets at concept label + 1 when asked."""
-    rng = np.random.default_rng(seed)
-    samples = []
-    for y in labels:
-        h_spatial = h_global = None
-        if targets:
-            h_spatial, h_global = dat.build_explanations(np.array([0, 2]), y + 1, 3, 4)
-        samples.append(dat.Sample(features=rng.normal(size=(3, 4)), label=y,
-                                  h_spatial=h_spatial, h_global=h_global))
-    return dat.Dataset(samples=samples, n_classes=3, n_concepts=4, n_inputs=3, input_dim=4)
+    features = np.random.default_rng(seed).normal(size=(len(labels), 3, 4))
+    h_spatial = h_global = None
+    if targets:
+        h_spatial, h_global = (np.stack(column) for column in zip(*(
+            dat.build_explanations(np.array([0, 2]), y + 1, 3, 4) for y in labels)))
+    return dat.Dataset(features, np.array(labels), h_spatial, h_global, n_classes=3,
+                       n_concepts=4)
 
 
 def eval_config(pathway="spatial"):
@@ -39,8 +37,8 @@ def reference_forward(ds, params, cfg, seed):
     """The maps and logits evaluate sees: per-sample values do not depend on
     the chunking, so one forward over the whole set with evaluate's seed."""
     with ad.no_grad():
-        return hd.head_forward(Tensor(np.stack([s.features for s in ds.samples])),
-                               params, cfg.head, np.random.default_rng(seed))
+        return hd.head_forward(Tensor(ds.features), params, cfg.head,
+                               np.random.default_rng(seed))
 
 
 class TestClassAccuracy:
@@ -50,9 +48,7 @@ class TestClassAccuracy:
     def predicted_dataset(n, params, cfg, seed):
         """n samples labelled with the classes a forward with seed predicts."""
         ds = labelled_dataset([0] * n)
-        predicted = np.argmax(reference_forward(ds, params, cfg, seed).logits.data, axis=-1)
-        for s, y in zip(ds.samples, predicted.tolist()):
-            s.label = y
+        ds.labels[:] = np.argmax(reference_forward(ds, params, cfg, seed).logits.data, axis=-1)
         return ds
 
     def test_all_correct(self):
@@ -75,13 +71,14 @@ class TestClassAccuracy:
         cfg = eval_config()
         params = tr.init_train_state(cfg).params
         ds = self.predicted_dataset(4, params, cfg, 0)
-        ds.samples[2].label = (ds.samples[2].label + 1) % 3
+        ds.labels[2] = (ds.labels[2] + 1) % 3
         assert tr.evaluate(ds, params, cfg).class_acc == 0.75
 
     def test_empty_rejected(self):
         cfg = eval_config()
         with pytest.raises(ConfigError, match="empty"):
-            tr.evaluate(dat.Dataset(), tr.init_train_state(cfg).params, cfg)
+            tr.evaluate(dat.Dataset(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64)),
+                        tr.init_train_state(cfg).params, cfg)
 
 
 def top1(attn, target):
@@ -110,8 +107,8 @@ class TestConceptTop1Accuracy:
         cfg = eval_config("global")
         params = tr.init_train_state(cfg).params
         attn = reference_forward(ds, params, cfg, 1).attn_global.data
-        scores = mt.concept_top1_scores(attn, np.stack([s.h_global for s in ds.samples]))
-        npt.assert_array_equal(scores, [top1(a, s.h_global) for a, s in zip(attn, ds.samples)])
+        scores = mt.concept_top1_scores(attn, ds.h_global)
+        npt.assert_array_equal(scores, [top1(a, h) for a, h in zip(attn, ds.h_global)])
         assert 0.0 < sum(scores) < 7  # some hits and some misses
         assert tr.evaluate(ds, params, cfg, seed=1).concept_top1_acc == sum(scores) / 7
 
@@ -129,12 +126,11 @@ class TestConceptTop1Accuracy:
     def test_skips_samples_without_targets(self):
         assert math.isnan(top1(np.full((3, 2), 0.5), np.zeros((3, 2))))
         ds = labelled_dataset([0, 1, 2, 0, 1, 2, 0], targets=True)
-        for s in ds.samples[1::3]:
-            s.h_spatial = np.zeros_like(s.h_spatial)  # no carrier rows, as a file can hold
+        ds.h_spatial[1::3] = 0.0  # no carrier rows, as a file can hold
         cfg = eval_config()
         params = tr.init_train_state(cfg).params
         attn = reference_forward(ds, params, cfg, 1).attn_spatial.data
-        scores = [top1(a, s.h_spatial) for a, s in zip(attn, ds.samples) if s.h_spatial.any()]
+        scores = [top1(a, h) for a, h in zip(attn, ds.h_spatial) if h.any()]
         assert len(scores) == 5
         assert tr.evaluate(ds, params, cfg, seed=1).concept_top1_acc == sum(scores) / 5
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -147,7 +148,8 @@ class TestFit:
 
     def test_overfits_single_sample(self):
         ds = tiny_dataset(samples_per_class=1)
-        ds.samples = ds.samples[:1]
+        ds = dataclasses.replace(ds, features=ds.features[:1], labels=ds.labels[:1],
+                                 h_spatial=ds.h_spatial[:1], h_global=ds.h_global[:1])
         cfg = tiny_config(epochs=300, batch_size=1, lr=5e-3, warmup_iters=0,
                           weight_decay=0.0, variant="boqsa",
                           weights=LossWeights(lambda_expl=0.0, lambda_sparse=0.0))
@@ -157,7 +159,8 @@ class TestFit:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
-            tr.fit(dat.Dataset(), tiny_config())
+            tr.fit(dat.Dataset(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64)),
+                   tiny_config())
 
     def test_shuffle_is_seeded_permutation(self):
         a = tr.shuffled_indices(10, 42)
@@ -191,33 +194,24 @@ class TestFit:
             assert r.loss_total >= r.loss_cls or r.loss_total == pytest.approx(r.loss_cls)
 
     def test_concept_accuracy_nan_without_targets(self):
-        ds = tiny_dataset()
-        for s in ds.samples:
-            s.h_spatial = None
-            s.h_global = None
+        ds = dataclasses.replace(tiny_dataset(), h_spatial=None, h_global=None)
         cfg = tiny_config(weights=LossWeights(lambda_expl=0.0, lambda_sparse=0.5))
         _, records = tr.fit(ds, cfg)
         assert math.isnan(records[-1].concept_top1_acc)
 
-    def test_samples_without_targets_contribute_zero_explanation(self, monkeypatch):
-        ds = tiny_dataset()
-        for s in ds.samples:
-            s.h_spatial = None
-            s.h_global = None
+    def test_samples_without_targets_contribute_zero_explanation(self):
+        ds = dataclasses.replace(tiny_dataset(), h_spatial=None, h_global=None)
         _, records = tr.fit(ds, tiny_config())  # lambda_expl = 1 weighs nothing
         for r in records:
             assert r.loss_expl == 0.0
             assert r.loss_total > r.loss_cls
-        # an EMB1 file's flags give every sample the same kinds of target, so a
-        # dataset where only some samples carry them is refused before a forward
-        mixed = tiny_dataset()
-        for s in mixed.samples[::2]:
-            s.h_spatial = None
-            s.h_global = None
-        monkeypatch.setattr(hd, "head_forward", forward_must_not_run)
-        with pytest.raises(ConfigError,
-                           match="^sample 1 explanation presence differs from sample 0$"):
-            tr.fit(mixed, tiny_config())
+        # an EMB1 file's flags give every sample the same kinds of target, and
+        # so do the columns: a dataset where only some samples carry them
+        # cannot be built
+        full = tiny_dataset()
+        with pytest.raises(ConfigError, match=r"^h_spatial must be float64 of shape .*, got list$"):
+            dataclasses.replace(full, h_spatial=without_rows(full.h_spatial, range(0, 12, 2)),
+                                h_global=without_rows(full.h_global, range(0, 12, 2)))
 
     def test_explanation_loss_non_increasing_after_warmup(self):
         cfg_data = dat.SynthConfig(n_classes=2, n_concepts=4,
@@ -257,7 +251,8 @@ class TestEvaluate:
         cfg = tiny_config()
         state = tr.init_train_state(cfg)
         with pytest.raises(ConfigError):
-            tr.evaluate(dat.Dataset(), state.params, cfg)
+            tr.evaluate(dat.Dataset(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64)),
+                        state.params, cfg)
 
     @pytest.mark.parametrize("heads,pathway", [(1, "spatial"), (2, "dual")])
     def test_untaped_pass_matches_taped_pass(self, heads, pathway):
@@ -267,7 +262,7 @@ class TestEvaluate:
         cfg = tiny_config(head=head)
         state, _ = tr.fit(ds, cfg, epochs=1)
         taped = tr._run_pass(ds, state.params, cfg, np.random.default_rng(3),
-                             [np.arange(len(ds.samples))], 0)
+                             [np.arange(len(ds))], 0)
         untaped = tr.evaluate(ds, state.params, cfg, seed=3)
         assert mt.format_metrics_row(untaped) == mt.format_metrics_row(taped)
 
@@ -297,7 +292,7 @@ class TestEntropyMetric:
                 for j in range(len(maps[0])):
                     total += sum(numpy_entropy(m[j]) for m in maps) / len(maps)
             seen.clear()
-            return total / len(ds.samples)
+            return total / len(ds)
 
         monkeypatch.setattr(hd, "head_forward", recording_forward)
         ds = tiny_dataset()
@@ -316,8 +311,9 @@ GRID = [(variant, pathway, heads) for variant in hd.VARIANTS for pathway in hd.P
         for heads in (1, 4)]
 
 
-def forward_must_not_run(*args):
-    raise AssertionError("the pass ran a forward")
+def without_rows(column, rows):
+    """A per-sample list of the column's rows with None at `rows`."""
+    return [None if i in rows else h for i, h in enumerate(column)]
 
 
 def largest_chunk(monkeypatch, cfg, samples):
@@ -326,12 +322,12 @@ def largest_chunk(monkeypatch, cfg, samples):
 
 
 def forwarded_chunks(monkeypatch):
-    """A list that collects the samples of every chunk the pass forwards."""
+    """A list that collects the sample indices of every chunk the pass forwards."""
     chunks, forward = [], tr._forward_losses
 
-    def recording(samples, *args):
-        chunks.append(samples)
-        return forward(samples, *args)
+    def recording(dataset, chunk, *args):
+        chunks.append(chunk)
+        return forward(dataset, chunk, *args)
 
     monkeypatch.setattr(tr, "_forward_losses", recording)
     return chunks
@@ -348,13 +344,13 @@ def fit_outputs(ds, cfg, chunk, monkeypatch):
             {len(c) for c in chunks})
 
 
-def record_bytes(samples, params, cfg):
+def record_bytes(ds, chunk, params, cfg):
     """tracemalloc bytes a training chunk holds when its walk would start."""
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        held = tr._forward_losses(samples, params, cfg, rng)  # alive while measured
+        held = tr._forward_losses(ds, chunk, params, cfg, rng)  # alive while measured
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -373,22 +369,16 @@ class TestChunkedPass:
                 for size in (5, 1)]
         assert rows[0] == rows[1]
 
-    def test_chunk_splits_where_target_kinds_change(self, monkeypatch):
-        # a chunk is a plain slice of its batch: a dataset whose target kinds
-        # change between samples is refused, whatever the chunk size
+    def test_chunk_splits_where_target_kinds_change(self):
+        # a chunk is a plain slice of its batch, gathered from the columns: a
+        # dataset whose target kinds change between samples cannot be built
         ds = tiny_dataset()
-        for s in ds.samples[3:5]:
-            s.h_spatial = None
-        monkeypatch.setattr(hd, "head_forward", forward_must_not_run)
-        for size in (5, 1):
-            cfg = tiny_config(batch_size=size)
-            with pytest.raises(ConfigError,
-                               match="^sample 3 explanation presence differs from sample 0$"):
-                tr.evaluate(ds, tr.init_train_state(cfg).params, cfg)
+        with pytest.raises(ConfigError, match=r"^h_spatial must be float64 of shape .*, got list$"):
+            dataclasses.replace(ds, h_spatial=without_rows(ds.h_spatial, (3, 4)))
 
     def test_numeric_error_in_a_chunk_names_the_sample(self):
         ds = tiny_dataset()
-        ds.samples[6].features[...] = 1e308  # the row sum in layer_norm overflows
+        ds.features[6] = 1e308  # the row sum in layer_norm overflows
         messages = []
         for size in (5, 1):
             cfg = tiny_config(batch_size=size)
@@ -412,24 +402,20 @@ class TestChunkedPass:
             assert got == want and sizes == ran, chunk
 
     def test_fit_splits_where_target_kinds_change(self, monkeypatch):
-        ds = tiny_dataset(samples_per_class=10)
-        for s in ds.samples:
-            s.h_spatial = None  # every sample carries a global target only
+        # every sample carries a global target only
+        ds = dataclasses.replace(tiny_dataset(samples_per_class=10), h_spatial=None)
         head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
                              variant="sa", pathway="dual")
         cfg = tiny_config(head=head, batch_size=20)
         want = fit_outputs(ds, cfg, 1, monkeypatch)[:2]
         assert fit_outputs(ds, cfg, 16, monkeypatch)[:2] == want
-        for s in ds.samples[12:14]:
-            s.h_global = None  # the kinds now change at sample 12
-        monkeypatch.setattr(hd, "head_forward", forward_must_not_run)
-        with pytest.raises(ConfigError,
-                           match="^sample 12 explanation presence differs from sample 0$"):
-            tr.fit(ds, cfg)
+        # kinds that change at sample 12 cannot be built
+        with pytest.raises(ConfigError, match=r"^h_global must be float64 of shape .*, got list$"):
+            dataclasses.replace(ds, h_global=without_rows(ds.h_global, (12, 13)))
 
     def test_numeric_error_mid_chunk_names_the_sample(self, monkeypatch):
         ds = tiny_dataset()
-        ds.samples[6].features[...] = 1e308  # the row sum in layer_norm overflows
+        ds.features[6] = 1e308  # the row sum in layer_norm overflows
         cfg = tiny_config(batch_size=12)
         messages = []
         for chunk in (16, 1):
@@ -447,9 +433,7 @@ class TestChunkedPass:
         chunks = forwarded_chunks(monkeypatch)
         tr.train_epoch(tr.init_train_state(cfg), ds, cfg)
         assert [len(c) for c in chunks] == [22, 21, 21, 8]
-        position = {id(s): i for i, s in enumerate(ds.samples)}
-        assert ([position[id(s)] for c in chunks for s in c]
-                == tr.shuffled_indices(72, cfg.seed).tolist())
+        assert np.concatenate(chunks).tolist() == tr.shuffled_indices(72, cfg.seed).tolist()
 
     @pytest.mark.parametrize("variant,pathway,heads", GRID)
     def test_record_estimate_matches_traced_record(self, variant, pathway, heads):
@@ -463,8 +447,8 @@ class TestChunkedPass:
             params = tr.init_train_state(cfg).params
             # per sample: the difference of two chunk sizes, so the
             # per-chunk Python objects of the nodes cancel
-            measured = (record_bytes(ds.samples[:20], params, cfg)
-                        - record_bytes(ds.samples[:4], params, cfg)) / 16
+            measured = (record_bytes(ds, np.arange(20), params, cfg)
+                        - record_bytes(ds, np.arange(4), params, cfg)) / 16
             assert tr.record_bytes_per_sample(head) == pytest.approx(measured, rel=0.2), rows
 
 
