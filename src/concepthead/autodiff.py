@@ -30,14 +30,15 @@ of length 1) that sum is the lone slice itself.
 
 Per-sample walk: `backward(loss, per_sample=True)` takes a (B,) loss, one
 entry per sample of a stack, and gives every leaf the gradient that B
-one-sample walks in sample order would give, bit for bit. The walk marks
-which tensors are shared, i.e. carry no sample axis: the leaves that
-require grad (parameters), and op outputs whose inputs are all shared,
-such as exp(log_sigma). `expand` makes a shared tensor per-sample, and a
-constant (a tensor that requires no grad) is taken to carry the sample
-axis. A shared tensor's delta keeps the sample axis, (B, *shape): each
-broadcast sums within its sample only, and a leaf adds its B slices into
-.grad in sample order, which is the order of B one-sample walks.
+one-sample walks in sample order would give, bit for bit. Each record entry
+knows from its making whether it is shared, i.e. carries no sample axis: a
+leaf that requires grad (a parameter) is, a constant never is, and an op
+output is when all its inputs are, such as exp(log_sigma). A shared tensor
+is made per-sample by combining it with a per-sample constant, as mu +
+sigma * eps does (boqsa adds its queries to zeros). A shared tensor's delta
+keeps the sample axis, (B, *shape): each broadcast sums within its sample
+only, and a leaf adds its B slices into .grad in sample order, which is the
+order of B one-sample walks.
 """
 
 from __future__ import annotations
@@ -54,12 +55,12 @@ from .errors import NumericError, RecordConsumedError, ShapeError
 
 # no_grad is the one gradient stop and clamped_log the one log. no_grad and
 # the head-axis helpers (split_heads, merge_heads, sum_heads) are not
-# listed. perfbench traces every listed function and counts its calls as
-# tape nodes; the helpers add no node for one head, so they stay out of
-# that count (with h > 1 heads they add five nodes per readback).
+# listed. perfbench traces every listed function and counts its calls, also
+# those under no_grad, as tape nodes; the helpers add no node for one head,
+# so they stay out of that count (with h > 1 heads they add five nodes per
+# readback).
 __all__ = [
     "Tensor",
-    "expand",
     "matmul",
     "transpose",
     "add",
@@ -108,7 +109,7 @@ class Tensor:
 
     A recorded operation output holds its `_Node` (see _Node); every other
     tensor (a leaf or a constant) has none and is its own record entry, one
-    with no parents and no VJP.
+    with no parents and no VJP, shared exactly when it requires grad.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
@@ -129,6 +130,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @property
+    def shared(self) -> bool:
+        """Whether the tensor carries no sample axis (see the module docstring)."""
+        return self._node.shared if self._node is not None else self.requires_grad
+
     def reset_grad(self) -> None:
         self.grad = None
 
@@ -138,10 +144,11 @@ class Tensor:
 
 class _Node:
     """The record entry of one recorded op output: its parents' entries, its
-    VJP and its shape, but not its value. The walk sets both parents and vjp
-    to None once it has passed the node."""
+    VJP, its shape and whether it is shared (all its parents are), but not
+    its value. The walk sets both parents and vjp to None once it has passed
+    the node."""
 
-    __slots__ = ("_parents", "_vjp", "shape")
+    __slots__ = ("_parents", "_vjp", "shape", "shared")
     requires_grad = True
 
     def __init__(self, parents: tuple, vjp: Callable[[np.ndarray], tuple],
@@ -149,6 +156,7 @@ class _Node:
         self._parents: tuple | None = parents
         self._vjp: Callable[[np.ndarray], tuple] | None = vjp
         self.shape = shape
+        self.shared = all(p.shared for p in parents)
 
     def __repr__(self) -> str:
         return f"_Node(shape={self.shape})"
@@ -224,20 +232,6 @@ def transpose(a: Tensor) -> Tensor:
         return (_swap_last(g),)
 
     return _make(_swap_last(a.data), (a,), vjp, "transpose")
-
-
-def expand(a: Tensor, lead: tuple[int, ...]) -> Tensor:
-    """a repeated over new leading axes: (C, d) -> (*lead, C, d), the
-    gradient summed back over them. No leading axes return a itself, adding
-    no node. The output carries the sample axis, also when a is shared."""
-    if not lead:
-        return a
-
-    def vjp(g):
-        return (g,)
-
-    vjp.adds_sample_axis = True
-    return _make(np.broadcast_to(a.data, tuple(lead) + a.shape), (a,), vjp, "expand")
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
@@ -526,21 +520,6 @@ def _ordered_record(root: Tensor | _Node) -> list[Tensor | _Node]:
     return order
 
 
-def _shared(order: list[Tensor | _Node]) -> set[int]:
-    """ids of the record entries that carry no sample axis: the leaves that
-    require grad, and op outputs whose inputs are all shared, unless the op
-    (expand) adds the sample axis. Constants carry it."""
-    shared: set[int] = set()
-    for node in order:
-        if node._vjp is None:
-            if node.requires_grad:
-                shared.add(id(node))
-        elif (not getattr(node._vjp, "adds_sample_axis", False)
-              and all(id(p) in shared for p in node._parents)):
-            shared.add(id(node))
-    return shared
-
-
 def backward(loss: Tensor, per_sample: bool = False) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every participating leaf.
 
@@ -549,11 +528,12 @@ def backward(loss: Tensor, per_sample: bool = False) -> None:
     Gradients add across calls, so reset grads first for fresh values.
 
     The loss is a scalar, or with per_sample=True a (B,) vector of per-sample
-    losses of one stacked forward, seeded with ones. That walk takes every
-    leaf that requires grad as shared by all samples, so the loss's sample
-    axis must come from a constant (ShapeError otherwise), and gives each
-    leaf the gradient of B one-sample walks run in sample order, bit for bit
-    (see the module docstring).
+    losses of one stacked forward, seeded with ones. The caller says which:
+    a (B,) loss's shape does not tell. A per-sample loss must not be shared,
+    i.e. its sample axis must come from a constant (ShapeError otherwise,
+    before any .grad changes). Each leaf then gets the gradient of B
+    one-sample walks run in sample order, bit for bit (see the module
+    docstring); a scalar walk adds its delta as one sample.
 
     The walk consumes the record: each node's closure, inputs and delta are
     dropped once the walk has passed it. Walking a loss, or any tensor
@@ -568,8 +548,7 @@ def backward(loss: Tensor, per_sample: bool = False) -> None:
     order = _ordered_record(root)
     if not loss.requires_grad:
         return
-    shared = _shared(order) if per_sample else set()
-    if id(root) in shared:
+    if per_sample and root.shared:
         raise ShapeError("per-sample backward needs a loss whose sample axis comes from a "
                          "constant; the leaves that require grad are taken as shared")
     samples = loss.shape[0] if per_sample else 0
@@ -582,17 +561,15 @@ def backward(loss: Tensor, per_sample: bool = False) -> None:
                 continue
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
-            if per_sample:  # (B, *shape): add the samples into .grad in order
-                node.grad = np.add.reduce(np.concatenate([node.grad[None], delta]), axis=0)
-            else:
-                node.grad += delta
+            # .grad, then the delta's samples in sample order
+            slices = delta if samples else delta[None]
+            node.grad = np.add.reduce(np.concatenate([node.grad[None], slices]), axis=0)
             continue
         if delta is not None:
             for parent, contrib in zip(node._parents, node._vjp(delta)):
                 if contrib is None or not parent.requires_grad:
                     continue
-                contrib = _unbroadcast(contrib, parent.shape,
-                                       samples if id(parent) in shared else 0)
+                contrib = _unbroadcast(contrib, parent.shape, samples if parent.shared else 0)
                 prev = deltas.get(id(parent))
                 # No stored delta is changed in place: a VJP may hand one array
                 # to two parents, so a later contribution adds out of place.

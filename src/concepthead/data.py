@@ -60,6 +60,8 @@ class SynthConfig:
     carrier_fraction: float = 1.0
 
     def __post_init__(self):
+        if self.n_classes < 1:
+            raise ConfigError(f"n_classes must be >= 1, got {self.n_classes}")
         if len(self.concepts_per_class) != self.n_classes:
             raise ConfigError("concepts_per_class must list one concept subset per class")
         if any(len(subset) == 0 for subset in self.concepts_per_class):
@@ -127,6 +129,8 @@ class Dataset:
                     and column.shape == want):
                 raise ConfigError(f"{name} must be {dtype.__name__} of shape {want}, "
                                   f"got {_kind(column)}")
+            if name != "labels" and self.n_concepts < 1:
+                raise ConfigError(f"{name} needs n_concepts >= 1, got {self.n_concepts}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -212,9 +216,10 @@ def gen_synthetic(cfg: SynthConfig, seed: int,
 
 
 def write_emb(dataset: Dataset, path: str) -> None:
-    """Serialize a dataset to EMB1 bytes at path."""
+    """Serialize a dataset to EMB1 bytes at path (no file if emb_bytes refuses it)."""
+    blob = emb_bytes(dataset)
     with open(path, "wb") as fh:
-        fh.write(emb_bytes(dataset))
+        fh.write(blob)
 
 
 def _record(n_inputs: int, input_dim: int, n_concepts: int, has_spatial: bool,
@@ -228,11 +233,24 @@ def _record(n_inputs: int, input_dim: int, n_concepts: int, has_spatial: bool,
     return fields
 
 
+def _first_nonfinite(records: np.ndarray) -> tuple[int, str] | None:
+    """The first sample of EMB1 records holding NaN or Inf in a float field,
+    and the first such field of that sample in record order; None if none."""
+    bad = []  # (first sample, field order, field) per field
+    for k, name in enumerate(records.dtype.names):
+        if name != "labels":
+            rows = np.flatnonzero(~np.isfinite(records[name]).all(axis=(1, 2)))
+            if rows.size:
+                bad.append((int(rows[0]), k, name))
+    return min(bad)[::2] if bad else None
+
+
 def emb_bytes(dataset: Dataset) -> bytes:
+    """The EMB1 bytes parse_emb reads back to the dataset up to float32
+    rounding; a value not finite in float32 is a FormatError."""
     n = len(dataset)
-    # an empty dataset is written without explanation targets
-    has_spatial = n > 0 and dataset.h_spatial is not None
-    has_global = n > 0 and dataset.h_global is not None
+    has_spatial = dataset.h_spatial is not None
+    has_global = dataset.h_global is not None
     n_concepts = dataset.n_concepts if (has_spatial or has_global) else 0
     flags = (1 if has_spatial else 0) | (2 if has_global else 0)
     dims = (n, dataset.n_inputs, dataset.input_dim, n_concepts)
@@ -244,8 +262,13 @@ def emb_bytes(dataset: Dataset) -> bytes:
         raise FormatError(f"sample {i} label {int(dataset.labels[i])!r} is not an integer "
                           f"in [0, 2**32)")
     records = np.empty(n, _record(*dims[1:], has_spatial, has_global))
-    for name in records.dtype.names:
-        records[name] = getattr(dataset, name).astype(records.dtype[name].base)
+    with np.errstate(over="ignore"):  # overflow is refused below
+        for name in records.dtype.names:
+            records[name] = getattr(dataset, name).astype(records.dtype[name].base)
+    bad = _first_nonfinite(records)
+    if bad:
+        raise FormatError(f"sample {bad[0]} has {bad[1]} values that are not finite "
+                          f"in float32")
     return struct.pack("<4sIIIIIB", EMB_MAGIC, EMB_VERSION, *dims, flags) + records.tobytes()
 
 
@@ -311,18 +334,13 @@ def parse_emb(blob: bytes) -> Dataset:
     # One view of the fixed-size records; each float field is widened once
     # for all samples into its column.
     records = np.frombuffer(blob, record, count=n, offset=body)
-    with np.errstate(invalid="ignore"):  # widening a signaling NaN; rejected below
-        columns = {name: records[name].astype(np.float64) for name in record.names
-                   if name != "labels"}
-    bad = []  # (first sample holding NaN/Inf, field order, field) per field
-    for k, (name, block) in enumerate(columns.items()):
-        rows = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))
-        if rows.size:
-            bad.append((int(rows[0]), k, name))
+    bad = _first_nonfinite(records)
     if bad:
-        i, _, name = min(bad)
+        i, name = bad
         raise FormatError(f"sample {i} has non-finite {name} values",
                           offset=body + i * record.itemsize + record.fields[name][1])
+    columns = {name: records[name].astype(np.float64) for name in record.names
+               if name != "labels"}
     labels = records["labels"].astype(np.int64)
     return Dataset(labels=labels, n_classes=int(labels.max()) + 1 if n else 0,
                    n_concepts=n_concepts, **columns)

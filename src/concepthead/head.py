@@ -225,8 +225,9 @@ def init_head_params(cfg: HeadConfig, rng: np.random.Generator) -> HeadParams:
 
 def init_slots(p: SlotAttentionParams, cfg: HeadConfig, rng: np.random.Generator,
                lead: tuple[int, ...] = (), eps: np.ndarray | None = None) -> Tensor:
-    """Initial slots (*lead, C, d): mu + sigma*eps, or the learned queries for
-    boqsa repeated over the leading axes (boqsa draws no noise).
+    """Initial slots (*lead, C, d): mu + sigma*eps, or for boqsa, which draws
+    no noise, zeros + the learned queries. Either way a per-sample constant
+    meets the shared parameters, so the slots carry the sample axis.
 
     eps, when given, is the (*lead, C, d) standard-normal draw; otherwise it
     is drawn here from rng.
@@ -234,7 +235,7 @@ def init_slots(p: SlotAttentionParams, cfg: HeadConfig, rng: np.random.Generator
     if cfg.variant == "boqsa":
         if p.init_queries is None:
             raise ConfigError("boqsa variant requires init_queries")
-        return ad.expand(p.init_queries, lead)
+        return ad.add(Tensor(np.zeros(tuple(lead) + p.init_queries.shape)), p.init_queries)
     if np.any(p.sigma <= 0.0):
         raise ConfigError("slot init scale must be positive")
     if eps is None:

@@ -201,8 +201,9 @@ def record_bytes_per_sample(head: HeadConfig) -> int:
     walk starts: the float64 arrays its VJPs keep, plus the input, targets
     and outputs the pass holds. It counts, per pathway of `rows` input rows
     (L spatial, 1 global) and per recorded refinement iteration (one for
-    isa, whose earlier iterations run untaped), the arrays named below; the
-    few Python objects of each node are per chunk, not per sample.
+    isa, whose earlier iterations run untaped), the arrays named below. Every
+    variant's slots start from one (C, d) per-sample constant. The few Python
+    objects of each node are per chunk, not per sample.
     """
     c, d, k, heads = head.concepts, head.slot_dim, head.n_classes, head.heads
     recorded = 1 if head.variant == "isa" else head.iters
@@ -212,7 +213,7 @@ def record_bytes_per_sample(head: HeadConfig) -> int:
             continue
         floats += (
             rows * (3 * head.input_dim + 1)  # input; layer norm: output, xhat, 1/std
-            + (head.variant != "boqsa") * c * d  # slot noise, or isa's untaped slots
+            + c * d  # slot noise, boqsa's zeros or isa's untaped slots
             # each iteration: slot layer norm (output, xhat, 1/std); q, k^T, v,
             # softmax, row-normalized map, row sums and readout; five GRU arrays
             + recorded * (9 * c * d + 2 * c + 2 * rows * d + 2 * c * rows)

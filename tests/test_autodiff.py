@@ -270,7 +270,9 @@ SHARED_CASES = {
     "mul_trailing": lambda x, p: ad.mul(x, p["trailing"]),
     "add_row_to_vectors": lambda x, p: ad.add(ad.reduce_mean_axis(x, -2), p["row"]),
     "layer_norm": lambda x, p: ad.layer_norm(x, p["gain"], p["bias"]),
-    "expand": lambda x, p: ad.mul(ad.expand(p["trailing"], x.shape[:1]), x),
+    # a shared tensor made per-sample by a constant, as boqsa's slot init does
+    "zeros_plus_shared": lambda x, p: ad.mul(
+        ad.add(ad.Tensor(np.zeros(x.shape[:1] + p["trailing"].shape)), p["trailing"]), x),
     "exp_log_sigma": lambda x, p: ad.add(ad.mul(x, ad.exp(p["log_sigma"])), p["row"]),
     "fan_out": lambda x, p: ad.add(ad.layer_norm(ad.add(x, p["row"]), p["gain"], p["bias"]),
                                    ad.mul(x, p["row"])),
@@ -337,6 +339,30 @@ class TestPerSampleWalk:
         with pytest.raises(ShapeError, match="sample axis comes from a constant"):
             ad.backward(ad.reduce_sum(ad.matmul(stack, t(np.ones((4, 2)))), keep=1),
                         per_sample=True)
+
+
+class TestSharedAtRecord:
+    """A record entry is shared (carries no sample axis) or not from the
+    moment its op is recorded."""
+
+    def test_op_over_parameters_only_is_shared(self):
+        log_sigma = t(np.zeros((1, 4)))
+        assert log_sigma.shared and ad.exp(log_sigma).shared
+
+    def test_op_over_a_constant_is_not_shared(self):
+        constant = ad.Tensor(np.ones((2, 1, 4)))
+        assert not constant.shared
+        product = ad.mul(constant, ad.exp(t(np.zeros((1, 4)))))
+        assert product.requires_grad and not product.shared
+        assert not ad.add(ad.Tensor(np.zeros((2, 3, 4))), t(np.ones((3, 4)))).shared
+
+    def test_per_sample_loss_of_parameters_only_is_refused_before_any_grad(self):
+        w, v = t(np.ones((3, 4))), t(np.ones(3))
+        w.grad = np.full((3, 4), 0.5)
+        for loss in (ad.reduce_sum(ad.mul(w, w), keep=1), ad.add(v, v), v):
+            with pytest.raises(ShapeError, match="sample axis comes from a constant"):
+                ad.backward(loss, per_sample=True)
+            assert np.array_equal(w.grad, np.full((3, 4), 0.5)) and v.grad is None
 
 
 class TestLeadingAxis:
@@ -493,7 +519,7 @@ class TestGradCheck:
             "layer_norm": lambda: total(ad.layer_norm(x, gain, bias)),
             "row_normalize": lambda: total(ad.row_normalize(pos)),
             "softmax_rows": lambda: total(ad.softmax_axis(x, -2)),
-            "expand": lambda: total(ad.expand(trailing, (2,))),
+            "zeros_plus_shared": lambda: total(ad.add(ad.Tensor(np.zeros((2, 3, 4))), trailing)),
             "split_merge_heads": lambda: total(ad.merge_heads(ad.matmul(
                 ad.matmul(ad.split_heads(x, 2), ad.transpose(ad.split_heads(pos, 2))),
                 ad.split_heads(x, 2)), 2)),

@@ -216,6 +216,13 @@ class TestBoundaryValues:
         assert run(["gen-data", "--out", str(tmp_path / "x.emb"), "--noise-std", "nan"]) == 1
         assert_one_error_line(capsys, "noise_std must be >= 0 and finite, got nan")
 
+    def test_gen_data_noise_beyond_float32(self, tmp_path, capsys):
+        out = tmp_path / "x.emb"
+        assert run(["gen-data", "--out", str(out), "--noise-std", "1e39"]) == 1
+        assert_one_error_line(capsys, "sample 0 has features values that are not finite "
+                                      "in float32")
+        assert not out.exists()
+
     def test_gen_data_zero_features(self, tmp_path, capsys):
         out = tmp_path / "x.emb"
         assert run(["gen-data", "--out", str(out), "--features", "0",

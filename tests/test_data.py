@@ -1,9 +1,6 @@
 import dataclasses
-import importlib.util
 import math
 import struct
-import sys
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -48,6 +45,11 @@ class TestSynthConfig:
     def test_noise_std_finite_and_non_negative(self, value):
         with pytest.raises(ConfigError, match="noise_std must be >= 0 and finite"):
             small_config(noise_std=value)
+
+    def test_n_classes_positive(self):
+        # zero classes would leave targets of zero concepts, which no file holds
+        with pytest.raises(ConfigError, match="n_classes must be >= 1, got 0"):
+            small_config(n_classes=0, n_concepts=0, concepts_per_class=())
 
     @pytest.mark.parametrize("value", [0, -2])
     def test_n_inputs_positive(self, value):
@@ -257,6 +259,34 @@ class TestEmbWriterChecks:
         assert dat.parse_emb(dat.emb_bytes(ds)).labels[1] == 2**32 - 1
 
 
+class TestEmptyAndConceptless:
+    """Every file emb_bytes writes parses back into a dataset it writes to
+    the same bytes, and a target column needs at least one concept."""
+
+    @pytest.mark.parametrize("flags", [0, 1, 2, 3])
+    def test_empty_file_round_trips(self, flags):
+        blob = struct.pack("<4sIIIIIB", dat.EMB_MAGIC, dat.EMB_VERSION, 0, 4, 3,
+                           6 if flags else 0, flags)
+        ds = dat.parse_emb(blob)
+        assert (ds.h_spatial is not None, ds.h_global is not None) == (bool(flags & 1),
+                                                                       bool(flags & 2))
+        assert dat.emb_bytes(ds) == blob
+
+    def test_empty_dataset_keeps_its_targets(self):
+        ds = dat.gen_synthetic(small_config(samples_per_class=1), seed=0)  # L=4, C=6
+        empty = dat.Dataset(ds.features[:0], ds.labels[:0], ds.h_spatial[:0],
+                            ds.h_global[:0], n_classes=3, n_concepts=6)
+        back = dat.parse_emb(dat.emb_bytes(empty))
+        assert back.h_spatial.shape == (0, 4, 6) and back.h_global.shape == (0, 1, 6)
+        assert back.n_concepts == 6
+
+    @pytest.mark.parametrize("field,shape", [("h_spatial", (2, 4, 0)), ("h_global", (2, 1, 0))])
+    def test_target_column_of_zero_concepts(self, field, shape):
+        with pytest.raises(ConfigError, match=f"^{field} needs n_concepts >= 1, got 0$"):
+            dat.Dataset(np.zeros((2, 4, 3)), np.zeros(2, dtype=np.int64),
+                        n_concepts=0, **{field: np.zeros(shape)})
+
+
 class TestDatasetColumns:
     """A Dataset holds one array per field, and refuses at construction any
     column of another shape or dtype, naming it."""
@@ -323,20 +353,10 @@ class TestDatasetColumns:
         assert ds.samples[1].features[0, 0] == 5.0
 
 
-def load_workloads(monkeypatch):
-    """The benchmark's own input writer, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_emb_writers_agree(monkeypatch):
+def test_emb_writers_agree(workloads):
     """A file from the benchmark's structured-array writer parses into the
     float32-rounded columns it was built from and is written back unchanged."""
-    wl = load_workloads(monkeypatch)
+    wl = workloads
     rng = np.random.default_rng(4)
     protos = np.linalg.qr(rng.standard_normal((wl.DIM, wl.N_CONCEPTS)))[0].T
     features, labels, concepts = wl.planted_concepts(rng, protos, 10, 5)
@@ -351,13 +371,24 @@ def test_emb_writers_agree(monkeypatch):
     assert (ds.n_classes, ds.n_concepts) == (wl.N_CLASSES, wl.N_CONCEPTS)
 
 
+def poked(ds, *values):
+    """The EMB1 bytes of ds with (field, sample, row, column, value) entries
+    set in the file, past the writer's checks."""
+    blob = bytearray(dat.emb_bytes(ds))
+    record = dat._record(ds.n_inputs, ds.input_dim, ds.n_concepts, ds.h_spatial is not None,
+                         ds.h_global is not None)
+    records = np.frombuffer(blob, record, offset=25)
+    for field, i, row, column, value in values:
+        records[field][i, row, column] = value
+    return bytes(blob)
+
+
 class TestNonFinitePayload:
     @pytest.mark.parametrize("field", ["features", "h_spatial", "h_global"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejected_with_sample_and_field(self, field, value):
         ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
-        getattr(ds, field)[3, 0, 1] = value
-        blob = dat.emb_bytes(ds)
+        blob = poked(ds, (field, 3, 0, 1, value))
         with pytest.raises(FormatError, match=f"sample 3 has non-finite {field} values") as err:
             dat.parse_emb(blob)
         assert err.value.offset is not None and err.value.offset < len(blob)
@@ -372,7 +403,38 @@ class TestNonFinitePayload:
 
     def test_first_bad_sample_is_named(self):
         ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
-        ds.h_global[2, 0, 0] = np.nan
-        ds.features[1, 1, 0] = np.inf
+        blob = poked(ds, ("h_global", 2, 0, 0, np.nan), ("features", 1, 1, 0, np.inf))
         with pytest.raises(FormatError, match="sample 1 has non-finite features"):
-            dat.parse_emb(dat.emb_bytes(ds))
+            dat.parse_emb(blob)
+
+
+class TestEmbWriterFinite:
+    """emb_bytes refuses what its reader would: a value that is NaN or Inf
+    once cast to float32, named by its first sample and column, before any
+    byte is written."""
+
+    @pytest.mark.parametrize("field,value", [("features", 1e39), ("features", -1e39),
+                                             ("h_spatial", np.nan), ("h_global", np.inf)])
+    def test_refused_with_sample_and_column(self, tmp_path, field, value):
+        ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
+        getattr(ds, field)[4, 0, 2] = value
+        getattr(ds, field)[5, 0, 0] = value
+        text = f"^sample 4 has {field} values that are not finite in float32$"
+        with pytest.raises(FormatError, match=text):
+            dat.emb_bytes(ds)  # and the cast warns of nothing: warnings are errors here
+        with pytest.raises(FormatError, match=text):
+            dat.write_emb(ds, str(tmp_path / "x.emb"))
+        assert not (tmp_path / "x.emb").exists()
+
+    def test_first_sample_then_first_column(self):
+        ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
+        ds.h_global[1, 0, 0] = np.nan
+        ds.h_spatial[1, 3, 5] = np.nan
+        ds.features[2, 0, 0] = 1e39
+        with pytest.raises(FormatError, match="^sample 1 has h_spatial values"):
+            dat.emb_bytes(ds)
+
+    def test_largest_float32_is_kept(self):
+        ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
+        ds.features[1, 0, 0] = float(np.finfo(np.float32).max)
+        assert dat.parse_emb(dat.emb_bytes(ds)).features[1, 0, 0] == np.finfo(np.float32).max

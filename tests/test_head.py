@@ -107,6 +107,13 @@ class TestInitSlots:
         npt.assert_array_equal(a, [[1.0], [2.0]])
         assert np.array_equal(a, b)
 
+    def test_boqsa_slots_carry_the_sample_axis(self):
+        cfg = toy_config(variant="boqsa")
+        p = toy_slot_params(cfg, init_queries=[[1.0], [2.0]])
+        slots = hd.init_slots(p, cfg, np.random.default_rng(0), (3,))
+        assert slots.shape == (3, 2, 1) and slots.requires_grad and not slots.shared
+        npt.assert_array_equal(slots.data, np.broadcast_to([[1.0], [2.0]], (3, 2, 1)))
+
     def test_sa_same_seed_bitwise(self):
         cfg = hd.HeadConfig(concepts=2, slot_dim=2, input_dim=2, n_inputs=2,
                             n_classes=2, variant="sa")

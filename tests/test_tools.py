@@ -75,3 +75,22 @@ def test_bench_pairs_per_layer_medians():
     assert lines[0].split() == ["autodiff.backward_us_per_sample", "20", "[15,", "25]", "->",
                                 "10", "[7.5,", "12.5]", "x0.500"]
     assert lines[1].split()[-1] == "n/a"  # a parent median of 0 has no ratio
+
+
+def test_bench_pairs_harness_digests(tmp_path):
+    bench = load_tool("bench_pairs")
+    sides = {}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text('{"run_seconds": 30}\n')
+        (tmp_path / side / "perfbench" / "run.py").write_text("print(1)\n")
+        sides[side] = tmp_path / side
+    digests, warning = bench.harness_digests(sides)
+    assert warning is None and digests["parent"] == digests["change"]
+    (tmp_path / "change" / "perfbench" / "PREDICTIONS.md").write_text("not hashed\n")
+    assert bench.harness_digests(sides) == (digests, None)
+    (tmp_path / "change" / "perfbench" / "run.py").write_text("print(2)\n")
+    changed, warning = bench.harness_digests(sides)
+    assert changed["parent"] == digests["parent"] != changed["change"]
+    assert warning.count("\n") == 0 and warning.startswith("warning: the harness")
+    assert changed["parent"][:12] in warning and changed["change"][:12] in warning

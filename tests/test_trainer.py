@@ -435,6 +435,22 @@ class TestChunkedPass:
         assert [len(c) for c in chunks] == [22, 21, 21, 8]
         assert np.concatenate(chunks).tolist() == tr.shuffled_indices(72, cfg.seed).tolist()
 
+    @pytest.mark.parametrize("name,sizes", [("recovery", [64]), ("refine_dual", [32, 32]),
+                                            ("explain", [22, 21, 21])])
+    def test_benchmark_chunk_plans(self, workloads, monkeypatch, name, sizes):
+        """The record budget splits each benchmark workload's 64-sample batch
+        into these chunks (explain's boqsa zeros constant included)."""
+        cfg = workloads.WORKLOADS[name].train_config(seed=0)
+        head = cfg.head
+        ds = dat.gen_synthetic(dat.SynthConfig(
+            n_classes=head.n_classes, n_concepts=head.concepts,
+            concepts_per_class=dat.block_concept_map(head.n_classes, head.concepts),
+            n_inputs=head.n_inputs, input_dim=head.input_dim, noise_std=0.3,
+            samples_per_class=64 // head.n_classes), 0)
+        chunks = forwarded_chunks(monkeypatch)
+        tr.train_epoch(tr.init_train_state(cfg), ds, cfg)
+        assert [len(c) for c in chunks] == sizes
+
     @pytest.mark.parametrize("variant,pathway,heads", GRID)
     def test_record_estimate_matches_traced_record(self, variant, pathway, heads):
         for rows in (8, 32):

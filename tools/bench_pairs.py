@@ -21,13 +21,16 @@ layer times move by 15-30% with no code change.
 The records go to --out (default: the current directory) as
 BENCH_baseline.json (PARENT) and BENCH_<label>.json (CHANGE), in the schema
 of the BENCH_*.json files at the repository root; a workload already in a
-file is replaced, other workloads are kept. Only the standard library is
-used, and nothing under perfbench/ is changed.
+file is replaced, other workloads are kept. Both records hold the harness
+digest of each side (see `harness_digests`), and a warning is printed when
+the two differ: then the sides were not measured with the same harness.
+Only the standard library is used, and nothing under perfbench/ is changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -67,6 +70,23 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     result = json.loads(done.stdout.strip().splitlines()[-1])
     record = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json"
     return result, json.loads(record.read_text())["provenance"]
+
+
+def harness_digests(sides: dict[str, Path]) -> tuple[dict[str, str], str | None]:
+    """Each side's sha256 over its BENCHMARK.json and perfbench/*.py, in name
+    order, and a warning line when the sides' digests differ."""
+    digests = {}
+    for side, checkout in sides.items():
+        h = hashlib.sha256()
+        for path in [checkout / "BENCHMARK.json", *sorted((checkout / "perfbench").glob("*.py"))]:
+            h.update(path.relative_to(checkout).as_posix().encode() + b"\0")
+            h.update(hashlib.sha256(path.read_bytes()).digest())
+        digests[side] = h.hexdigest()
+    if len(set(digests.values())) == 1:
+        return digests, None
+    return digests, ("warning: the harness (BENCHMARK.json, perfbench/*.py) differs: "
+                     + ", ".join(f"{side} {d[:12]}" for side, d in digests.items())
+                     + "; the sides are not measured alike")
 
 
 def flat_run(seed: int, result: dict) -> dict:
@@ -158,7 +178,7 @@ def failed_share_worse(parent: list[dict], change: list[dict]) -> tuple[str, str
 
 def write_record(path: Path, label: str, checkout: Path, workload: str, runs: list[dict],
                  metrics: list[str], provenance: dict, traced: list[dict] | None,
-                 seconds: float, trace_seconds: float) -> None:
+                 seconds: float, trace_seconds: float, harness: dict[str, str]) -> None:
     record = json.loads(path.read_text()) if path.exists() else {}
     entry = {"runs": runs, "summary": summarize(runs, metrics)}
     if traced:
@@ -177,6 +197,7 @@ def write_record(path: Path, label: str, checkout: Path, workload: str, runs: li
         "workloads": workloads,
         "machine": {key: provenance.get(key) for key in MACHINE_KEYS},
         "src_sha256": provenance.get("src_sha256"),
+        "harness_sha256": harness,
     })
     path.write_text(json.dumps(record, indent=1) + "\n")
 
@@ -187,6 +208,9 @@ def main(argv: list[str]) -> int:
     declared = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
     bounds = {m["name"]: m["bound"] for m in declared}
+    harness, warning = harness_digests(sides)
+    if warning:
+        print(warning, flush=True)
     runs, provenance = paired_runs(sides, args.workload, args.seeds, args.seconds, 0)
     traced = {"parent": None, "change": None}
     if args.trace_seconds:
@@ -223,7 +247,7 @@ def main(argv: list[str]) -> int:
     for side, label in (("parent", "baseline"), ("change", args.label)):
         write_record(args.out / f"BENCH_{label}.json", label, sides[side], args.workload,
                      runs[side], list(better), provenance[side], traced[side],
-                     args.seconds, args.trace_seconds)
+                     args.seconds, args.trace_seconds, harness)
     return 0
 
 
