@@ -2,8 +2,9 @@
 
 Provides exactly the operations the concept head needs: matrix products,
 head split/merge/sum, axis softmax, layer norm, pointwise arithmetic and
-activations, a floored log (the only log), reductions, and a
-central-difference gradient checker. The operation record is rebuilt on
+activations, a floored log (the only log), reductions, a way to record a
+hand-written fused op (`record`; the head's slot-refinement step is one),
+and a central-difference gradient checker. The operation record is rebuilt on
 every forward pass (define-by-run) and `backward` consumes it: the walk runs
 in reverse topological order and drops each node's closure, inputs and delta
 as soon as it has passed the node, so memory falls as the walk goes. A
@@ -16,8 +17,11 @@ The record is slim: it holds the graph, not the op outputs. A recorded op
 output carries a `_Node` with its parents' record entries (a parent's node,
 or the parent tensor itself when it is a leaf or a constant), its VJP and
 its shape. Each VJP keeps only the arrays or shapes it reads, so an
-intermediate no VJP reads (an `add` or `transpose` output, a GRU
-pre-activation sum) is freed as soon as the code that made it drops it.
+intermediate no VJP reads (an `add` or `transpose` output) is freed as soon
+as the code that made it drops it. Whether each input takes a gradient is
+also decided when the op is recorded: a VJP gives None for an input that
+does not (a constant such as the features or the slot noise), and computes
+nothing for it.
 
 Axis convention: the last two axes of a tensor are one matrix (rows,
 columns) and any axes before them are leading axes, one index per sample
@@ -53,11 +57,13 @@ import numpy as np
 
 from .errors import NumericError, RecordConsumedError, ShapeError
 
-# no_grad is the one gradient stop and clamped_log the one log. no_grad and
-# the head-axis helpers (split_heads, merge_heads, sum_heads) are not
-# listed. perfbench traces every listed function and counts its calls, also
-# those under no_grad, as tape nodes; the helpers add no node for one head,
-# so they stay out of that count (with h > 1 heads they add five nodes per
+# no_grad is the one gradient stop and clamped_log the one log. no_grad,
+# grad_enabled, the head-axis helpers (split_heads, merge_heads, sum_heads)
+# and the arithmetic helpers of fused ops (checked, normalize_rows,
+# layer_norm_dx) are not listed. perfbench traces every listed function and counts its
+# calls, also those under no_grad, as tape nodes: a fused op counts once,
+# through `record`. The head-axis helpers add no node for one head, so they
+# stay out of that count (with h > 1 heads they add five nodes per
 # readback).
 __all__ = [
     "Tensor",
@@ -74,12 +80,12 @@ __all__ = [
     "clamped_log",
     "softmax_axis",
     "layer_norm",
-    "row_normalize",
     "reduce_mean_axis",
     "reduce_sum",
     "log_sum_exp",
     "pick",
     "vecmat",
+    "record",
     "backward",
     "grad_check",
     "GradCheckReport",
@@ -87,6 +93,11 @@ __all__ = [
 
 # Off inside no_grad(): ops then keep no parents or closures.
 _grad_enabled = True
+
+
+def grad_enabled() -> bool:
+    """Whether ops are recorded here: False inside no_grad()."""
+    return _grad_enabled
 
 
 @contextlib.contextmanager
@@ -162,9 +173,16 @@ class _Node:
         return f"_Node(shape={self.shape})"
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
+def checked(data: np.ndarray, op: str) -> np.ndarray:
+    """data itself when every value is finite; otherwise the NumericError
+    that names op, as a recorded op's output raises it."""
     if not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
+    return data
+
+
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
+    checked(data, op)
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64, order="C")
     out.grad = None
@@ -172,6 +190,20 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     out._node = (_Node(tuple(p._node or p for p in parents), vjp, out.data.shape)
                  if out.requires_grad else None)
     return out
+
+
+def record(data: np.ndarray, parents: tuple[Tensor, ...],
+           vjp: Callable[[np.ndarray], Iterable], op: str) -> Tensor:
+    """Record a hand-written op whose output data the caller computed from
+    the parents' values.
+
+    vjp(g) gives one contribution per parent, in parents order, or None for
+    a parent that takes no gradient; a parent listed twice gets its two
+    contributions added in that order. It may be a generator: the walk then
+    takes each contribution in before it asks for the next. A non-finite
+    output raises the NumericError that names op.
+    """
+    return _make(data, parents, vjp, op)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -215,12 +247,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]
             or (a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    a_data, b_data = a.data, b.data
+    # each input's gradient reads the other input only
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def vjp(g):
-        return g @ _swap_last(b_data), _swap_last(a_data) @ g
+        return (None if b_data is None else g @ _swap_last(b_data),
+                None if a_data is None else _swap_last(a_data) @ g)
 
-    return _make(a_data @ b_data, (a, b), vjp, "matmul")
+    return _make(a.data @ b.data, (a, b), vjp, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -306,12 +341,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """a * b elementwise; b may broadcast over a (see _check_broadcast)."""
     _check_broadcast(a, b, "mul")
-    a_data, b_data = a.data, b.data
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def vjp(g):
-        return g * b_data, g * a_data
+        return (None if b_data is None else g * b_data,
+                None if a_data is None else g * a_data)
 
-    return _make(a_data * b_data, (a, b), vjp, "mul")
+    return _make(a.data * b.data, (a, b), vjp, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -379,43 +416,40 @@ def softmax_axis(a: Tensor, axis: int) -> Tensor:
     return _make(out_data, (a,), vjp, "softmax_axis")
 
 
+def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """layer_norm's normalized rows, (x - mean) / sqrt(var + 1e-5) over the
+    last axis with the population variance, and the 1 / sqrt(var + 1e-5)
+    of each row."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    centered *= inv_std
+    return centered, inv_std
+
+
+def layer_norm_dx(dxhat: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """layer_norm's input gradient from the delta of its normalized rows."""
+    return inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                      - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row normalization over the last axis, (x - mean) / sqrt(var + 1e-5)
-    with the population variance, followed by an affine gain/bias that every
-    row shares."""
+    """Per-row normalization over the last axis (see normalize_rows),
+    followed by an affine gain/bias that every row shares."""
     if x.data.ndim < 2:
         raise ShapeError(f"layer_norm: expected at least 2 axes, got shape {x.shape}")
     d = x.shape[-1]
     if d < 1:
         raise ShapeError("layer_norm: rows must have at least one element")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv_std
+    xhat, inv_std = normalize_rows(x.data)
     g_row = gain.data.reshape(1, d)
     b_row = bias.data.reshape(1, d)
+    need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def vjp(g):
-        dxhat = g * g_row
-        dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        return dx, g * xhat, g
+        return (layer_norm_dx(g * g_row, xhat, inv_std) if need_x else None,
+                g * xhat if need_gain else None, g if need_bias else None)
 
     return _make(xhat * g_row + b_row, (x, gain, bias), vjp, "layer_norm")
-
-
-def row_normalize(a: Tensor) -> Tensor:
-    """Divide each row (last axis) by its sum."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"row_normalize: expected at least 2 axes, got shape {a.shape}")
-    sums = a.data.sum(axis=-1, keepdims=True)
-    out_data = a.data / sums
-
-    def vjp(g):
-        return ((g - (g * out_data).sum(axis=-1, keepdims=True)) / sums,)
-
-    return _make(out_data, (a,), vjp, "row_normalize")
 
 
 def reduce_mean_axis(a: Tensor, axis: int) -> Tensor:
@@ -495,10 +529,12 @@ def vecmat(v: Tensor, m: Tensor) -> Tensor:
     return _make(v_data @ m_data, (v, m), vjp, "vecmat")
 
 
-def _ordered_record(root: Tensor | _Node) -> list[Tensor | _Node]:
-    """Record entries in forward (topological) order: producers before
-    consumers."""
+def _ordered_record(root: Tensor | _Node) -> tuple[list[Tensor | _Node], dict[int, int]]:
+    """Record entries in forward (topological) order, producers before
+    consumers, and for each leaf that requires grad (by id) how many times
+    the record's nodes list it as a parent."""
     order: list[Tensor | _Node] = []
+    uses: dict[int, int] = {}
     visited: set[int] = set()
     stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
     while stack:
@@ -515,9 +551,23 @@ def _ordered_record(root: Tensor | _Node) -> list[Tensor | _Node]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
+            if parent._vjp is None and parent.requires_grad:
+                uses[id(parent)] = uses.get(id(parent), 0) + 1
             if id(parent) not in visited:
                 stack.append((parent, False))
-    return order
+    return order, uses
+
+
+def _fold(leaf: Tensor, delta: np.ndarray, samples: int) -> None:
+    """Add a leaf's complete delta into its .grad: .grad, then the delta's
+    samples in sample order (a scalar walk's delta is one sample)."""
+    slices = delta if samples else delta[None]
+    if leaf.grad is None:
+        # the bits of adding the slices to zeros: + 0.0 turns a sum of -0.0
+        # terms into 0.0
+        leaf.grad = np.add.reduce(slices, axis=0) + 0.0
+    else:
+        leaf.grad = np.add.reduce(np.concatenate([leaf.grad[None], slices]), axis=0)
 
 
 def backward(loss: Tensor, per_sample: bool = False) -> None:
@@ -536,8 +586,10 @@ def backward(loss: Tensor, per_sample: bool = False) -> None:
     docstring); a scalar walk adds its delta as one sample.
 
     The walk consumes the record: each node's closure, inputs and delta are
-    dropped once the walk has passed it. Walking a loss, or any tensor
-    recorded before it, a second time raises RecordConsumedError.
+    dropped once the walk has passed it, and a leaf's delta is added into its
+    .grad as soon as the last node that lists it has given its contribution.
+    Walking a loss, or any tensor recorded before it, a second time raises
+    RecordConsumedError.
     """
     if per_sample:
         if loss.data.ndim != 1:
@@ -545,7 +597,7 @@ def backward(loss: Tensor, per_sample: bool = False) -> None:
     elif loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     root = loss._node or loss
-    order = _ordered_record(root)
+    order, uses = _ordered_record(root)
     if not loss.requires_grad:
         return
     if per_sample and root.shared:
@@ -557,26 +609,27 @@ def backward(loss: Tensor, per_sample: bool = False) -> None:
         node = order.pop()
         delta = deltas.pop(id(node), None)
         if node._vjp is None:
-            if delta is None or not node.requires_grad:
-                continue
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            # .grad, then the delta's samples in sample order
-            slices = delta if samples else delta[None]
-            node.grad = np.add.reduce(np.concatenate([node.grad[None], slices]), axis=0)
+            # a leaf (the root itself, or one a contribution skipped)
+            if delta is not None and node.requires_grad:
+                _fold(node, delta, samples)
             continue
         if delta is not None:
             for parent, contrib in zip(node._parents, node._vjp(delta)):
                 if contrib is None or not parent.requires_grad:
                     continue
                 contrib = _unbroadcast(contrib, parent.shape, samples if parent.shared else 0)
-                prev = deltas.get(id(parent))
+                key = id(parent)
+                prev = deltas.get(key)
                 # No stored delta is changed in place: a VJP may hand one array
                 # to two parents, so a later contribution adds out of place.
                 if prev is None:
-                    deltas[id(parent)] = np.asarray(contrib, dtype=np.float64, order="C")
+                    deltas[key] = np.asarray(contrib, dtype=np.float64, order="C")
                 else:
-                    deltas[id(parent)] = prev + contrib
+                    deltas[key] = prev + contrib
+                if parent._vjp is None:  # a leaf: fold once its last consumer gave
+                    uses[key] -= 1
+                    if not uses[key]:
+                        _fold(parent, deltas.pop(key), samples)
         node._vjp = None
         node._parents = None
 

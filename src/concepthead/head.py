@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _swap_last
 from .errors import ConfigError, ShapeError
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
     "init_cross_params",
     "init_head_params",
     "init_slots",
-    "slot_attention",
-    "gru_update",
+    "SlotInputs",
+    "slot_step",
     "refine_slots",
     "relevance",
     "decomposed_logits",
@@ -172,21 +172,29 @@ class HeadOutput:
         return [a for a in (self.attn_spatial, self.attn_global) if a is not None]
 
 
-def _param(rng: np.random.Generator, rows: int, cols: int, fan_in: int) -> Tensor:
-    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(rows, cols)), requires_grad=True)
+def _normal(rng: np.random.Generator | None, rows: int, cols: int,
+            std: float = 1.0) -> Tensor:
+    """A (rows, cols) parameter drawn from N(0, std^2), or zeros when rng is None."""
+    data = np.zeros((rows, cols)) if rng is None else rng.normal(0.0, std, size=(rows, cols))
+    return Tensor(data, requires_grad=True)
 
 
-def init_slot_params(cfg: HeadConfig, rng: np.random.Generator) -> SlotAttentionParams:
-    """Draw one pathway's slot parameters; the slot init scale sigma starts at 1."""
+def _param(rng: np.random.Generator | None, rows: int, cols: int, fan_in: int) -> Tensor:
+    return _normal(rng, rows, cols, 1.0 / np.sqrt(fan_in))
+
+
+def init_slot_params(cfg: HeadConfig, rng: np.random.Generator | None) -> SlotAttentionParams:
+    """Draw one pathway's slot parameters; the slot init scale sigma starts at
+    1. With rng None nothing is drawn and the drawn tensors are zeros."""
     c, d, dim_in = cfg.concepts, cfg.slot_dim, cfg.input_dim
     init_queries = None
     if cfg.variant == "boqsa":
-        init_queries = Tensor(rng.normal(0.0, 1.0, size=(c, d)), requires_grad=True)
+        init_queries = _normal(rng, c, d)
     return SlotAttentionParams(
         wq=_param(rng, d, d, d),
         wk=_param(rng, dim_in, d, dim_in),
         wv=_param(rng, dim_in, d, dim_in),
-        mu=Tensor(rng.normal(0.0, 1.0, size=(1, d)), requires_grad=True),
+        mu=_normal(rng, 1, d),
         log_sigma=Tensor(np.zeros((1, d)), requires_grad=True),
         init_queries=init_queries,
         wz=_param(rng, d, d, d), uz=_param(rng, d, d, d),
@@ -199,11 +207,12 @@ def init_slot_params(cfg: HeadConfig, rng: np.random.Generator) -> SlotAttention
         ln_input_bias=Tensor(np.zeros((1, dim_in)), requires_grad=True),
         ln_slot_gain=Tensor(np.ones((1, d)), requires_grad=True),
         ln_slot_bias=Tensor(np.zeros((1, d)), requires_grad=True),
-        positions=Tensor(rng.normal(0.0, 1.0, size=(c, d)), requires_grad=True),
+        positions=_normal(rng, c, d),
     )
 
 
-def init_cross_params(cfg: HeadConfig, rng: np.random.Generator) -> CrossAttentionParams:
+def init_cross_params(cfg: HeadConfig, rng: np.random.Generator | None
+                      ) -> CrossAttentionParams:
     d, dim_in = cfg.slot_dim, cfg.input_dim
     return CrossAttentionParams(
         wq=_param(rng, dim_in, d, dim_in),
@@ -213,8 +222,10 @@ def init_cross_params(cfg: HeadConfig, rng: np.random.Generator) -> CrossAttenti
     )
 
 
-def init_head_params(cfg: HeadConfig, rng: np.random.Generator) -> HeadParams:
-    """Draw all parameters for the configured pathways, spatial first."""
+def init_head_params(cfg: HeadConfig, rng: np.random.Generator | None) -> HeadParams:
+    """Draw all parameters for the configured pathways, spatial first. With
+    rng None nothing is drawn: the tree a checkpoint's tensors fill, with
+    every drawn tensor zeros."""
     params = HeadParams()
     if cfg.pathway in ("spatial", "dual"):
         params.spatial = PathwayParams(init_slot_params(cfg, rng), init_cross_params(cfg, rng))
@@ -243,59 +254,208 @@ def init_slots(p: SlotAttentionParams, cfg: HeadConfig, rng: np.random.Generator
     return ad.add(ad.mul(Tensor(eps), ad.exp(p.log_sigma)), p.mu)
 
 
-def slot_attention(inputs: Tensor, slots: Tensor, p: SlotAttentionParams,
-                   cfg: HeadConfig) -> tuple[Tensor, Tensor]:
-    """Competitive attention of slots over input features.
+@dataclass
+class SlotInputs:
+    """The layer-normed inputs (..., L, D) of one refine_slots call, and
+    their keys, transposed (..., d, L), and values (..., L, d). The first
+    slot_step over them makes the keys and values; every later step reuses
+    those arrays."""
 
-    inputs must already be layer-normalized (the caller owns that step);
-    slots are the current, already-normalized slot matrix. Scores are
-    softmaxed across slots (axis -2) so the slots compete per input column,
-    then each slot row is renormalized over inputs to a weighted mean.
-    Returns the renormalized attention (..., C, L) and the per-slot readout
-    (..., C, d).
+    normed: Tensor
+    keys_t: np.ndarray | None = None
+    values: np.ndarray | None = None
+
+
+def slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams,
+              cfg: HeadConfig) -> tuple[Tensor, np.ndarray]:
+    """One refinement iteration, recorded as one op: layer-norm the slots,
+    bind them to the inputs by competitive attention and update each slot
+    row by one GRU step.
+
+    Scores are softmaxed across slots (axis -2), so the slots compete for
+    each input, then each slot row is renormalized over the inputs: the
+    binder map. Its readout, a weighted mean of the input values, is the
+    GRU's input and the normed slots its hidden state. Returns the new slots
+    (..., C, d) and the binder map (..., C, L).
+
+    It computes what the chain of autodiff ops it replaces computed
+    (layer_norm; matmul, transpose, scale, softmax_axis, a row
+    normalization, matmul; the GRU's matmul, add, sigmoid, mul, tanh, sub),
+    in that order and bit for bit, and a non-finite value raises the
+    NumericError of the first op of that chain that made one. The VJP replays
+    that chain's backward walk and gives the same gradients, bit for bit. It
+    keeps the normed rows and their 1/std, q, the softmax and its row sums,
+    the readout, z, r and the candidate, and recomputes the elementwise rest
+    (the normed slots, r * s, cand - s and the binder map). `inputs` is a
+    parent twice, for its keys and then its values, as the chain read it.
     """
-    q = ad.matmul(slots, p.wq)
-    k = ad.matmul(inputs, p.wk)
-    v = ad.matmul(inputs, p.wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim))  # (..., C, L)
-    attn = ad.row_normalize(ad.softmax_axis(scores, axis=-2))
-    return attn, ad.matmul(attn, v)
+    if slots.data.ndim < 2 or slots.shape[-2:] != (cfg.concepts, cfg.slot_dim):
+        raise ShapeError(f"expected slots (*, {cfg.concepts}, {cfg.slot_dim}), "
+                         f"got {slots.shape}")
+    checked, swap = ad.checked, _swap_last
+    # under no_grad no VJP reads what the step would keep: each such array
+    # goes as soon as the forward is done with it
+    keep = ad.grad_enabled()
+    d = cfg.slot_dim
+    scale = 1.0 / np.sqrt(d)
+    xhat, inv_std = ad.normalize_rows(slots.data)
+    g_row = p.ln_slot_gain.data.reshape(1, d)
+    b_row = p.ln_slot_bias.data.reshape(1, d)
+    s = checked(xhat * g_row + b_row, "layer_norm")
+    if not keep:
+        xhat = inv_std = None
+    wq, wz, uz, wr, ur, wh, uh = (t.data for t in (p.wq, p.wz, p.uz, p.wr, p.ur, p.wh, p.uh))
+    q = checked(s @ wq, "matmul")
+    x = inputs.normed.data
+    wk, wv = p.wk.data, p.wv.data
+    if inputs.keys_t is None:
+        k = checked(x @ wk, "matmul")
+        inputs.values = checked(x @ wv, "matmul")
+        inputs.keys_t = checked(np.ascontiguousarray(swap(k)), "transpose")
+        del k
+    keys_t, values = inputs.keys_t, inputs.values
+    # softmax across slots, then each row over the inputs
+    a = checked(q @ keys_t, "matmul")
+    if not keep:
+        q = None
+    a *= scale
+    checked(a, "scale")
+    a -= a.max(axis=-2, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-2, keepdims=True)
+    checked(a, "softmax_axis")
+    sums = a.sum(axis=-1, keepdims=True)
+    attn = checked(np.divide(a, sums, out=None if keep else a), "row_normalize")
+    if not keep:
+        a = sums = None
+    readout = checked(attn @ values, "matmul")
 
+    def gate(w, u, bias):
+        out = checked(readout @ w, "matmul")
+        out += checked(s @ u, "matmul")
+        checked(out, "add")
+        out += bias.data
+        checked(out, "add")
+        np.negative(out, out=out)
+        with np.errstate(over="ignore"):  # exp(-x) -> inf is a correct 0.0 output
+            np.exp(out, out=out)
+        out += 1.0
+        return checked(np.divide(1.0, out, out=out), "sigmoid")
 
-def gru_update(slots: Tensor, readout: Tensor, p: SlotAttentionParams) -> Tensor:
-    """One GRU step per slot row; readout is the input, slots the hidden state."""
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(readout, p.wz), ad.matmul(slots, p.uz)), p.bz))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(readout, p.wr), ad.matmul(slots, p.ur)), p.br))
-    cand = ad.tanh(ad.add(ad.add(ad.matmul(readout, p.wh),
-                                 ad.matmul(ad.mul(r, slots), p.uh)), p.bh))
-    # (1 - z) * slots + z * cand
-    return ad.add(slots, ad.mul(z, ad.sub(cand, slots)))
+    z = gate(wz, uz, p.bz)
+    r = gate(wr, ur, p.br)
+    cand = checked(readout @ wh, "matmul")
+    cand += checked(checked(r * s, "mul") @ uh, "matmul")
+    checked(cand, "add")
+    cand += p.bh.data
+    checked(cand, "add")
+    checked(np.tanh(cand, out=cand), "tanh")
+    new = checked(np.subtract(cand, s, out=None if keep else cand), "sub")
+    new *= z
+    checked(new, "mul")
+    new += s
+
+    # the contributions come out in this order, each computed when the walk
+    # asks for it, so that each leaf's can be added into its .grad before the
+    # next is made; `inputs` gets its keys' delta before its values'
+    parents = (slots, p.ln_slot_gain, p.ln_slot_bias, p.wq, inputs.normed, p.wk,
+               inputs.normed, p.wv, p.uz, p.ur, p.uh, p.wz, p.bz, p.wr, p.br, p.wh, p.bh)
+    (need_slots, need_gain, need_bias, need_wq, need_x, need_wk, _, need_wv, need_uz,
+     need_ur, need_uh, need_wz, need_bz, need_wr, need_br, need_wh,
+     need_bh) = (t.requires_grad for t in parents)
+
+    def vjp(g):
+        # out = s + z * (cand - s); its delta g is the first of s's six
+        s = xhat * g_row + b_row
+        g_z = cand - s
+        np.multiply(g, g_z, out=g_z)
+        g_z *= z
+        g_z *= 1.0 - z  # through the sigmoid
+        g_d = g * z
+        g_h = cand * cand
+        np.subtract(1.0, g_h, out=g_h)
+        g_h *= g_d  # through the tanh
+        np.negative(g_d, out=g_d)  # the sub's delta to s
+        # cand = tanh(readout @ wh + (r * s) @ uh + bh)
+        g_rs = g_h @ swap(uh)
+        g_r = g_rs * s
+        g_rs *= r  # r * s's delta to s
+        g_r *= r
+        g_r *= 1.0 - r  # through the sigmoid
+        # the readout's deltas add as the walk reached them: wz, wh, wr
+        g_readout = g_z @ swap(wz)
+        g_readout += g_h @ swap(wh)
+        g_readout += g_r @ swap(wr)
+        attn = a / sums
+        g_attn = g_readout @ swap(values)
+        g_v = swap(attn) @ g_readout
+        del g_readout
+        g_attn -= (g_attn * attn).sum(axis=-1, keepdims=True)
+        del attn
+        g_attn /= sums  # through the row normalization
+        g_attn -= (g_attn * a).sum(axis=-2, keepdims=True)
+        g_scores = np.multiply(a, g_attn, out=g_attn)  # through the softmax
+        g_scores *= scale
+        g_q = g_scores @ swap(keys_t)
+        g_k = np.ascontiguousarray(swap(swap(q) @ g_scores))
+        del g_scores
+        # the six deltas to s in walk order: add, s @ uz, sub, r * s, s @ wq, s @ ur
+        g_s = g + g_z @ swap(uz)
+        g_s += g_d
+        del g_d
+        g_s += g_rs
+        del g_rs
+        g_s += g_q @ swap(wq)
+        g_s += g_r @ swap(ur)
+        yield ad.layer_norm_dx(g_s * g_row, xhat, inv_std) if need_slots else None
+        yield g_s * xhat if need_gain else None
+        yield g_s if need_bias else None
+        del g_s
+        yield swap(s) @ g_q if need_wq else None
+        del g_q
+        yield g_k @ swap(wk) if need_x else None
+        yield swap(x) @ g_k if need_wk else None
+        del g_k
+        yield g_v @ swap(wv) if need_x else None
+        yield swap(x) @ g_v if need_wv else None
+        del g_v
+        yield swap(s) @ g_z if need_uz else None
+        yield swap(s) @ g_r if need_ur else None
+        yield swap(r * s) @ g_h if need_uh else None
+        del s
+        yield swap(readout) @ g_z if need_wz else None
+        yield g_z if need_bz else None
+        del g_z
+        yield swap(readout) @ g_r if need_wr else None
+        yield g_r if need_br else None
+        del g_r
+        yield swap(readout) @ g_h if need_wh else None
+        yield g_h if need_bh else None
+
+    return ad.record(new, parents, vjp, "add"), attn
 
 
 def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
                  rng: np.random.Generator, eps: np.ndarray | None = None) -> Tensor:
-    """Full slot-binding pass: init, iterate attention+GRU, add slot positions.
+    """Full slot-binding pass: init, cfg.iters slot_steps, add slot positions.
 
-    e_raw is (..., L, D); eps is passed on to init_slots. The isa variant
+    e_raw is (..., L, D); eps is passed on to init_slots. The inputs are
+    layer-normed once, and their keys and values are computed once, by the
+    first step. Each step is one recorded op (see slot_step). The isa variant
     takes the one-step gradient of implicit slot attention: the slot init
-    and the first T-1 iterations run under no_grad, so only the last
-    iteration is recorded and mu/log_sigma get no gradient. Forward values
-    are identical to sa.
+    and the first T-1 steps run under no_grad, so only the last step is
+    recorded and mu/log_sigma get no gradient. Forward values are identical
+    to sa.
     """
     if e_raw.data.ndim < 2 or e_raw.shape[-1] != cfg.input_dim:
         raise ShapeError(f"expected inputs (*, {cfg.input_dim}), got {e_raw.shape}")
-    inputs = ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias)
-
-    def iterate(slots: Tensor) -> Tensor:
-        slots = ad.layer_norm(slots, p.ln_slot_gain, p.ln_slot_bias)
-        _, readout = slot_attention(inputs, slots, p, cfg)
-        return gru_update(slots, readout, p)
-
+    inputs = SlotInputs(ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias))
     with ad.no_grad() if cfg.variant == "isa" else contextlib.nullcontext():
         slots = init_slots(p, cfg, rng, e_raw.shape[:-2], eps)
         for _ in range(cfg.iters - 1):
-            slots = iterate(slots)
-    return ad.add(iterate(slots), p.positions)
+            slots, _ = slot_step(slots, inputs, p, cfg)
+    slots, _ = slot_step(slots, inputs, p, cfg)
+    return ad.add(slots, p.positions)
 
 
 def relevance(attn: Tensor) -> Tensor:

@@ -60,8 +60,9 @@ CHECKPOINT_VERSION = 1
 # Bytes of record one training chunk may hold when its walk starts. Larger
 # chunks spread the fixed per-call cost of every op and walk node over more
 # samples, and peak memory grows with the record. On the perfbench workload
-# shapes (batch 64) 6 MiB gives one 64-sample chunk per batch on recovery,
-# 2 x 32 on refine_dual and 3 x 21-22 on explain.
+# shapes (batch 64) 6 MiB gives one 64-sample chunk per batch on recovery
+# and 2 x 32 on refine_dual and explain (records of 49, 106 and 159 KiB per
+# sample).
 RECORD_BUDGET = 6 * 2 ** 20
 
 # AdamW's moment decay rates and denominator epsilon, the usual fixed values
@@ -200,10 +201,10 @@ def record_bytes_per_sample(head: HeadConfig) -> int:
     """Estimated bytes one sample adds to a training chunk's record when its
     walk starts: the float64 arrays its VJPs keep, plus the input, targets
     and outputs the pass holds. It counts, per pathway of `rows` input rows
-    (L spatial, 1 global) and per recorded refinement iteration (one for
-    isa, whose earlier iterations run untaped), the arrays named below. Every
-    variant's slots start from one (C, d) per-sample constant. The few Python
-    objects of each node are per chunk, not per sample.
+    (L spatial, 1 global) and per recorded slot_step (one for isa, whose
+    earlier steps run untaped), the arrays named below. Every variant's
+    slots start from one (C, d) per-sample constant. The few Python objects
+    of each node are per chunk, not per sample.
     """
     c, d, k, heads = head.concepts, head.slot_dim, head.n_classes, head.heads
     recorded = 1 if head.variant == "isa" else head.iters
@@ -214,9 +215,10 @@ def record_bytes_per_sample(head: HeadConfig) -> int:
         floats += (
             rows * (3 * head.input_dim + 1)  # input; layer norm: output, xhat, 1/std
             + c * d  # slot noise, boqsa's zeros or isa's untaped slots
-            # each iteration: slot layer norm (output, xhat, 1/std); q, k^T, v,
-            # softmax, row-normalized map, row sums and readout; five GRU arrays
-            + recorded * (9 * c * d + 2 * c + 2 * rows * d + 2 * c * rows)
+            + 2 * rows * d  # the inputs' keys^T and values, made once per pathway
+            # each step: normed slot rows and their 1/std; q, softmax, its row
+            # sums and readout; z, r and the GRU candidate
+            + recorded * (6 * c * d + 2 * c + c * rows)
             + 3 * c * d + 2 * rows * d + k  # refined slots; readback k^T, v, q, merged, logits
             + heads * rows * c + (heads > 1) * rows * c  # per-head maps, their mean
             + 4 * rows * c)  # explanation target and residual; entropy's clamp and log
@@ -495,8 +497,9 @@ def _take(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]
 
 
 def _build_params(cfg: HeadConfig, tensors: dict[str, np.ndarray]) -> HeadParams:
-    """The configured parameter tree with every tensor taken from the checkpoint."""
-    params = hd.init_head_params(cfg, np.random.default_rng(0))
+    """The configured parameter tree with every tensor taken from the
+    checkpoint; no parameter is drawn."""
+    params = hd.init_head_params(cfg, None)
     taken = _take(tensors, {name: t.shape for name, t in params.named()})
     for name, t in params.named():
         t.data = taken[name]

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import composed
 from concepthead import autodiff as ad
 from concepthead import cli
 from concepthead import data as dat
@@ -106,14 +107,11 @@ def test_criterion_3_attention_invariants():
             params = hd.init_head_params(cfg, rng)
             e = rng.normal(size=(4, 4))
 
-            inputs_norm = ad.layer_norm(Tensor(e), params.spatial.slot.ln_input_gain,
-                                        params.spatial.slot.ln_input_bias)
-            slots0 = ad.layer_norm(hd.init_slots(params.spatial.slot, cfg, rng),
-                                   params.spatial.slot.ln_slot_gain,
-                                   params.spatial.slot.ln_slot_bias)
-            binder_attn, _ = hd.slot_attention(inputs_norm, slots0,
-                                               params.spatial.slot, cfg)
-            assert np.max(np.abs(binder_attn.data.sum(axis=1) - 1.0)) <= 1e-12
+            inputs = hd.SlotInputs(ad.layer_norm(Tensor(e), params.spatial.slot.ln_input_gain,
+                                                 params.spatial.slot.ln_input_bias))
+            _, binder_attn = hd.slot_step(hd.init_slots(params.spatial.slot, cfg, rng), inputs,
+                                          params.spatial.slot, cfg)
+            assert np.max(np.abs(binder_attn.sum(axis=1) - 1.0)) <= 1e-12
 
             slots = hd.refine_slots(Tensor(e), params.spatial.slot, cfg, rng)
             attn, logits = hd.multi_head_cross_attention(Tensor(e), slots,
@@ -147,7 +145,7 @@ def test_criterion_4_hand_oracles():
         for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh"):
             getattr(slot_p, name).data[...] = 0.0
         slot_p.positions.data[...] = 0.0
-        attn, readout = hd.slot_attention(Tensor(e), Tensor(s), slot_p, cfg)
+        attn, readout = composed.slot_attention(Tensor(e), Tensor(s), slot_p, cfg)
         scores = s @ e.T
         soft = np.exp(scores) / np.exp(scores).sum(axis=0, keepdims=True)
         want_attn = soft / soft.sum(axis=1, keepdims=True)
@@ -178,7 +176,7 @@ def test_criterion_4_hand_oracles():
         for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh"):
             getattr(gru_p, name).data[...] = 0.0
         gru_p.wh.data[...] = 1.0
-        stepped = hd.gru_update(Tensor([[2.0]]), Tensor([[1.0]]), gru_p)
+        stepped = composed.gru_update(Tensor([[2.0]]), Tensor([[1.0]]), gru_p)
         assert abs(stepped.data[0, 0] - (1.0 + 0.5 * math.tanh(1.0))) < 1e-6
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import composed
 from concepthead import autodiff as ad
 from concepthead.errors import NumericError, RecordConsumedError, ShapeError
 
@@ -341,6 +342,66 @@ class TestPerSampleWalk:
                         per_sample=True)
 
 
+class TestFirstFold:
+    """A leaf's first fold, into a .grad of None, gives the bits of adding its
+    slices to zeros in sample order."""
+
+    @staticmethod
+    def concatenating_fold(slices):
+        zeros = np.zeros_like(slices[0])
+        return np.add.reduce(np.concatenate([zeros[None], slices]), axis=0)
+
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    def test_signed_zero_deltas(self, samples):
+        # per sample, the delta to w is that sample's constant: every sign of
+        # zero, alone and mixed with values that cancel to zero
+        rng = np.random.default_rng(samples)
+        stack = rng.choice([-0.0, 0.0, 1.5, -1.5, 1e-300], size=(samples, 1, 6))
+        stack[:, 0, :2] = -0.0
+        stack[:, 0, 2] = 0.0
+        w = t(np.ones((1, 6)))
+        ad.backward(ad.reduce_sum(ad.mul(ad.Tensor(stack), w), keep=1), per_sample=True)
+        want = self.concatenating_fold(stack)
+        assert w.grad.tobytes() == want.tobytes()
+        assert not np.signbit(w.grad[0, :3]).any()
+
+    def test_scalar_walk(self):
+        w = t(np.ones((1, 3)))
+        ad.backward(ad.reduce_sum(ad.mul(ad.Tensor([[-0.0, 2.0, -0.0]]), w)))
+        want = self.concatenating_fold(np.array([[[-0.0, 2.0, -0.0]]]))
+        assert w.grad.tobytes() == want.tobytes()
+
+
+class TestNoGradientForConstants:
+    """An input that takes no gradient gets None from its op's VJP, decided
+    when the op is recorded."""
+
+    def test_matmul_mul_and_layer_norm(self):
+        rng = np.random.default_rng(0)
+        constant, w = ad.Tensor(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(4, 4)))
+        row = t(rng.normal(size=(1, 4)))
+        cases = [(ad.matmul(constant, w), [None, "grad"]),
+                 (ad.matmul(w, ad.Tensor(rng.normal(size=(4, 2)))), ["grad", None]),
+                 (ad.mul(constant, row), [None, "grad"]),
+                 (ad.mul(row, ad.Tensor(rng.normal(size=(1, 4)))), ["grad", None]),
+                 (ad.layer_norm(constant, row, row), [None, "grad", "grad"]),
+                 (ad.layer_norm(ad.matmul(constant, w), ad.Tensor(np.ones((1, 4))), row),
+                  ["grad", None, "grad"])]
+        for out, want in cases:
+            got = out._node._vjp(np.ones(out.shape))
+            assert ["grad" if c is not None else None for c in got] == want
+
+    def test_constant_operand_gradient_unchanged(self):
+        rng = np.random.default_rng(1)
+        x, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        grads = []
+        for x_grad in (True, False):
+            wt = t(w)
+            ad.backward(ad.reduce_sum(ad.tanh(ad.matmul(t(x, grad=x_grad), wt))))
+            grads.append(wt.grad)
+        assert np.array_equal(*grads)
+
+
 class TestSharedAtRecord:
     """A record entry is shared (carries no sample axis) or not from the
     moment its op is recorded."""
@@ -374,7 +435,7 @@ class TestLeadingAxis:
 
         def chain(x):
             y = ad.layer_norm(ad.matmul(t(x), t(w)), t(gain), t(bias))
-            y = ad.row_normalize(ad.softmax_axis(ad.mul(ad.add(y, t(row)), t(row)), -2))
+            y = composed.row_normalize(ad.softmax_axis(ad.mul(ad.add(y, t(row)), t(row)), -2))
             return ad.reduce_sum(y, keep=y.data.ndim - 2), ad.log_sum_exp(y)
 
         stacked = chain(xs)
@@ -463,7 +524,7 @@ class TestGradCheck:
             "softmax0": lambda: ad.reduce_sum(ad.mul(ad.softmax_axis(x, 0), weight)),
             "softmax1": lambda: ad.reduce_sum(ad.mul(ad.softmax_axis(x, 1), weight)),
             "layer_norm": lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, bias), weight)),
-            "row_normalize": lambda: ad.reduce_sum(ad.mul(ad.row_normalize(pos), weight)),
+            "row_normalize": lambda: ad.reduce_sum(ad.mul(composed.row_normalize(pos), weight)),
             "reduce_mean0": lambda: ad.reduce_sum(ad.mul(ad.reduce_mean_axis(x, 0),
                                                          ad.Tensor(weight.data[0]))),
             "reduce_mean1": lambda: ad.reduce_sum(ad.mul(ad.reduce_mean_axis(x, 1),
@@ -517,7 +578,7 @@ class TestGradCheck:
             "mul_row": lambda: total(ad.mul(x, row)),
             "mul_trailing": lambda: total(ad.mul(x, trailing)),
             "layer_norm": lambda: total(ad.layer_norm(x, gain, bias)),
-            "row_normalize": lambda: total(ad.row_normalize(pos)),
+            "row_normalize": lambda: total(composed.row_normalize(pos)),
             "softmax_rows": lambda: total(ad.softmax_axis(x, -2)),
             "zeros_plus_shared": lambda: total(ad.add(ad.Tensor(np.zeros((2, 3, 4))), trailing)),
             "split_merge_heads": lambda: total(ad.merge_heads(ad.matmul(

@@ -144,6 +144,17 @@ class TestTrainEvalExplain:
         assert args.batch_size == 64
         assert args.lr == 5e-5
 
+    def test_main_calls_do_not_share_parsed_values(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "eval", lambda args: seen.append(args) or 0)
+        assert run(["eval", "--data", "a.emb", "--checkpoint", "a.cctk", "--seed", "3"]) == 0
+        assert run(["eval", "--data", "b.emb", "--checkpoint", "b.cctk"]) == 0
+        first, second = seen
+        assert first is not second
+        assert (first.data, first.checkpoint, first.seed) == ("a.emb", "a.cctk", 3)
+        assert (second.data, second.checkpoint, second.seed) == ("b.emb", "b.cctk", 0)
+        assert cli._parser() is cli._parser()
+
     def test_train_without_hyperparameter_flags_uses_dataclass_defaults(
             self, tiny_emb, tmp_path, monkeypatch):
         seen = []

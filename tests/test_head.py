@@ -1,14 +1,16 @@
+import contextlib
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import composed
 from concepthead import autodiff as ad
 from concepthead import head as hd
 from concepthead import losses
 from concepthead.autodiff import Tensor
-from concepthead.errors import ConfigError, ShapeError
+from concepthead.errors import ConfigError, NumericError, ShapeError
 
 
 # --- straight-line oracles (no shared code with the implementation) ---------
@@ -146,7 +148,7 @@ class TestSlotAttention:
     def test_toy_oracle(self):
         cfg = toy_config()
         p = toy_slot_params(cfg)
-        attn, readout = hd.slot_attention(Tensor(TOY_E), Tensor(TOY_S), p, cfg)
+        attn, readout = composed.slot_attention(Tensor(TOY_E), Tensor(TOY_S), p, cfg)
         want_attn, want_readout = oracle_slot_attention(TOY_E, TOY_S, 1)
         npt.assert_allclose(attn.data, want_attn, atol=1e-12)
         npt.assert_allclose(readout.data, want_readout, atol=1e-12)
@@ -158,7 +160,7 @@ class TestSlotAttention:
         cfg = toy_config(concepts=1, dim=1, n_inputs=4)
         p = toy_slot_params(cfg)
         e = np.array([[1.0], [2.0], [3.0], [4.0]])
-        attn, readout = hd.slot_attention(Tensor(e), Tensor([[0.5]]), p, cfg)
+        attn, readout = composed.slot_attention(Tensor(e), Tensor([[0.5]]), p, cfg)
         npt.assert_allclose(attn.data, np.full((1, 4), 0.25), atol=1e-15)
         npt.assert_allclose(readout.data, [[2.5]], atol=1e-15)
 
@@ -169,8 +171,8 @@ class TestSlotAttention:
         e = rng.normal(size=(5, 2))
         s = rng.normal(size=(3, 2))
         perm = rng.permutation(5)
-        attn, readout = hd.slot_attention(Tensor(e), Tensor(s), p, cfg)
-        attn_p, readout_p = hd.slot_attention(Tensor(e[perm]), Tensor(s), p, cfg)
+        attn, readout = composed.slot_attention(Tensor(e), Tensor(s), p, cfg)
+        attn_p, readout_p = composed.slot_attention(Tensor(e[perm]), Tensor(s), p, cfg)
         npt.assert_allclose(attn_p.data, attn.data[:, perm], atol=1e-12)
         npt.assert_allclose(readout_p.data, readout.data, atol=1e-12)
 
@@ -179,8 +181,8 @@ class TestSlotAttention:
                             n_classes=2, variant="sa")
         rng = np.random.default_rng(0)
         p = hd.init_slot_params(cfg, rng)
-        attn, _ = hd.slot_attention(Tensor(rng.normal(size=(7, 6))),
-                                    Tensor(rng.normal(size=(4, 3))), p, cfg)
+        attn, _ = composed.slot_attention(Tensor(rng.normal(size=(7, 6))),
+                                          Tensor(rng.normal(size=(4, 3))), p, cfg)
         npt.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(attn.data > 0)
 
@@ -191,7 +193,7 @@ class TestGruUpdate:
         p = toy_slot_params(cfg)
         s = np.random.default_rng(0).normal(size=(2, 3))
         u = np.random.default_rng(1).normal(size=(2, 3))
-        out = hd.gru_update(Tensor(s), Tensor(u), p)
+        out = composed.gru_update(Tensor(s), Tensor(u), p)
         npt.assert_allclose(out.data, 0.5 * s, atol=1e-15)
 
     def test_closed_update_gate_freezes_state(self):
@@ -199,14 +201,14 @@ class TestGruUpdate:
         p = toy_slot_params(cfg)
         p.bz.data[...] = -40.0  # z -> 0
         s = np.random.default_rng(2).normal(size=(2, 3))
-        out = hd.gru_update(Tensor(s), Tensor(np.ones((2, 3))), p)
+        out = composed.gru_update(Tensor(s), Tensor(np.ones((2, 3))), p)
         npt.assert_allclose(out.data, s, atol=1e-15)
 
     def test_scalar_hand_case(self):
         cfg = toy_config(concepts=1, dim=1)
         p = toy_slot_params(cfg)
         p.wh.data[...] = 1.0
-        out = hd.gru_update(Tensor([[2.0]]), Tensor([[1.0]]), p)
+        out = composed.gru_update(Tensor([[2.0]]), Tensor([[1.0]]), p)
         # z = 0.5, cand = tanh(1), next = 1 + 0.5*tanh(1)
         assert out.data[0, 0] == pytest.approx(1.3807970779778824, abs=1e-12)
 
@@ -215,10 +217,165 @@ class TestGruUpdate:
         p = toy_slot_params(cfg, gru_scale=0.7, seed=5)
         rng = np.random.default_rng(6)
         s, u = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        out = hd.gru_update(Tensor(s), Tensor(u), p)
+        out = composed.gru_update(Tensor(s), Tensor(u), p)
         want = oracle_gru(s, u, p.wz.data, p.uz.data, p.bz.data, p.wr.data,
                           p.ur.data, p.br.data, p.wh.data, p.uh.data, p.bh.data)
         npt.assert_allclose(out.data, want, atol=1e-12)
+
+
+def probe(x, deltas):
+    """x unchanged, recorded as an identity op that appends each delta the
+    walk hands it to `deltas`."""
+    def vjp(g):
+        deltas.append(g)
+        return (g,)
+
+    return ad.record(x.data, (x,), vjp, "probe")
+
+
+def stepped_refine(step, e, p, cfg, rng, deltas):
+    """refine_slots with `step` (inputs, slots) -> (slots, map) per iteration
+    and probes on the layer-normed inputs and on each step's input slots."""
+    inputs = probe(ad.layer_norm(Tensor(e), p.ln_input_gain, p.ln_input_bias), deltas["inputs"])
+    with ad.no_grad() if cfg.variant == "isa" else contextlib.nullcontext():
+        slots = hd.init_slots(p, cfg, rng, e.shape[:-2])
+        for _ in range(cfg.iters - 1):
+            slots, _ = step(inputs, probe(slots, deltas["slots"]))
+    slots, attn = step(inputs, probe(slots, deltas["slots"]))
+    return ad.add(slots, p.positions), attn
+
+
+def scaled(t, largest):
+    """t's values scaled so that the largest magnitude is `largest`."""
+    t.data /= np.abs(t.data).max()
+    t.data *= largest
+
+
+def both_gates_huge(p):
+    # normed inputs and slots whose rows sum to 4; constant wv, wz and uz
+    # make readout @ wz and slots @ uz each 1e308: their sum overflows
+    p.ln_input_bias.data[...] = 1.0
+    p.ln_slot_bias.data[...] = 1.0
+    p.wv.data[...] = 0.25
+    p.wz.data[...] = 0.25e308
+    p.uz.data[...] = 0.25e308
+
+
+class TestSlotStep:
+    """The fused step against the chain of ops it replaces (tests/composed.py)."""
+
+    @pytest.mark.parametrize("variant", hd.VARIANTS)
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("lead", [1, 5])
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_bit_identical_to_composed_reference(self, variant, iters, lead, per_sample):
+        cfg = hd.HeadConfig(concepts=5, slot_dim=8, input_dim=6, n_inputs=7, n_classes=3,
+                            variant=variant, iters=iters)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        e = np.random.default_rng(1).normal(size=(lead, 7, 6))
+        weight = ad.Tensor(np.random.default_rng(2).normal(size=(lead, 5, 8)))
+
+        def fused():
+            made = {}  # the SlotInputs of this run
+
+            def step(inputs, slots):
+                return hd.slot_step(slots, made.setdefault("x", hd.SlotInputs(inputs)), p, cfg)
+            return step
+
+        def reference():
+            def step(inputs, slots):
+                slots, attn = composed.iterate(inputs, slots, p, cfg)
+                return slots, attn.data
+            return step
+
+        runs = []
+        for make_step in (fused, reference):
+            step = make_step()
+            for _, t in p.named():
+                t.reset_grad()
+            deltas = {"inputs": [], "slots": []}
+            out, attn = stepped_refine(step, e, p, cfg, np.random.default_rng(3), deltas)
+            loss = ad.reduce_sum(ad.mul(out, weight), keep=1)
+            ad.backward(loss if per_sample else ad.reduce_sum(loss), per_sample=per_sample)
+            runs.append((out.data, attn, deltas, {name: t.grad for name, t in p.named()}))
+        (out, attn, deltas, grads), (want_out, want_attn, want_deltas, want_grads) = runs
+        assert np.array_equal(out, want_out) and np.array_equal(attn, want_attn)
+        for key in ("inputs", "slots"):
+            assert len(deltas[key]) == len(want_deltas[key])
+            for got, want in zip(deltas[key], want_deltas[key]):
+                assert np.array_equal(got, want), key
+        # isa's input slots are constants: no delta reaches them
+        assert len(deltas["slots"]) == (0 if variant == "isa" else iters)
+        for name, grad in grads.items():
+            want = want_grads[name]
+            assert (grad is None) == (want is None), name
+            assert grad is None or np.array_equal(grad, want), name
+
+    def test_keys_and_values_made_once_per_call(self):
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=5, n_inputs=6, n_classes=2,
+                            variant="boqsa", iters=3)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        normed = ad.layer_norm(Tensor(np.random.default_rng(1).normal(size=(2, 6, 5))),
+                               p.ln_input_gain, p.ln_input_bias)
+        x = hd.SlotInputs(normed)
+        slots, _ = hd.slot_step(hd.init_slots(p, cfg, None, (2,)), x, p, cfg)
+        keys_t, values = x.keys_t, x.values
+        assert np.array_equal(keys_t, np.swapaxes(normed.data @ p.wk.data, -1, -2))
+        assert np.array_equal(values, normed.data @ p.wv.data)
+        hd.slot_step(slots, x, p, cfg)
+        assert x.keys_t is keys_t and x.values is values
+
+    @pytest.mark.parametrize("variant", ["sa", "boqsa"])
+    def test_gradient_check(self, variant):
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
+                            variant=variant, iters=3)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        e = Tensor(np.random.default_rng(1).normal(size=(3, 4)), requires_grad=True)
+        weight = ad.Tensor(np.random.default_rng(2).normal(size=(3, 4)))
+
+        def f():
+            slots = hd.refine_slots(e, p, cfg, np.random.default_rng(3))
+            return ad.reduce_sum(ad.mul(slots, weight))
+
+        report = ad.grad_check(f, [("e", e), *p.named()], h=1e-6, tol=1e-6)
+        assert report.passed, (report.max_rel_error, report.worst)
+
+    @pytest.mark.parametrize("op,poke", [
+        ("layer_norm", lambda p: p.ln_slot_gain.data.fill(1.5e308)),
+        ("matmul", lambda p: scaled(p.wk, 1.5e308)),       # the keys
+        ("matmul", lambda p: scaled(p.uz, 1.5e308)),       # slots @ uz
+        ("row_normalize", lambda p: scaled(p.wq, 1e300)),  # softmax rows of zeros
+        ("add", both_gates_huge),
+    ])
+    def test_nonfinite_intermediate_names_the_composed_op(self, op, poke):
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
+                            variant="sa", iters=2)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        poke(p)
+        e = Tensor(np.random.default_rng(1).normal(size=(5, 4)))
+        messages = []
+        with np.errstate(all="ignore"):
+            for refine in (hd.refine_slots, composed.refine_slots):
+                with pytest.raises(NumericError) as err:
+                    refine(e, p, cfg, np.random.default_rng(2))
+                messages.append(str(err.value))
+        assert messages[0] == messages[1] == f"{op} produced non-finite values"
+
+    def test_untaped_slots_get_no_gradient_work(self):
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        x = hd.SlotInputs(ad.Tensor(np.random.default_rng(1).normal(size=(5, 4))))
+        out, _ = hd.slot_step(ad.Tensor(np.ones((3, 4))), x, p, cfg)
+        contributions = list(out._node._vjp(np.ones((3, 4))))
+        # the constant slots, and the constant inputs for their keys and values
+        assert [i for i, c in enumerate(contributions) if c is None] == [0, 4, 6]
+
+    def test_slot_shape_checked(self):
+        cfg = toy_config()
+        p = toy_slot_params(cfg)
+        x = hd.SlotInputs(Tensor(TOY_E))
+        with pytest.raises(ShapeError, match=r"expected slots \(\*, 2, 1\)"):
+            hd.slot_step(Tensor(np.zeros((3, 1))), x, p, cfg)
 
 
 class TestRefineSlots:
@@ -288,8 +445,7 @@ class TestRefineSlots:
             for it in range(cfg.iters):
                 if it == cfg.iters - 1:
                     slots = Tensor(slots.data)
-                slots = ad.layer_norm(slots, p.ln_slot_gain, p.ln_slot_bias)
-                slots = hd.gru_update(slots, hd.slot_attention(inputs, slots, p, cfg)[1], p)
+                slots, _ = composed.iterate(inputs, slots, p, cfg)
             return ad.add(slots, p.positions)
 
         cfg = hd.HeadConfig(concepts=3, slot_dim=8, input_dim=6, n_inputs=4, n_classes=3,
@@ -640,15 +796,13 @@ class TestHeadInvariants:
         perm = np.array([2, 0, 3, 1])
 
         def run(start):
-            inputs = ad.layer_norm(Tensor(e), p.ln_input_gain, p.ln_input_bias)
+            inputs = hd.SlotInputs(ad.layer_norm(Tensor(e), p.ln_input_gain, p.ln_input_bias))
             slots = Tensor(start)
             for _ in range(cfg.iters):
-                slots = ad.layer_norm(slots, p.ln_slot_gain, p.ln_slot_bias)
-                attn, readout = hd.slot_attention(inputs, slots, p, cfg)
-                slots = hd.gru_update(slots, readout, p)
+                slots, attn = hd.slot_step(slots, inputs, p, cfg)
             slots = ad.add(slots, p.positions)
             attn_ca, logits = hd.multi_head_cross_attention(Tensor(e), slots, cross, cfg)
-            return slots.data, attn.data, attn_ca.data, logits.data
+            return slots.data, attn, attn_ca.data, logits.data
 
         slots_a, attn_a, ca_a, logits_a = run(s0)
         slots_b, attn_b, ca_b, logits_b = run(s0[perm])

@@ -94,3 +94,35 @@ def test_bench_pairs_harness_digests(tmp_path):
     assert changed["parent"] == digests["parent"] != changed["change"]
     assert warning.count("\n") == 0 and warning.startswith("warning: the harness")
     assert changed["parent"][:12] in warning and changed["change"][:12] in warning
+
+
+FAKE_RUN = '''import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+out = pathlib.Path(".perfbench_out")
+out.mkdir(exist_ok=True)
+name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
+(out / name).write_text(json.dumps({"provenance": {"git_commit": "abc"}}))
+blocks = [bytearray(1 << 20) for _ in range(8)]  # touch a few hundred pages
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
+                  "metrics": {"train_sps": {"value": 5.0}}}))
+'''
+
+
+def test_bench_pairs_records_faults_and_system_time(tmp_path):
+    bench = load_tool("bench_pairs")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    result, provenance, usage = bench.run_bench(tmp_path, "w", 3, 1.0, 0)
+    assert provenance == {"git_commit": "abc"}
+    assert sorted(usage) == sorted(bench.USAGE_KEYS)
+    assert usage["minor_faults"] > 0 and usage["sys_s"] >= 0.0
+    row = bench.flat_run(3, result, usage)
+    assert row["minor_faults"] == usage["minor_faults"] and row["train_sps"] == 5.0
+    assert bench.metric_names([row]) == ["train_sps"]  # usage is not a metric
+
+    def runs(*pairs):
+        return [{"minor_faults": f, "sys_s": s} for f, s in pairs]
+
+    line = bench.usage_line(runs((100, 0.5), (300, 0.1), (200, 0.3)), runs((50, 0.2)))
+    assert line.split() == ["per", "run,", "median:", "minor", "faults", "200", "->", "50,",
+                            "system", "s", "0.300", "->", "0.200"]

@@ -12,7 +12,9 @@ quartiles of each side, the median gap over the parent's interquartile
 range, how many pairs the change won, and a no-regression verdict against
 the metric's `bound` (see `verdict`). It then prints each side's failed
 checks over its attempted ones, summed over its runs, and flags the change
-when it fails a larger share (see `failed_share_worse`). With
+when it fails a larger share (see `failed_share_worse`), and each side's
+median minor page faults and system CPU seconds per run, taken from
+getrusage(RUSAGE_CHILDREN) around each run (see `usage_line`). With
 --trace-seconds, TRACED_RUNS traced runs per side (`--trace 1`, on the
 first seeds, cycling when fewer are given, paired and alternating as above)
 add each per-layer value's median and quartiles: a single traced run's
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -39,7 +42,10 @@ from pathlib import Path
 
 MACHINE_KEYS = ("nproc", "usable_cpus", "python", "numpy", "blas", "blas_threads",
                 "ref_iter_s")
-RUN_KEYS = ("seed", "correct", "attempted", "failed")  # a flat run's entries besides metrics
+# the run's own cost to the OS: minor page faults and system CPU seconds
+USAGE_KEYS = ("minor_faults", "sys_s")
+# a flat run's entries besides metrics
+RUN_KEYS = ("seed", "correct", "attempted", "failed", *USAGE_KEYS)
 TRACED_RUNS = 3
 
 
@@ -59,17 +65,22 @@ def parse_args(argv):
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
-              trace: int) -> tuple[dict, dict]:
-    """One perfbench run: (its printed result, the provenance of its record)."""
+              trace: int) -> tuple[dict, dict, dict]:
+    """One perfbench run: its printed result, the provenance of its record,
+    and its minor page faults and system CPU seconds (USAGE_KEYS)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"minor_faults": after.ru_minflt - before.ru_minflt,
+             "sys_s": after.ru_stime - before.ru_stime}
     if done.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(argv[1:])} in {checkout} exited with "
                          f"{done.returncode}:\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     record = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json"
-    return result, json.loads(record.read_text())["provenance"]
+    return result, json.loads(record.read_text())["provenance"], usage
 
 
 def harness_digests(sides: dict[str, Path]) -> tuple[dict[str, str], str | None]:
@@ -89,9 +100,9 @@ def harness_digests(sides: dict[str, Path]) -> tuple[dict[str, str], str | None]
                      + "; the sides are not measured alike")
 
 
-def flat_run(seed: int, result: dict) -> dict:
+def flat_run(seed: int, result: dict, usage: dict) -> dict:
     row = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-           "failed": result["failed"]}
+           "failed": result["failed"], **usage}
     row.update({name: m["value"] for name, m in result["metrics"].items()})
     return row
 
@@ -105,8 +116,9 @@ def paired_runs(sides: dict[str, Path], workload: str, seeds: list[int], seconds
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result, provenance[side] = run_bench(sides[side], workload, seed, seconds, trace)
-            runs[side].append(flat_run(seed, result))
+            result, provenance[side], usage = run_bench(sides[side], workload, seed, seconds,
+                                                        trace)
+            runs[side].append(flat_run(seed, result, usage))
             print(f"pair {i + 1} seed {seed} {side}{' traced' if trace else ''}: "
                   f"correct={result['correct']} failed={result['failed']}",
                   file=sys.stderr, flush=True)
@@ -133,6 +145,14 @@ def per_layer_lines(parent: list[dict], change: list[dict]) -> list[str]:
         lines.append(f"  {name:36s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                      f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {ratio}")
     return lines
+
+
+def usage_line(parent: list[dict], change: list[dict]) -> str:
+    """Each side's median minor page faults and system CPU seconds per run."""
+    p, c = summarize(parent, list(USAGE_KEYS)), summarize(change, list(USAGE_KEYS))
+    return (f"  per run, median: minor faults {p['minor_faults']['median']:.0f} -> "
+            f"{c['minor_faults']['median']:.0f}, system s {p['sys_s']['median']:.3f} -> "
+            f"{c['sys_s']['median']:.3f}")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -180,7 +200,8 @@ def write_record(path: Path, label: str, checkout: Path, workload: str, runs: li
                  metrics: list[str], provenance: dict, traced: list[dict] | None,
                  seconds: float, trace_seconds: float, harness: dict[str, str]) -> None:
     record = json.loads(path.read_text()) if path.exists() else {}
-    entry = {"runs": runs, "summary": summarize(runs, metrics)}
+    entry = {"runs": runs, "summary": summarize(runs, metrics),
+             "usage": summarize(runs, list(USAGE_KEYS))}
     if traced:
         entry["per_layer"] = {"runs": traced, "summary": summarize(traced, metric_names(traced))}
     workloads = record.get("workloads", {})
@@ -234,6 +255,7 @@ def main(argv: list[str]) -> int:
     parent_failed, change_failed, worse = failed_share_worse(runs["parent"], runs["change"])
     print(f"  failed checks {parent_failed} -> {change_failed}  "
           f"{'worse: the change fails a larger share' if worse else 'ok'}")
+    print(usage_line(runs["parent"], runs["change"]))
     for side in sides:
         bad = [r["seed"] for r in runs[side] if not r["correct"] or r["failed"]]
         if bad:
