@@ -174,9 +174,10 @@ def _cmd_explain(args) -> int:
                                   cfg.head, rng)
             maps = out.attn_spatial if out.attn_spatial is not None else out.attn_global
             rel = hd.relevance(maps).data  # (B, C), the gamma of the faithfulness identity
+        mt.export_heatmaps(maps.data, [os.path.join(args.out, f"sample_{i:04d}.pgm")
+                                       for i in range(start, stop)])
         order = np.argsort(-rel, axis=-1, kind="stable")[:, :args.topk]
-        for i, attn, gamma, top in zip(range(start, stop), maps.data, rel, order):
-            mt.export_heatmap(attn, os.path.join(args.out, f"sample_{i:04d}.pgm"))
+        for i, gamma, top in zip(range(start, stop), rel, order):
             rows.extend((i, rank + 1, int(c), float(gamma[c])) for rank, c in enumerate(top))
     mt.write_topk_csv(rows, os.path.join(args.out, "topk.csv"))
     print(f"wrote {count} heatmaps and topk.csv to {args.out}")

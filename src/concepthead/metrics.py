@@ -10,6 +10,15 @@ Metrics CSV rows are written with 17 significant digits so byte-level diffs
 detect any numeric drift. The wall_seconds column is reserved in the schema
 but always written as 0 to keep logs reproducible; actual timing goes to
 stderr in the CLI.
+
+Heatmap CSVs hold each map entry as CPython's "%.17g" text. For a map whose
+entries all lie in [1e-4, 1) that text comes from a vectorized kernel
+(_f17_csv) that is exact, not approximate: it finds each value's 17
+significant digits as one integer with Dekker's TwoProduct against a power
+of ten that float64 holds exactly (10**n, n <= 22), so the rounding to 17
+digits is the exact product's, ties to even, as CPython's. Any other map (one
+holding 0, a subnormal, a value below 1e-4 or one of at least 1) gets its text
+from "%" formatting (_percent_csv), which is also the tests' reference.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ __all__ = [
     "Metrics",
     "concept_top1_scores",
     "export_heatmap",
+    "export_heatmaps",
     "format_metrics_row",
     "write_topk_csv",
 ]
@@ -88,29 +98,156 @@ def _overwrite(path: str, blob: bytes) -> None:
         os.close(fd)
 
 
-def export_heatmap(attn: np.ndarray, path: str) -> None:
-    """Write a grayscale binary PGM of the map plus a full-precision CSV sibling.
+def export_heatmaps(maps: np.ndarray, paths: Sequence[str]) -> None:
+    """Write each (L, C) map of a (B, L, C) stack as a PGM at its path plus a CSV sibling.
 
-    Pixels scale the map by 255/max (all zero when the map is identically
-    zero) and round half away from zero. An existing file is rewritten in
-    place (see _overwrite): explain reruns into one directory, and truncating
-    each file to zero before writing it again cost more than the write.
+    The whole stack is checked (shape, finite, non-negative) before any file
+    is written. Pixels scale a map by 255/max (all zero when the map is
+    identically zero) and round half away from zero. The CSV holds every
+    entry as "%.17g" text: from the exact _f17_csv kernel (see the module
+    docstring) for the maps whose entries all lie in [1e-4, 1), from "%"
+    formatting (_percent_csv) for the others. An existing file is rewritten
+    in place (see _overwrite): explain reruns into one directory, and
+    truncating each file to zero before writing it again cost more than the
+    write.
     """
-    a = np.asarray(attn, dtype=np.float64)
-    if a.ndim != 2:
-        raise DomainError(f"heatmap export expects a 2-D map, got shape {a.shape}")
+    a = np.asarray(maps, dtype=np.float64)
+    if a.ndim != 3:
+        raise DomainError(f"heatmap export expects a 2-D map, got shape {a.shape[1:]}")
+    if len(paths) != len(a):
+        raise DomainError(f"heatmap export got {len(paths)} paths for {len(a)} maps")
     if not np.all(np.isfinite(a)) or np.any(a < 0):
         raise DomainError("heatmap export expects finite non-negative values")
-    peak = a.max()
-    scaled = np.zeros_like(a) if peak == 0 else a * (255.0 / peak)
-    pixels = np.floor(scaled + 0.5).astype(np.uint8)
+    peak = a.max(axis=(1, 2), keepdims=True)
+    scale = np.divide(255.0, peak, out=np.zeros_like(peak), where=peak != 0)
+    pixels = np.floor(a * scale + 0.5).astype(np.uint8)
+    header = f"P5\n{a.shape[2]} {a.shape[1]}\n255\n".encode("ascii")
+    fast = ((a >= 1e-4) & (a < 1.0)).all(axis=(1, 2))
+    texts = iter(_f17_csv(a[fast]))
+    for path, attn, image, in_range in zip(paths, a, pixels, fast):
+        _overwrite(path, header + image.tobytes())
+        csv_path = path[:-4] + ".csv" if path.endswith(".pgm") else path + ".csv"
+        _overwrite(csv_path, next(texts) if in_range else _percent_csv(attn))
+
+
+def export_heatmap(attn: np.ndarray, path: str) -> None:
+    """Write one 2-D map as export_heatmaps writes each map of a stack."""
+    export_heatmaps(np.asarray(attn, dtype=np.float64)[None], [path])
+
+
+def _percent_csv(a: np.ndarray) -> bytes:
+    """The CSV text of one (L, C) map by CPython's "%.17g": the reference for
+    _f17_csv and the text of every map it does not take."""
     height, width = a.shape
-    _overwrite(path, f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes())
-    csv_path = path[:-4] + ".csv" if path.endswith(".pgm") else path + ".csv"
-    # "%.17g" % x is f"{x:.17g}" (_f17) for every float; one format string
-    # renders the whole map at once.
     row = ",".join(["%.17g"] * width) + "\n"
-    _overwrite(csv_path, ((row * height) % tuple(a.ravel().tolist())).encode("ascii"))
+    return ((row * height) % tuple(a.ravel().tolist())).encode("ascii")
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split doubles into high and low halves of at most 26 bits each, hi + lo == a."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** n) for n in range(23)])  # exact: 5**22 < 2**53
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _digits17(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round-half-even(x * 10**(16 - k)) as int64, exact when the product is >= 2**53.
+
+    p = fl(x * 10**n) and its rounding error e come from Dekker's TwoProduct,
+    each product its own NumPy op, so p + e is the exact product. A double
+    >= 2**53 is an even integer, so the nearest integer to p + e, ties to
+    even, is p + rint(e).
+    """
+    n = 16 - k
+    p = x * _POW10[n]
+    xh, xl = _veltkamp(x)
+    ph, pl = _POW10_HI[n], _POW10_LO[n]
+    e = xl * pl - (((p - xh * ph) - xl * ph) - xh * pl)
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _head_words() -> np.ndarray:
+    """The 8-byte head of a value's text, indexed by 40 * separator + 10 * zeros +
+    leading digit: the separator before the value ("," or "\n"), "0.", the
+    zeros after the point (0 to 3, then NUL pad), the digit and a NUL."""
+    head = np.zeros((2, 4, 10, 8), np.uint8)
+    head[..., 0] = np.array([ord(","), ord("\n")])[:, None, None]
+    head[..., 1:3] = np.frombuffer(b"0.", np.uint8)
+    head[..., 3:6] = np.where(np.arange(3) < np.arange(4)[:, None], ord("0"), 0)[:, None]
+    head[..., 6] = ord("0") + np.arange(10)
+    return head.view(np.uint64).ravel()
+
+
+def _group_words() -> np.ndarray:
+    """Four decimal digits as one 32-bit word, indexed by the group's value
+    (0 to 9999) plus 10000 when the text ends with this group: then its
+    trailing zeros are NUL."""
+    text = np.empty((10, 10, 10, 10, 4), np.uint8)  # text[a, b, c, d] is "abcd"
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j in range(4):
+        text[..., j] = digits.reshape((10,) + (1,) * (3 - j))
+    text = text.reshape(10000, 4)
+    kept = text != ord("0")
+    for j in (2, 1, 0):
+        kept[:, j] |= kept[:, j + 1]  # a nonzero digit here or after
+    return np.stack([text, text * kept]).view(np.uint32).ravel()
+
+
+_HEADS = _head_words()
+_GROUPS = _group_words()
+
+
+def _f17_csv(maps: np.ndarray) -> list[bytes]:
+    """The CSV text of each (L, C) map of a (B, L, C) stack whose entries all
+    lie in [1e-4, 1): byte for byte what _percent_csv gives.
+
+    In that range "%.17g" writes "0.", then -1 - k zeros (0 to 3), then the
+    17 significant digits D = round-half-even(x * 10**(16 - k)) less their
+    trailing zeros, where k is the decimal exponent of x rounded to 17
+    digits, so that 10**16 <= D < 10**17. k starts as floor(log10 x), which
+    can be one off only next to a power of ten, where x * 10**(16 - k) is
+    close to 10**16 or 10**17 and so above 2**53: _digits17 is exact there
+    too, and k moves by one wherever D falls outside [10**16, 10**17).
+
+    Each value fills 24 bytes: an 8-byte head (the separator before it,
+    "0.", the zeros and the leading digit; see _head_words) and four 4-digit
+    groups (_group_words), every store a whole 64- or 32-bit word. Every row
+    starts with "\n" in place of a separator, so with the NUL bytes gone the
+    text of a map runs from after its first row's "\n" to the next map's,
+    plus one "\n".
+    """
+    count, height, width = maps.shape
+    k = np.floor(np.log10(maps)).astype(np.intp)
+    d = _digits17(maps, k)
+    wrong = (d < 10 ** 16) | (d >= 10 ** 17)
+    if wrong.any():
+        k[wrong] += np.where(d[wrong] < 10 ** 16, -1, 1)
+        d[wrong] = _digits17(maps[wrong], k[wrong])
+    high = d // 10 ** 8              # the leading digit, then groups 0 and 1
+    low = d - high * 10 ** 8         # groups 2 and 3
+    lead = high // 10 ** 8
+    high -= lead * 10 ** 8
+    g0, g2 = high // 10 ** 4, low // 10 ** 4
+    groups = [g0, high - g0 * 10 ** 4, g2, low - g2 * 10 ** 4]
+    tail = groups[3] == 0            # every group after the one at hand is zero
+    groups[3] += 10000
+    for g in groups[2::-1]:
+        zero = g == 0
+        np.add(g, 10000, out=g, where=tail)
+        tail &= zero
+    text = np.empty((count, height, width, 3), np.uint64)
+    separator = np.where(np.arange(width) == 0, 40, 0)  # "\n" before a row, else ","
+    text[..., 0] = _HEADS[separator + 10 * (-1 - k) + lead]
+    words = text.view(np.uint32)
+    for i, g in enumerate(groups):
+        words[..., 2 + i] = _GROUPS[g]
+    blob = text.tobytes().translate(None, b"\0")
+    starts = np.flatnonzero(np.frombuffer(blob, np.uint8) == ord("\n"))[::height].tolist()
+    return [blob[a + 1:b] + b"\n" for a, b in zip(starts, starts[1:] + [len(blob)])]
 
 
 def _f17(x: float) -> str:

@@ -441,3 +441,31 @@ def test_explain_output_path_is_directory(tiny_emb, tmp_path, capsys):
                 "--out", str(out_dir)]) == 1
     assert_one_error_line(capsys, f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
                                   f"'{out_dir / 'sample_0000.csv'}'")
+
+
+@pytest.mark.parametrize("variant", hd.VARIANTS)
+@pytest.mark.parametrize("pathway", ["spatial", "global"])
+def test_explain_sends_every_trained_map_through_the_kernel(tmp_path, monkeypatch, variant,
+                                                            pathway):
+    """On the golden grid's data and training every exported map lies in
+    [1e-4, 1), so each CSV text comes from the vectorized kernel and none from
+    the per-value fallback: the fast path cannot go dead while the bytes
+    still match."""
+    data, train_dir = str(tmp_path / "grid.emb"), str(tmp_path / "train")
+    assert run(["gen-data", "--out", data, "--seed", "3", "--samples-per-class", "12",
+                "--features", "6", "--feature-dim", "16", "--carrier-fraction", "0.5"]) == 0
+    assert run(["train", "--data", data, "--out", train_dir, "--epochs", "2",
+                "--batch-size", "16", "--lr", "1e-2", "--slot-dim", "16", "--seed", "5",
+                "--variant", variant, "--pathway", pathway, "--heads", "4"]) == 0
+    kernel, kernel_shapes, fallback_maps = mt._f17_csv, [], []
+
+    def kernel_spy(maps):
+        kernel_shapes.append(maps.shape)
+        return kernel(maps)
+
+    monkeypatch.setattr(mt, "_f17_csv", kernel_spy)
+    monkeypatch.setattr(mt, "_percent_csv", fallback_maps.append)
+    assert run(["explain", "--data", data, "--checkpoint", os.path.join(train_dir, "model.cctk"),
+                "--out", str(tmp_path / "explain")]) == 0
+    rows = 6 if pathway == "spatial" else 1
+    assert kernel_shapes == [(16, rows, 12)] * 3 and fallback_maps == []

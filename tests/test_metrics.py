@@ -175,6 +175,19 @@ class TestAttentionEntropy:
             assert value == float((a * np.log(np.maximum(a, 1e-9))).sum() * (-1.0 / a.size))
 
 
+def per_value_writer(a, path):
+    """The export as it was first written: one value at a time, "%.17g" text."""
+    peak = a.max()
+    scaled = np.zeros_like(a) if peak == 0 else a * (255.0 / peak)
+    pixels = np.floor(scaled + 0.5).astype(np.uint8)
+    with open(path + ".pgm", "wb") as fh:
+        fh.write(f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
+    with open(path + ".csv", "w", encoding="ascii") as fh:
+        for row in a:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 class TestHeatmapExport:
     def test_two_pixel_map(self, tmp_path):
         path = tmp_path / "map.pgm"
@@ -208,32 +221,89 @@ class TestHeatmapExport:
         npt.assert_array_equal(parsed, values)
 
     def test_bytes_match_per_value_writer(self, tmp_path):
-        def per_value_writer(a, path):
-            peak = a.max()
-            scaled = np.zeros_like(a) if peak == 0 else a * (255.0 / peak)
-            pixels = np.floor(scaled + 0.5).astype(np.uint8)
-            with open(path + ".pgm", "wb") as fh:
-                fh.write(f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii"))
-                fh.write(pixels.tobytes())
-            with open(path + ".csv", "w", encoding="ascii") as fh:
-                for row in a:
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
         rng = np.random.default_rng(11)
         for rows in (1, 8, 32):
-            a = rng.dirichlet(np.ones(12) * 0.3, size=rows)
-            a[0, :3] = [0.0, 5e-324, 0.0]    # exact zeros and a subnormal
-            a[-1] = 0.0
-            a[-1, 4] = 1.0                   # a lone 1.0
-            mt.export_heatmap(a, str(tmp_path / "new.pgm"))
-            per_value_writer(a, str(tmp_path / "old"))
+            planted = rng.dirichlet(np.ones(12) * 0.3, size=rows)
+            planted[0, :3] = [0.0, 5e-324, 0.0]    # exact zeros and a subnormal
+            planted[-1] = 0.0
+            planted[-1, 4] = 1.0                   # a lone 1.0
+            in_range = rng.dirichlet(np.ones(12) * 5, size=rows)  # every entry in [1e-4, 1)
+            assert in_range.min() >= 1e-4
+            for a in (planted, in_range):
+                mt.export_heatmap(a, str(tmp_path / "new.pgm"))
+                per_value_writer(a, str(tmp_path / "old"))
+                for ext in ("pgm", "csv"):
+                    assert ((tmp_path / f"new.{ext}").read_bytes()
+                            == (tmp_path / f"old.{ext}").read_bytes())
+
+    def test_mixed_chunk_matches_per_value_writer(self, tmp_path, monkeypatch):
+        """One stack of in-range maps and maps holding a value outside [1e-4, 1):
+        every file holds the per-value writer's bytes, and only the in-range
+        maps go through the kernel."""
+        kernel, kernel_maps = mt._f17_csv, []
+
+        def spy(maps):
+            kernel_maps.extend(maps.copy())
+            return kernel(maps)
+
+        monkeypatch.setattr(mt, "_f17_csv", spy)
+        maps = np.random.default_rng(12).dirichlet(np.ones(12) * 5, size=(7, 8))
+        outside = {1: 0.0, 3: 5e-324, 4: 5e-5, 6: 1.0}
+        for i, value in outside.items():
+            maps[i, 2, 3] = value
+        paths = [str(tmp_path / f"new{i}.pgm") for i in range(len(maps))]
+        mt.export_heatmaps(maps, paths)
+        for i, a in enumerate(maps):
+            per_value_writer(a, str(tmp_path / f"old{i}"))
             for ext in ("pgm", "csv"):
-                assert ((tmp_path / f"new.{ext}").read_bytes()
-                        == (tmp_path / f"old.{ext}").read_bytes())
+                assert ((tmp_path / f"new{i}.{ext}").read_bytes()
+                        == (tmp_path / f"old{i}.{ext}").read_bytes())
+        npt.assert_array_equal(kernel_maps, maps[[i for i in range(7) if i not in outside]])
+
+    def test_whole_stack_checked_before_any_write(self, tmp_path):
+        maps = np.full((3, 2, 2), 0.25)
+        maps[2, 1, 1] = np.nan
+        paths = [str(tmp_path / f"m{i}.pgm") for i in range(3)]
+        with pytest.raises(DomainError, match="finite non-negative"):
+            mt.export_heatmaps(maps, paths)
+        with pytest.raises(DomainError, match="got 2 paths for 3 maps"):
+            mt.export_heatmaps(np.full((3, 2, 2), 0.25), paths[:2])
+        with pytest.raises(DomainError, match=r"expects a 2-D map, got shape \(3,\)"):
+            mt.export_heatmap(np.full(3, 0.25), paths[0])
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_values_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             mt.export_heatmap(np.array([[-0.1, 0.5]]), str(tmp_path / "x.pgm"))
+
+
+class TestF17Kernel:
+    """The heatmap CSV kernel against CPython's "%.17g", byte for byte."""
+
+    def test_matches_percent_on_boundary_and_random_values(self, f17_sweep):
+        boundary = f17_sweep.boundary_values()
+        values = np.concatenate([boundary, f17_sweep.random_values(np.random.default_rng(5),
+                                                                   60000)])
+        assert values.size >= 200000
+        # the 16 ulps around each decade edge and below 1.0; an exact tie at the
+        # 17th digit (131071 / 2**18 * 10**17 = 131071 * 5**17 / 2); a value whose
+        # log10 rounds up a decade
+        for edge in (1e-4, 1e-3, 1e-2, 0.1):
+            assert np.isin(np.float64(edge).view(np.int64) + np.arange(17),
+                           boundary.view(np.int64)).all()
+        assert np.isin([np.nextafter(1.0, 0.0), 131071 / 2 ** 18, np.nextafter(0.1, 0.0)],
+                       boundary).all()
+        assert np.floor(np.log10(np.nextafter(0.1, 0.0))) == -1.0
+        assert f17_sweep.first_mismatch(values) is None
+
+    def test_stack_layout_matches_percent(self):
+        """Rows, separators and map ends: stacks of several shapes, one text per map."""
+        rng = np.random.default_rng(6)
+        for shape in [(1, 1, 1), (3, 1, 12), (2, 32, 12), (5, 6, 1), (4, 3, 7)]:
+            maps = 10.0 ** rng.uniform(-4, 0, shape)
+            maps = np.clip(maps, 1e-4, np.nextafter(1.0, 0.0))
+            assert mt._f17_csv(maps) == [mt._percent_csv(a) for a in maps]
+        assert mt._f17_csv(np.zeros((0, 1, 4))) == []
 
 
 PREFILLS = {"longer": b"#" * 5000, "shorter": b"P5\n", "empty": b""}

@@ -126,3 +126,20 @@ def test_bench_pairs_records_faults_and_system_time(tmp_path):
     line = bench.usage_line(runs((100, 0.5), (300, 0.1), (200, 0.3)), runs((50, 0.2)))
     assert line.split() == ["per", "run,", "median:", "minor", "faults", "200", "->", "50,",
                             "system", "s", "0.300", "->", "0.200"]
+
+
+def test_f17_sweep_reports_first_mismatch(f17_sweep, capsys, monkeypatch):
+    from concepthead import metrics
+
+    assert f17_sweep.main(["--values", "3000"]) == 0
+    checked, rest = capsys.readouterr().out.split(" ", 1)
+    assert rest == "values match %.17g\n" and int(checked) > 3000 + 160000
+    kernel = metrics._f17_csv
+
+    def broken(maps):  # 0.5 gets one trailing zero too many
+        return [b"0.50\n" if text == b"0.5\n" else text for text in kernel(maps)]
+
+    monkeypatch.setattr(metrics, "_f17_csv", broken)
+    assert f17_sweep.main(["--values", "10"]) == 1
+    assert capsys.readouterr().out == (
+        "mismatch at 0.5 (0x1.0000000000000p-1): kernel b'0.50\\n', %.17g b'0.5\\n'\n")
