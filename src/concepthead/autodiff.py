@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Provides exactly the operations the concept head needs: matrix products,
-head split/merge/sum, axis softmax, layer norm, pointwise arithmetic and
-activations, a floored log (the only log), reductions, a way to record a
+head split/merge/sum, axis softmax, layer norm, pointwise arithmetic, exp,
+a floored log (the only log), reductions, a way to record a
 hand-written fused op (`record`; the head's slot-refinement step is one),
 and a central-difference gradient checker. The operation record is rebuilt on
 every forward pass (define-by-run) and `backward` consumes it: the walk runs
@@ -12,6 +12,20 @@ second `backward` over a walked record raises RecordConsumedError; a fresh
 gradient needs a fresh forward. Inside `no_grad()` no record is kept at all,
 and that is also the one way to stop a gradient: a tensor made there is a
 constant to the ops recorded after it.
+
+Finite values: every Tensor holds finite values, so a non-finite op output
+raises the NumericError that names the op ("matmul produced non-finite
+values"), recorded or not. An op's output is checked unless the op cannot
+make a non-finite value from finite inputs: transpose, split_heads,
+merge_heads and pick copy values, softmax_axis divides exps in [0, 1] by a
+sum of at least 1, clamped_log takes the log of a value of at least
+LOG_FLOOR, and log_sum_exp adds a log in [0, log n] to the row max. The
+fused op head.slot_step checks only its output and the values where a
+non-finite value could vanish before that check: IEEE +, -, *, / and matmul
+never turn a NaN finite, and ±inf vanishes only in a saturating function
+(exp of -inf, a sigmoid, a tanh). On a failed check it runs again with a
+check at every step of the chain it fuses, so its error names the chain's
+first op that made a non-finite value.
 
 The record is slim: it holds the graph, not the op outputs. A recorded op
 output carries a `_Node` with its parents' record entries (a parent's node,
@@ -73,8 +87,6 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "sigmoid",
-    "tanh",
     "exp",
     "LOG_FLOOR",
     "clamped_log",
@@ -104,7 +116,8 @@ def grad_enabled() -> bool:
 def no_grad():
     """Forward-only region: op outputs never require grad and keep no record.
 
-    Values and finite checks are those of a recorded pass. Regions nest; the
+    Values and finite checks are those of a recorded pass (see the module
+    docstring for which values are checked). Regions nest; the
     previous state comes back on exit, also when the body raises.
     """
     global _grad_enabled
@@ -175,14 +188,20 @@ class _Node:
 
 def checked(data: np.ndarray, op: str) -> np.ndarray:
     """data itself when every value is finite; otherwise the NumericError
-    that names op, as a recorded op's output raises it."""
+    that names op, as an op's output check raises it. A fused op calls it
+    where a non-finite value could vanish before its output check (see the
+    module docstring)."""
     if not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
     return data
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    checked(data, op)
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str,
+          finite: bool = False) -> Tensor:
+    """The op's output tensor. Its values are checked unless the op passes
+    finite=True: an output that is finite for every finite input."""
+    if not finite:
+        checked(data, op)
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64, order="C")
     out.grad = None
@@ -266,7 +285,8 @@ def transpose(a: Tensor) -> Tensor:
     def vjp(g):
         return (_swap_last(g),)
 
-    return _make(_swap_last(a.data), (a,), vjp, "transpose")
+    # a copy of finite values
+    return _make(_swap_last(a.data), (a,), vjp, "transpose", finite=True)
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
@@ -282,8 +302,9 @@ def split_heads(a: Tensor, heads: int) -> Tensor:
     def vjp(g):
         return (np.swapaxes(g, -3, -2).reshape(shape),)
 
+    # a copy of finite values
     return _make(np.swapaxes(a.data.reshape(shape[:-1] + (heads, cols // heads)), -3, -2),
-                 (a,), vjp, "split_heads")
+                 (a,), vjp, "split_heads", finite=True)
 
 
 def merge_heads(a: Tensor, heads: int) -> Tensor:
@@ -298,8 +319,9 @@ def merge_heads(a: Tensor, heads: int) -> Tensor:
     def vjp(g):
         return (np.swapaxes(g.reshape(lead + (rows, heads, width)), -3, -2),)
 
+    # a copy of finite values
     return _make(np.swapaxes(a.data, -3, -2).reshape(lead + (rows, heads * width)), (a,), vjp,
-                 "merge_heads")
+                 "merge_heads", finite=True)
 
 
 def sum_heads(a: Tensor, heads: int) -> Tensor:
@@ -358,25 +380,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), vjp, "scale")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # exp(-x) -> inf is a correct 0.0 output
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def vjp(g):
-        return (g * out_data * (1.0 - out_data),)
-
-    return _make(out_data, (a,), vjp, "sigmoid")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out_data * out_data),)
-
-    return _make(out_data, (a,), vjp, "tanh")
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow surfaces as NumericError below
         out_data = np.exp(a.data)
@@ -400,7 +403,8 @@ def clamped_log(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.where(a_data > LOG_FLOOR, g / clamped, 0.0),)
 
-    return _make(np.log(clamped), (a,), vjp, "clamped_log")
+    # the log of a value in [LOG_FLOOR, max double] is finite
+    return _make(np.log(clamped), (a,), vjp, "clamped_log", finite=True)
 
 
 def softmax_axis(a: Tensor, axis: int) -> Tensor:
@@ -413,7 +417,8 @@ def softmax_axis(a: Tensor, axis: int) -> Tensor:
     def vjp(g):
         return (out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),)
 
-    return _make(out_data, (a,), vjp, "softmax_axis")
+    # the shifted exps lie in [0, 1] and sum to at least 1 (the max's is 1)
+    return _make(out_data, (a,), vjp, "softmax_axis", finite=True)
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,7 +499,8 @@ def log_sum_exp(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.expand_dims(g, -1) * e / z,)
 
-    return _make((m + logs)[..., 0], (a,), vjp, "log_sum_exp")
+    # the row max plus a log in [0, log n]: finite (each sum lies in [1, n])
+    return _make((m + logs)[..., 0], (a,), vjp, "log_sum_exp", finite=True)
 
 
 def pick(a: Tensor, index) -> Tensor:
@@ -514,7 +520,8 @@ def pick(a: Tensor, index) -> Tensor:
         out[flat] = g
         return (out.reshape(shape),)
 
-    return _make(np.asarray(a.data.reshape(-1)[flat]), (a,), vjp, "pick")
+    # a copy of finite values
+    return _make(np.asarray(a.data.reshape(-1)[flat]), (a,), vjp, "pick", finite=True)
 
 
 def vecmat(v: Tensor, m: Tensor) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _swap_last
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 __all__ = [
     "VARIANTS",
@@ -266,6 +266,10 @@ class SlotInputs:
     values: np.ndarray | None = None
 
 
+def _unchecked(data: np.ndarray, op: str) -> np.ndarray:
+    return data
+
+
 def slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams,
               cfg: HeadConfig) -> tuple[Tensor, np.ndarray]:
     """One refinement iteration, recorded as one op: layer-norm the slots,
@@ -288,11 +292,37 @@ def slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams,
     the readout, z, r and the candidate, and recomputes the elementwise rest
     (the normed slots, r * s, cand - s and the binder map). `inputs` is a
     parent twice, for its keys and then its values, as the chain read it.
+
+    Finite checks: the step first runs with floating-point warnings off and
+    checks five values only, the points where a non-finite value could
+    vanish before a later check sees it. From finite slots and parameters,
+    +, -, *, / and matmul never turn a NaN finite; ±inf vanishes only in the
+    softmax's exp, a gate's sigmoid and the candidate's tanh, and the
+    row normalization's division by an infinite sum leaves a NaN in that
+    row. So it checks the scaled scores, the z and r gate pre-activations,
+    the candidate pre-activation and the recorded output. When one of them
+    is not finite, the step runs again under the caller's floating-point
+    settings with every check the chain made, keys and values included when
+    this call made them, and raises the chain's error.
     """
     if slots.data.ndim < 2 or slots.shape[-2:] != (cfg.concepts, cfg.slot_dim):
         raise ShapeError(f"expected slots (*, {cfg.concepts}, {cfg.slot_dim}), "
                          f"got {slots.shape}")
-    checked, swap = ad.checked, _swap_last
+    fresh = inputs.keys_t is None
+    try:
+        with np.errstate(all="ignore"):
+            return _slot_step(slots, inputs, p, cfg, _unchecked)
+    except NumericError:
+        if fresh:
+            inputs.keys_t = inputs.values = None
+        return _slot_step(slots, inputs, p, cfg, ad.checked)
+
+
+def _slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams, cfg: HeadConfig,
+               check) -> tuple[Tensor, np.ndarray]:
+    """slot_step's body: check(value, op) runs at each point of the chain
+    that slot_step does not always check (see its docstring)."""
+    screen, swap = ad.checked, _swap_last
     # under no_grad no VJP reads what the step would keep: each such array
     # goes as soon as the forward is done with it
     keep = ad.grad_enabled()
@@ -301,58 +331,58 @@ def slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams,
     xhat, inv_std = ad.normalize_rows(slots.data)
     g_row = p.ln_slot_gain.data.reshape(1, d)
     b_row = p.ln_slot_bias.data.reshape(1, d)
-    s = checked(xhat * g_row + b_row, "layer_norm")
+    s = check(xhat * g_row + b_row, "layer_norm")
     if not keep:
         xhat = inv_std = None
     wq, wz, uz, wr, ur, wh, uh = (t.data for t in (p.wq, p.wz, p.uz, p.wr, p.ur, p.wh, p.uh))
-    q = checked(s @ wq, "matmul")
+    q = check(s @ wq, "matmul")
     x = inputs.normed.data
     wk, wv = p.wk.data, p.wv.data
     if inputs.keys_t is None:
-        k = checked(x @ wk, "matmul")
-        inputs.values = checked(x @ wv, "matmul")
-        inputs.keys_t = checked(np.ascontiguousarray(swap(k)), "transpose")
+        k = check(x @ wk, "matmul")
+        inputs.values = check(x @ wv, "matmul")
+        inputs.keys_t = check(np.ascontiguousarray(swap(k)), "transpose")
         del k
     keys_t, values = inputs.keys_t, inputs.values
     # softmax across slots, then each row over the inputs
-    a = checked(q @ keys_t, "matmul")
+    a = check(q @ keys_t, "matmul")
     if not keep:
         q = None
     a *= scale
-    checked(a, "scale")
+    screen(a, "scale")  # the softmax's exp turns a -inf score into 0
     a -= a.max(axis=-2, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=-2, keepdims=True)
-    checked(a, "softmax_axis")
+    check(a, "softmax_axis")
     sums = a.sum(axis=-1, keepdims=True)
-    attn = checked(np.divide(a, sums, out=None if keep else a), "row_normalize")
+    attn = check(np.divide(a, sums, out=None if keep else a), "row_normalize")
     if not keep:
         a = sums = None
-    readout = checked(attn @ values, "matmul")
+    readout = check(attn @ values, "matmul")
 
     def gate(w, u, bias):
-        out = checked(readout @ w, "matmul")
-        out += checked(s @ u, "matmul")
-        checked(out, "add")
+        out = check(readout @ w, "matmul")
+        out += check(s @ u, "matmul")
+        check(out, "add")
         out += bias.data
-        checked(out, "add")
+        screen(out, "add")  # the sigmoid turns ±inf into 0 or 1
         np.negative(out, out=out)
         with np.errstate(over="ignore"):  # exp(-x) -> inf is a correct 0.0 output
             np.exp(out, out=out)
         out += 1.0
-        return checked(np.divide(1.0, out, out=out), "sigmoid")
+        return check(np.divide(1.0, out, out=out), "sigmoid")
 
     z = gate(wz, uz, p.bz)
     r = gate(wr, ur, p.br)
-    cand = checked(readout @ wh, "matmul")
-    cand += checked(checked(r * s, "mul") @ uh, "matmul")
-    checked(cand, "add")
+    cand = check(readout @ wh, "matmul")
+    cand += check(check(r * s, "mul") @ uh, "matmul")
+    check(cand, "add")
     cand += p.bh.data
-    checked(cand, "add")
-    checked(np.tanh(cand, out=cand), "tanh")
-    new = checked(np.subtract(cand, s, out=None if keep else cand), "sub")
+    screen(cand, "add")  # the tanh turns ±inf into ±1
+    check(np.tanh(cand, out=cand), "tanh")
+    new = check(np.subtract(cand, s, out=None if keep else cand), "sub")
     new *= z
-    checked(new, "mul")
+    check(new, "mul")
     new += s
 
     # the contributions come out in this order, each computed when the walk

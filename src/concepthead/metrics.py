@@ -35,7 +35,6 @@ __all__ = [
     "METRICS_HEADER",
     "Metrics",
     "concept_top1_scores",
-    "export_heatmap",
     "export_heatmaps",
     "format_metrics_row",
     "write_topk_csv",
@@ -128,11 +127,6 @@ def export_heatmaps(maps: np.ndarray, paths: Sequence[str]) -> None:
         _overwrite(path, header + image.tobytes())
         csv_path = path[:-4] + ".csv" if path.endswith(".pgm") else path + ".csv"
         _overwrite(csv_path, next(texts) if in_range else _percent_csv(attn))
-
-
-def export_heatmap(attn: np.ndarray, path: str) -> None:
-    """Write one 2-D map as export_heatmaps writes each map of a stack."""
-    export_heatmaps(np.asarray(attn, dtype=np.float64)[None], [path])
 
 
 def _percent_csv(a: np.ndarray) -> bytes:
@@ -263,7 +257,7 @@ def write_topk_csv(rows: Sequence[tuple[int, int, int, float]], path: str) -> No
     """Per-sample ranked concept relevances: sample_index,rank,concept_index,gamma_value.
 
     The text is built once, and an existing file is rewritten in place (see
-    _overwrite) for the reason export_heatmap gives: a rerun of explain into
+    _overwrite) for the reason export_heatmaps gives: a rerun of explain into
     the same directory need not truncate the previous topk.csv first.
     """
     lines = ["sample_index,rank,concept_index,gamma_value\n"]

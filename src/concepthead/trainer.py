@@ -273,7 +273,9 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
     order (np.add.accumulate): np.sum adds pairwise and Python's sum()
     compensates from 3.12 on, and either would move the last bits of the
     logged values with the chunking or the Python version. Overflow stays
-    silent: autodiff turns non-finite op outputs into NumericError. A chunk
+    silent: a non-finite value raises the NumericError that names the first
+    op that made it, though not every op output is checked (see the autodiff
+    module docstring and head.slot_step). A chunk
     that raises one is replayed one sample at a time from the generator state
     it started with, so the error names the epoch, batch and sample.
     """

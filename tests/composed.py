@@ -1,6 +1,7 @@
 """The slot-refinement iteration as a chain of autodiff ops: the reference
 that `head.slot_step` (one recorded op) is checked against, bit for bit, in
-values, errors and gradients."""
+values, errors and gradients. Every op of the chain checks its output, so
+its NumericError names the first op that made a non-finite value."""
 
 from __future__ import annotations
 
@@ -26,6 +27,25 @@ def row_normalize(a):
     return ad.record(out_data, (a,), vjp, "row_normalize")
 
 
+def sigmoid(a):
+    with np.errstate(over="ignore"):  # exp(-x) -> inf is a correct 0.0 output
+        out_data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def vjp(g):
+        return (g * out_data * (1.0 - out_data),)
+
+    return ad.record(out_data, (a,), vjp, "sigmoid")
+
+
+def tanh(a):
+    out_data = np.tanh(a.data)
+
+    def vjp(g):
+        return (g * (1.0 - out_data * out_data),)
+
+    return ad.record(out_data, (a,), vjp, "tanh")
+
+
 def slot_attention(inputs, slots, p, cfg):
     """Competitive attention of already-normed slots over already-normed
     inputs: the renormalized map (..., C, L) and the readout (..., C, d)."""
@@ -39,9 +59,9 @@ def slot_attention(inputs, slots, p, cfg):
 
 def gru_update(slots, readout, p):
     """One GRU step per slot row; readout is the input, slots the hidden state."""
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(readout, p.wz), ad.matmul(slots, p.uz)), p.bz))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(readout, p.wr), ad.matmul(slots, p.ur)), p.br))
-    cand = ad.tanh(ad.add(ad.add(ad.matmul(readout, p.wh),
+    z = sigmoid(ad.add(ad.add(ad.matmul(readout, p.wz), ad.matmul(slots, p.uz)), p.bz))
+    r = sigmoid(ad.add(ad.add(ad.matmul(readout, p.wr), ad.matmul(slots, p.ur)), p.br))
+    cand = tanh(ad.add(ad.add(ad.matmul(readout, p.wh),
                                  ad.matmul(ad.mul(r, slots), p.uh)), p.bh))
     # (1 - z) * slots + z * cand
     return ad.add(slots, ad.mul(z, ad.sub(cand, slots)))

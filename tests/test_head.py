@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -261,6 +262,45 @@ def both_gates_huge(p):
     p.uz.data[...] = 0.25e308
 
 
+def gate_overflows(w, b, sign):
+    """Pokes that overflow one gate's or the candidate's pre-activation to
+    sign * inf in its bias add, which the sigmoid or tanh then saturates:
+    slots @ w (or readout @ w) and the bias are each sign * 1e308."""
+    def poke(p):
+        if w.startswith("u"):  # every normed slot row is ones
+            p.ln_slot_gain.data[...] = 0.0
+            p.ln_slot_bias.data[...] = 1.0
+        else:  # the normed inputs, so every value and the readout, are ones
+            p.ln_input_gain.data[...] = 0.0
+            p.ln_input_bias.data[...] = 1.0
+            p.wv.data[...] = 0.25
+        getattr(p, w).data[...] = sign * 0.25e308
+        getattr(p, b).data[...] = sign * 1e308
+    return poke
+
+
+SCREEN_POKES = {f"{gate}{'+' if sign > 0 else '-'}inf": gate_overflows(w, b, sign)
+                for gate, w, b in (("z", "uz", "bz"), ("r", "ur", "br"), ("candidate", "wh", "bh"))
+                for sign in (1.0, -1.0)}
+
+
+def scores_to_minus_inf(cfg):
+    """boqsa params and inputs whose score of slot 2 and input 0 overflows to
+    -inf while every other score stays finite, so that the softmax turns it
+    into a 0: the last column of q and of the keys is 2**600 * (the first
+    normed value - the second), which is exactly 0 for slots 0 and 1 and for
+    inputs 1-4 (products with 2**600 are exact)."""
+    p = hd.init_slot_params(cfg, np.random.default_rng(0))
+    p.init_queries.data[...] = [[0.0, 0.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0],
+                                [1.0, -1.0, 0.5, -0.5]]
+    big = 2.0 ** 600
+    p.wq.data[:, 3] = p.wk.data[:, 3] = [big, -big, 0.0, 0.0]
+    e = np.random.default_rng(1).normal(size=(5, 4))
+    e[1:, 1] = e[1:, 0]
+    e[0, :2] = [-1.0, 1.0]
+    return p, e
+
+
 class TestSlotStep:
     """The fused step against the chain of ops it replaces (tests/composed.py)."""
 
@@ -360,6 +400,123 @@ class TestSlotStep:
                     refine(e, p, cfg, np.random.default_rng(2))
                 messages.append(str(err.value))
         assert messages[0] == messages[1] == f"{op} produced non-finite values"
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("case", SCREEN_POKES)
+    def test_saturated_gate_or_candidate_overflow_names_the_composed_op(self, case, grad):
+        """Each pre-activation screen is the only check that sees its poke's
+        overflow: the sigmoid or tanh after it gives a finite value."""
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
+                            variant="sa", iters=2)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        SCREEN_POKES[case](p)
+        e = Tensor(np.random.default_rng(1).normal(size=(5, 4)))
+        messages = []
+        with np.errstate(all="ignore"), contextlib.nullcontext() if grad else ad.no_grad():
+            for refine in (hd.refine_slots, composed.refine_slots):
+                with pytest.raises(NumericError) as err:
+                    refine(e, p, cfg, np.random.default_rng(2))
+                messages.append(str(err.value))
+        assert messages[0] == messages[1] == "add produced non-finite values"
+
+    @pytest.mark.parametrize("case", SCREEN_POKES)
+    def test_failing_step_warns_as_the_composed_chain(self, case):
+        """The screened run is silent: the floating-point warnings are those
+        of the replay, which are the composed chain's, each once."""
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
+                            variant="sa", iters=2)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        SCREEN_POKES[case](p)
+        e = Tensor(np.random.default_rng(1).normal(size=(5, 4)))
+        messages = []
+        for refine in (hd.refine_slots, composed.refine_slots):
+            with warnings.catch_warnings(record=True) as seen, pytest.raises(NumericError):
+                warnings.simplefilter("always")
+                refine(e, p, cfg, np.random.default_rng(2))
+            messages.append([str(w.message) for w in seen])
+        assert messages[0] == messages[1] == ["overflow encountered in add"]
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_score_at_minus_inf_names_the_composed_op(self, grad):
+        """The scores screen is the only check that sees a -inf score: the
+        softmax turns it into a 0 and every later value is finite."""
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
+                            variant="boqsa", iters=1)
+        p, e = scores_to_minus_inf(cfg)
+        with np.errstate(all="ignore"):
+            normed = ad.layer_norm(Tensor(e), p.ln_input_gain, p.ln_input_bias).data
+            s = hd.init_slots(p, cfg, None).data
+            s = ad.normalize_rows(s)[0]
+            scores = (s @ p.wq.data) @ (normed @ p.wk.data).T
+        assert np.isneginf(scores[2, 0]) and np.isfinite(np.delete(scores.ravel(), 10)).all()
+        messages = []
+        with np.errstate(all="ignore"), contextlib.nullcontext() if grad else ad.no_grad():
+            for refine in (hd.refine_slots, composed.refine_slots):
+                with pytest.raises(NumericError) as err:
+                    refine(Tensor(e), p, cfg, np.random.default_rng(2))
+                messages.append(str(err.value))
+        assert messages[0] == messages[1] == "matmul produced non-finite values"
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_finite_step_checks_five_values(self, grad, monkeypatch):
+        """The screened run checks the scaled scores, the three
+        pre-activations and the recorded output, also when it makes the keys
+        and values, and does not replay."""
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
+                            variant="sa", iters=2)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        x = hd.SlotInputs(ad.layer_norm(Tensor(np.random.default_rng(1).normal(size=(5, 4))),
+                                        p.ln_input_gain, p.ln_input_bias))
+        slots = hd.init_slots(p, cfg, np.random.default_rng(2))
+        checks, checked = [], ad.checked
+
+        def spy(data, op):
+            checks.append(op)
+            return checked(data, op)
+
+        monkeypatch.setattr(ad, "checked", spy)
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            for made_keys in (True, False):
+                assert (x.keys_t is None) == made_keys
+                slots, _ = hd.slot_step(slots, x, p, cfg)
+                assert checks == ["scale", "add", "add", "add", "add"], made_keys
+                checks.clear()
+
+    def test_replay_checks_the_keys_only_when_the_step_made_them(self, monkeypatch):
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
+                            variant="sa", iters=2)
+        p = hd.init_slot_params(cfg, np.random.default_rng(0))
+        normed = ad.layer_norm(Tensor(np.random.default_rng(1).normal(size=(5, 4))),
+                               p.ln_input_gain, p.ln_input_bias)
+        slots = hd.init_slots(p, cfg, np.random.default_rng(2))
+        checks, checked = [], ad.checked
+
+        def spy(data, op):
+            checks.append((op, data.shape))
+            return checked(data, op)
+
+        monkeypatch.setattr(ad, "checked", spy)
+        # keys that overflow: the scores screen fails and the replay finds the keys' matmul
+        x = hd.SlotInputs(normed)
+        saved = p.wk.data.copy()
+        scaled(p.wk, 1.5e308)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="^matmul produced"):
+            hd.slot_step(slots, x, p, cfg)
+        assert checks == [("scale", (3, 5)), ("layer_norm", (3, 4)), ("matmul", (3, 4)),
+                          ("matmul", (5, 4))]
+        assert x.keys_t is None and x.values is None
+        # keys made by an earlier step are not made again
+        p.wk.data[...] = saved
+        slots, _ = hd.slot_step(slots, x, p, cfg)
+        keys_t, values = x.keys_t, x.values
+        gate_overflows("uz", "bz", 1.0)(p)
+        checks.clear()
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="^add produced"):
+            hd.slot_step(slots, x, p, cfg)
+        # the screened run fails at the z gate's screen; then the replay
+        assert checks[:2] == [("scale", (3, 5)), ("add", (3, 4))]
+        assert ("matmul", (5, 4)) not in checks
+        assert x.keys_t is keys_t and x.values is values
 
     def test_untaped_slots_get_no_gradient_work(self):
         cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2)

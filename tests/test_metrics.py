@@ -191,30 +191,30 @@ def per_value_writer(a, path):
 class TestHeatmapExport:
     def test_two_pixel_map(self, tmp_path):
         path = tmp_path / "map.pgm"
-        mt.export_heatmap(np.array([[0.0, 1.0]]), str(path))
+        mt.export_heatmaps(np.array([[0.0, 1.0]])[None], [str(path)])
         blob = path.read_bytes()
         assert blob == b"P5\n2 1\n255\n" + bytes([0, 255])
 
     def test_constant_nonzero_map(self, tmp_path):
         path = tmp_path / "map.pgm"
-        mt.export_heatmap(np.full((2, 2), 0.7), str(path))
+        mt.export_heatmaps(np.full((2, 2), 0.7)[None], [str(path)])
         assert path.read_bytes().endswith(bytes([255, 255, 255, 255]))
 
     def test_hand_scaled_values(self, tmp_path):
         path = tmp_path / "map.pgm"
-        mt.export_heatmap(np.array([[0.0, 0.5], [0.25, 1.0]]), str(path))
+        mt.export_heatmaps(np.array([[0.0, 0.5], [0.25, 1.0]])[None], [str(path)])
         # 255*0.5 = 127.5 rounds away from zero to 128; 255*0.25 = 63.75 -> 64
         assert path.read_bytes()[-4:] == bytes([0, 128, 64, 255])
 
     def test_zero_map_all_black(self, tmp_path):
         path = tmp_path / "map.pgm"
-        mt.export_heatmap(np.zeros((1, 3)), str(path))
+        mt.export_heatmaps(np.zeros((1, 3))[None], [str(path)])
         assert path.read_bytes()[-3:] == bytes([0, 0, 0])
 
     def test_csv_sibling_full_precision(self, tmp_path):
         path = tmp_path / "map.pgm"
         values = np.array([[1 / 3, 2 / 7]])
-        mt.export_heatmap(values, str(path))
+        mt.export_heatmaps(values[None], [str(path)])
         text = (tmp_path / "map.csv").read_text()
         parsed = np.array([[float(v) for v in line.split(",")]
                            for line in text.strip().splitlines()])
@@ -230,7 +230,7 @@ class TestHeatmapExport:
             in_range = rng.dirichlet(np.ones(12) * 5, size=rows)  # every entry in [1e-4, 1)
             assert in_range.min() >= 1e-4
             for a in (planted, in_range):
-                mt.export_heatmap(a, str(tmp_path / "new.pgm"))
+                mt.export_heatmaps(a[None], [str(tmp_path / "new.pgm")])
                 per_value_writer(a, str(tmp_path / "old"))
                 for ext in ("pgm", "csv"):
                     assert ((tmp_path / f"new.{ext}").read_bytes()
@@ -269,12 +269,12 @@ class TestHeatmapExport:
         with pytest.raises(DomainError, match="got 2 paths for 3 maps"):
             mt.export_heatmaps(np.full((3, 2, 2), 0.25), paths[:2])
         with pytest.raises(DomainError, match=r"expects a 2-D map, got shape \(3,\)"):
-            mt.export_heatmap(np.full(3, 0.25), paths[0])
+            mt.export_heatmaps(np.full(3, 0.25)[None], [paths[0]])
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_values_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            mt.export_heatmap(np.array([[-0.1, 0.5]]), str(tmp_path / "x.pgm"))
+            mt.export_heatmaps(np.array([[-0.1, 0.5]])[None], [str(tmp_path / "x.pgm")])
 
 
 class TestF17Kernel:
@@ -320,10 +320,10 @@ class TestOverwrite:
     @pytest.mark.parametrize("rows", [1, 32])
     def test_heatmap_over_existing_file(self, tmp_path, prefill, rows):
         a = np.random.default_rng(rows).dirichlet(np.ones(12), size=rows)
-        mt.export_heatmap(a, str(tmp_path / "fresh.pgm"))
+        mt.export_heatmaps(a[None], [str(tmp_path / "fresh.pgm")])
         for ext in ("pgm", "csv"):
             (tmp_path / f"old.{ext}").write_bytes(PREFILLS[prefill])
-        mt.export_heatmap(a, str(tmp_path / "old.pgm"))
+        mt.export_heatmaps(a[None], [str(tmp_path / "old.pgm")])
         for ext in ("pgm", "csv"):
             assert ((tmp_path / f"old.{ext}").read_bytes()
                     == (tmp_path / f"fresh.{ext}").read_bytes())
@@ -343,7 +343,7 @@ class TestOverwrite:
             with open(tmp_path / "ref", "wb"):
                 pass
             mt.write_topk_csv(self.topk_rows(), str(tmp_path / "topk.csv"))
-            mt.export_heatmap(np.eye(3), str(tmp_path / "map.pgm"))
+            mt.export_heatmaps(np.eye(3)[None], [str(tmp_path / "map.pgm")])
         finally:
             os.umask(previous)
         want = os.stat(tmp_path / "ref").st_mode
@@ -361,7 +361,7 @@ class TestOverwrite:
             mt.write_topk_csv(self.topk_rows(), str(tmp_path / "topk.csv"))
         (tmp_path / "map.csv").mkdir()
         with pytest.raises(IsADirectoryError):
-            mt.export_heatmap(np.eye(2), str(tmp_path / "map.pgm"))
+            mt.export_heatmaps(np.eye(2)[None], [str(tmp_path / "map.pgm")])
 
 
 class TestMetricsCsv:

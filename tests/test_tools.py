@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,37 @@ def test_bench_pairs_records_faults_and_system_time(tmp_path):
     line = bench.usage_line(runs((100, 0.5), (300, 0.1), (200, 0.3)), runs((50, 0.2)))
     assert line.split() == ["per", "run,", "median:", "minor", "faults", "200", "->", "50,",
                             "system", "s", "0.300", "->", "0.200"]
+
+
+def test_bench_pairs_leaves_out_a_pair_whose_run_exits_nonzero(tmp_path, capsys):
+    bench = load_tool("bench_pairs")
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "train_sps", "better": "higher", "bound": 0.15}]}))
+        run = FAKE_RUN
+        if side == "parent":  # seed 2 fails after a few lines of stderr
+            run = ("import sys\n"
+                   "if '2' in sys.argv:\n"
+                   "    sys.stderr.write(''.join(f'line {i}\\n' for i in range(30)))\n"
+                   "    sys.exit(3)\n" + FAKE_RUN)
+        (tmp_path / side / "perfbench" / "run.py").write_text(run)
+    out = tmp_path / "records"
+    code = bench.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                       "--seeds", "1", "2", "3", "--seconds", "1", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    report = captured.err.splitlines()
+    failed = report.index("pair 2 seed 2 parent: exited with 3; the pair is left out; "
+                          "last stderr lines:")
+    assert report[failed + 1:failed + 1 + bench.STDERR_LINES] == [
+        f"  line {i}" for i in range(30 - bench.STDERR_LINES, 30)]
+    assert "w: 2 pairs, 1 s runs; median [q1, q3], parent -> change" in captured.out
+    assert "  parent: seeds [2] exited nonzero; their pairs are left out" in captured.out
+    assert "change: seeds" not in captured.out
+    for label in ("baseline", "change"):
+        record = json.loads((out / f"BENCH_{label}.json").read_text())
+        assert [r["seed"] for r in record["workloads"]["w"]["runs"]] == [1, 3]
 
 
 def test_f17_sweep_reports_first_mismatch(f17_sweep, capsys, monkeypatch):

@@ -388,6 +388,25 @@ class TestChunkedPass:
         assert messages[0] == messages[1]
         assert messages[0].startswith("non-finite loss at epoch 0, batch 0, sample 6: ")
 
+    def test_saturated_overflow_in_a_chunk_names_the_sample(self):
+        # every row of sample 6 normalizes to a first value of sqrt(3); in the
+        # other samples it stays below 1.72, so only sample 6's readout @ wz
+        # overflows, and only a screen sees it: the update gate saturates at 1
+        ds = tiny_dataset()
+        ds.features[6] = [1.0, 0.0, 0.0, 0.0]
+        messages = []
+        for size in (64, 1):
+            cfg = tiny_config(batch_size=size)
+            params = tr.init_train_state(cfg).params
+            slot = params.spatial.slot
+            slot.wv.data[:, 0] = [1.0, 0.0, 0.0, 0.0]  # the values' first column
+            slot.wz.data[0] = np.finfo(np.float64).max / 1.72
+            with pytest.raises(NumericError) as err:
+                tr.evaluate(ds, params, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == ("non-finite loss at epoch 0, batch 0, sample 6: "
+                                              "matmul produced non-finite values")
+
     @pytest.mark.parametrize("variant,pathway,heads", GRID)
     def test_fit_is_bit_identical_across_chunk_sizes(self, variant, pathway, heads,
                                                      monkeypatch):

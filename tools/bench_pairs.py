@@ -14,7 +14,11 @@ the metric's `bound` (see `verdict`). It then prints each side's failed
 checks over its attempted ones, summed over its runs, and flags the change
 when it fails a larger share (see `failed_share_worse`), and each side's
 median minor page faults and system CPU seconds per run, taken from
-getrusage(RUSAGE_CHILDREN) around each run (see `usage_line`). With
+getrusage(RUSAGE_CHILDREN) around each run (see `usage_line`). A run that
+exits nonzero is reported with its side, seed, exit code and last stderr
+lines as it happens; its pair is left out of every median and record, the
+summary lists each side's seeds whose runs exited nonzero, and the tool
+exits 1 once it has printed and written the rest. With
 --trace-seconds, TRACED_RUNS traced runs per side (`--trace 1`, on the
 first seeds, cycling when fewer are given, paired and alternating as above)
 add each per-layer value's median and quartiles: a single traced run's
@@ -47,6 +51,16 @@ USAGE_KEYS = ("minor_faults", "sys_s")
 # a flat run's entries besides metrics
 RUN_KEYS = ("seed", "correct", "attempted", "failed", *USAGE_KEYS)
 TRACED_RUNS = 3
+# stderr lines printed for a run that exits nonzero
+STDERR_LINES = 10
+
+
+class RunFailed(Exception):
+    """A perfbench run that exited nonzero: its exit code and stderr."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(returncode, stderr)
+        self.returncode, self.stderr = returncode, stderr
 
 
 def parse_args(argv):
@@ -67,7 +81,8 @@ def parse_args(argv):
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
               trace: int) -> tuple[dict, dict, dict]:
     """One perfbench run: its printed result, the provenance of its record,
-    and its minor page faults and system CPU seconds (USAGE_KEYS)."""
+    and its minor page faults and system CPU seconds (USAGE_KEYS). Raises
+    RunFailed when the run exits nonzero."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -76,8 +91,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     usage = {"minor_faults": after.ru_minflt - before.ru_minflt,
              "sys_s": after.ru_stime - before.ru_stime}
     if done.returncode != 0:
-        raise SystemExit(f"bench_pairs: {' '.join(argv[1:])} in {checkout} exited with "
-                         f"{done.returncode}:\n{done.stderr}")
+        raise RunFailed(done.returncode, done.stderr)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     record = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json"
     return result, json.loads(record.read_text())["provenance"], usage
@@ -108,21 +122,35 @@ def flat_run(seed: int, result: dict, usage: dict) -> dict:
 
 
 def paired_runs(sides: dict[str, Path], workload: str, seeds: list[int], seconds: float,
-                trace: int) -> tuple[dict[str, list[dict]], dict[str, dict]]:
+                trace: int) -> tuple[dict[str, list[dict]], dict[str, dict], dict[str, list[int]]]:
     """One run per side and seed, the parent first on even pairs: each side's
-    flat runs, and the provenance of each side's last record."""
+    flat runs of the pairs whose two runs both exited 0, the provenance of
+    each side's last record, and each side's seeds whose run exited nonzero."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     provenance: dict[str, dict] = {}
+    exited: dict[str, list[int]] = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
         for side in order:
-            result, provenance[side], usage = run_bench(sides[side], workload, seed, seconds,
-                                                        trace)
-            runs[side].append(flat_run(seed, result, usage))
-            print(f"pair {i + 1} seed {seed} {side}{' traced' if trace else ''}: "
-                  f"correct={result['correct']} failed={result['failed']}",
+            label = f"pair {i + 1} seed {seed} {side}{' traced' if trace else ''}"
+            try:
+                result, provenance[side], usage = run_bench(sides[side], workload, seed,
+                                                            seconds, trace)
+            except RunFailed as err:
+                exited[side].append(seed)
+                tail = err.stderr.splitlines()[-STDERR_LINES:]
+                print(f"{label}: exited with {err.returncode}; the pair is left out; "
+                      f"last stderr lines:", *(f"  {line}" for line in tail),
+                      sep="\n", file=sys.stderr, flush=True)
+                continue
+            pair[side] = flat_run(seed, result, usage)
+            print(f"{label}: correct={result['correct']} failed={result['failed']}",
                   file=sys.stderr, flush=True)
-    return runs, provenance
+        if len(pair) == 2:
+            for side in runs:
+                runs[side].append(pair[side])
+    return runs, provenance, exited
 
 
 def summarize(runs: list[dict], names: list[str]) -> dict:
@@ -223,6 +251,12 @@ def write_record(path: Path, label: str, checkout: Path, workload: str, runs: li
     path.write_text(json.dumps(record, indent=1) + "\n")
 
 
+def print_exited(exited: dict[str, list[int]]) -> None:
+    for side, seeds in exited.items():
+        if seeds:
+            print(f"  {side}: seeds {seeds} exited nonzero; their pairs are left out")
+
+
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -232,13 +266,20 @@ def main(argv: list[str]) -> int:
     harness, warning = harness_digests(sides)
     if warning:
         print(warning, flush=True)
-    runs, provenance = paired_runs(sides, args.workload, args.seeds, args.seconds, 0)
+    runs, provenance, exited = paired_runs(sides, args.workload, args.seeds, args.seconds, 0)
     traced = {"parent": None, "change": None}
     if args.trace_seconds:
         seeds = [args.seeds[i % len(args.seeds)] for i in range(TRACED_RUNS)]
-        traced, _ = paired_runs(sides, args.workload, seeds, args.trace_seconds, 1)
+        traced, _, traced_exited = paired_runs(sides, args.workload, seeds,
+                                               args.trace_seconds, 1)
+        for side, failed in traced_exited.items():
+            exited[side] += [seed for seed in failed if seed not in exited[side]]
+    if not runs["parent"]:
+        print(f"{args.workload}: no pair completed")
+        print_exited(exited)
+        return 1
 
-    print(f"{args.workload}: {len(args.seeds)} pairs, {args.seconds:g} s runs; "
+    print(f"{args.workload}: {len(runs['parent'])} pairs, {args.seconds:g} s runs; "
           f"median [q1, q3], parent -> change")
     for name, direction in better.items():
         p = [r[name] for r in runs["parent"]]
@@ -260,8 +301,9 @@ def main(argv: list[str]) -> int:
         bad = [r["seed"] for r in runs[side] if not r["correct"] or r["failed"]]
         if bad:
             print(f"  {side}: seeds {bad} had failed checks")
-    if args.trace_seconds:
-        print(f"  per layer, median [q1, q3] over {TRACED_RUNS} traced "
+    print_exited(exited)
+    if traced["parent"]:
+        print(f"  per layer, median [q1, q3] over {len(traced['parent'])} traced "
               f"{args.trace_seconds:g} s runs, parent -> change")
         print("\n".join(per_layer_lines(traced["parent"], traced["change"])))
 
@@ -270,7 +312,7 @@ def main(argv: list[str]) -> int:
         write_record(args.out / f"BENCH_{label}.json", label, sides[side], args.workload,
                      runs[side], list(better), provenance[side], traced[side],
                      args.seconds, args.trace_seconds, harness)
-    return 0
+    return 1 if any(exited.values()) else 0
 
 
 if __name__ == "__main__":
