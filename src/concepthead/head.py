@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "init_cross_params",
     "init_head_params",
     "init_slots",
-    "SlotInputs",
     "slot_step",
     "refine_slots",
     "relevance",
@@ -94,18 +93,27 @@ class _ParamTree:
     named() walks the fields in declaration order, names a nested tensor
     "group.field" (a trailing underscore dropped, so global_ reads as
     global) and skips absent (None) fields. These names key checkpoint
-    tensors and optimizer buffers.
+    tensors and optimizer buffers. A layout tree (init_head_params with rng
+    None) holds each tensor's shape instead, and fill() puts tensors in.
     """
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
+    def _leaves(self, prefix: str = "") -> Iterator[tuple[str, _ParamTree, str]]:
+        """(name, group, field) of each present tensor field, in named() order."""
         for f in fields(self):
             value = getattr(self, f.name)
-            name = f.name.rstrip("_")
-            if isinstance(value, Tensor):
-                yield name, value
+            name = prefix + f.name.rstrip("_")
+            if isinstance(value, _ParamTree):
+                yield from value._leaves(name + ".")
             elif value is not None:
-                for sub, t in value.named():
-                    yield f"{name}.{sub}", t
+                yield name, self, f.name
+
+    def named(self) -> Iterator[tuple[str, Tensor]]:
+        return ((name, getattr(group, f)) for name, group, f in self._leaves())
+
+    def fill(self, make: Callable[[str], Tensor]) -> None:
+        """Set each present tensor field to make(its name)."""
+        for name, group, f in self._leaves():
+            setattr(group, f, make(name))
 
 
 @dataclass
@@ -172,60 +180,55 @@ class HeadOutput:
         return [a for a in (self.attn_spatial, self.attn_global) if a is not None]
 
 
-def _normal(rng: np.random.Generator | None, rows: int, cols: int,
-            std: float = 1.0) -> Tensor:
-    """A (rows, cols) parameter drawn from N(0, std^2), or zeros when rng is None."""
-    data = np.zeros((rows, cols)) if rng is None else rng.normal(0.0, std, size=(rows, cols))
+def _tensor(rng: np.random.Generator | None, rows: int, cols: int, std: float = 1.0,
+            fill: float | None = None) -> Tensor | tuple[int, int]:
+    """A (rows, cols) parameter of `fill`s, or drawn from N(0, std^2) when
+    fill is None; its shape (rows, cols) alone when rng is None."""
+    if rng is None:
+        return (rows, cols)
+    data = rng.normal(0.0, std, size=(rows, cols)) if fill is None else np.full((rows, cols), fill)
     return Tensor(data, requires_grad=True)
 
 
-def _param(rng: np.random.Generator | None, rows: int, cols: int, fan_in: int) -> Tensor:
-    return _normal(rng, rows, cols, 1.0 / np.sqrt(fan_in))
+def _weight(rng: np.random.Generator | None, rows: int, cols: int
+            ) -> Tensor | tuple[int, int]:
+    """A (rows, cols) weight drawn from N(0, 1/rows): rows is its fan-in."""
+    return _tensor(rng, rows, cols, 1.0 / np.sqrt(rows))
 
 
 def init_slot_params(cfg: HeadConfig, rng: np.random.Generator | None) -> SlotAttentionParams:
     """Draw one pathway's slot parameters; the slot init scale sigma starts at
-    1. With rng None nothing is drawn and the drawn tensors are zeros."""
+    1. With rng None nothing is drawn or made: each field is its shape."""
     c, d, dim_in = cfg.concepts, cfg.slot_dim, cfg.input_dim
     init_queries = None
     if cfg.variant == "boqsa":
-        init_queries = _normal(rng, c, d)
+        init_queries = _tensor(rng, c, d)
     return SlotAttentionParams(
-        wq=_param(rng, d, d, d),
-        wk=_param(rng, dim_in, d, dim_in),
-        wv=_param(rng, dim_in, d, dim_in),
-        mu=_normal(rng, 1, d),
-        log_sigma=Tensor(np.zeros((1, d)), requires_grad=True),
+        wq=_weight(rng, d, d), wk=_weight(rng, dim_in, d), wv=_weight(rng, dim_in, d),
+        mu=_tensor(rng, 1, d), log_sigma=_tensor(rng, 1, d, fill=0.0),
         init_queries=init_queries,
-        wz=_param(rng, d, d, d), uz=_param(rng, d, d, d),
-        bz=Tensor(np.zeros((1, d)), requires_grad=True),
-        wr=_param(rng, d, d, d), ur=_param(rng, d, d, d),
-        br=Tensor(np.zeros((1, d)), requires_grad=True),
-        wh=_param(rng, d, d, d), uh=_param(rng, d, d, d),
-        bh=Tensor(np.zeros((1, d)), requires_grad=True),
-        ln_input_gain=Tensor(np.ones((1, dim_in)), requires_grad=True),
-        ln_input_bias=Tensor(np.zeros((1, dim_in)), requires_grad=True),
-        ln_slot_gain=Tensor(np.ones((1, d)), requires_grad=True),
-        ln_slot_bias=Tensor(np.zeros((1, d)), requires_grad=True),
-        positions=_normal(rng, c, d),
+        wz=_weight(rng, d, d), uz=_weight(rng, d, d), bz=_tensor(rng, 1, d, fill=0.0),
+        wr=_weight(rng, d, d), ur=_weight(rng, d, d), br=_tensor(rng, 1, d, fill=0.0),
+        wh=_weight(rng, d, d), uh=_weight(rng, d, d), bh=_tensor(rng, 1, d, fill=0.0),
+        ln_input_gain=_tensor(rng, 1, dim_in, fill=1.0),
+        ln_input_bias=_tensor(rng, 1, dim_in, fill=0.0),
+        ln_slot_gain=_tensor(rng, 1, d, fill=1.0), ln_slot_bias=_tensor(rng, 1, d, fill=0.0),
+        positions=_tensor(rng, c, d),
     )
 
 
 def init_cross_params(cfg: HeadConfig, rng: np.random.Generator | None
                       ) -> CrossAttentionParams:
     d, dim_in = cfg.slot_dim, cfg.input_dim
-    return CrossAttentionParams(
-        wq=_param(rng, dim_in, d, dim_in),
-        wk=_param(rng, d, d, d),
-        wv=_param(rng, d, d, d),
-        out=_param(rng, d, cfg.n_classes, d),
-    )
+    return CrossAttentionParams(wq=_weight(rng, dim_in, d), wk=_weight(rng, d, d),
+                                wv=_weight(rng, d, d), out=_weight(rng, d, cfg.n_classes))
 
 
 def init_head_params(cfg: HeadConfig, rng: np.random.Generator | None) -> HeadParams:
     """Draw all parameters for the configured pathways, spatial first. With
-    rng None nothing is drawn: the tree a checkpoint's tensors fill, with
-    every drawn tensor zeros."""
+    rng None nothing is drawn or made: the layout tree, each tensor's place
+    holding its (rows, cols) shape, that a checkpoint's tensors are checked
+    against and then fill."""
     params = HeadParams()
     if cfg.pathway in ("spatial", "dual"):
         params.spatial = PathwayParams(init_slot_params(cfg, rng), init_cross_params(cfg, rng))
@@ -254,33 +257,29 @@ def init_slots(p: SlotAttentionParams, cfg: HeadConfig, rng: np.random.Generator
     return ad.add(ad.mul(Tensor(eps), ad.exp(p.log_sigma)), p.mu)
 
 
-@dataclass
-class SlotInputs:
-    """The layer-normed inputs (..., L, D) of one refine_slots call, and
-    their keys, transposed (..., d, L), and values (..., L, d). The first
-    slot_step over them makes the keys and values; every later step reuses
-    those arrays."""
-
-    normed: Tensor
-    keys_t: np.ndarray | None = None
-    values: np.ndarray | None = None
+# the layer-normed inputs' keys, transposed (..., d, L), and values (..., L, d)
+_KeysValues = tuple[np.ndarray, np.ndarray]
 
 
 def _unchecked(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
-def slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams,
-              cfg: HeadConfig) -> tuple[Tensor, np.ndarray]:
+def slot_step(slots: Tensor, inputs: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
+              kv: _KeysValues | None) -> tuple[Tensor, np.ndarray, _KeysValues]:
     """One refinement iteration, recorded as one op: layer-norm the slots,
     bind them to the inputs by competitive attention and update each slot
     row by one GRU step.
 
+    inputs are the layer-normed inputs (..., L, D). kv is None on the first
+    step of a refine_slots call, which makes the inputs' keys, transposed
+    (..., d, L), and values (..., L, d); every later step of that call takes
+    the (keys_t, values) pair an earlier one returned and makes neither.
     Scores are softmaxed across slots (axis -2), so the slots compete for
     each input, then each slot row is renormalized over the inputs: the
     binder map. Its readout, a weighted mean of the input values, is the
     GRU's input and the normed slots its hidden state. Returns the new slots
-    (..., C, d) and the binder map (..., C, L).
+    (..., C, d), the binder map (..., C, L) and the (keys_t, values) pair.
 
     It computes what the chain of autodiff ops it replaces computed
     (layer_norm; matmul, transpose, scale, softmax_axis, a row
@@ -292,6 +291,8 @@ def slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams,
     the readout, z, r and the candidate, and recomputes the elementwise rest
     (the normed slots, r * s, cand - s and the binder map). `inputs` is a
     parent twice, for its keys and then its values, as the chain read it.
+    The step computes the same way with or without a record; under no_grad
+    no node keeps the VJP, so what it would read is freed on return.
 
     Finite checks: the step first runs with floating-point warnings off and
     checks five values only, the points where a non-finite value could
@@ -301,53 +302,41 @@ def slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams,
     row normalization's division by an infinite sum leaves a NaN in that
     row. So it checks the scaled scores, the z and r gate pre-activations,
     the candidate pre-activation and the recorded output. When one of them
-    is not finite, the step runs again under the caller's floating-point
-    settings with every check the chain made, keys and values included when
-    this call made them, and raises the chain's error.
+    is not finite, the step runs again from the same kv under the caller's
+    floating-point settings with every check the chain made, those of the
+    keys and values when kv is None, and raises the chain's error.
     """
     if slots.data.ndim < 2 or slots.shape[-2:] != (cfg.concepts, cfg.slot_dim):
         raise ShapeError(f"expected slots (*, {cfg.concepts}, {cfg.slot_dim}), "
                          f"got {slots.shape}")
-    fresh = inputs.keys_t is None
     try:
         with np.errstate(all="ignore"):
-            return _slot_step(slots, inputs, p, cfg, _unchecked)
+            return _slot_step(slots, inputs, p, cfg, kv, _unchecked)
     except NumericError:
-        if fresh:
-            inputs.keys_t = inputs.values = None
-        return _slot_step(slots, inputs, p, cfg, ad.checked)
+        return _slot_step(slots, inputs, p, cfg, kv, ad.checked)
 
 
-def _slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams, cfg: HeadConfig,
-               check) -> tuple[Tensor, np.ndarray]:
+def _slot_step(slots: Tensor, inputs: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
+               kv: _KeysValues | None, check) -> tuple[Tensor, np.ndarray, _KeysValues]:
     """slot_step's body: check(value, op) runs at each point of the chain
     that slot_step does not always check (see its docstring)."""
     screen, swap = ad.checked, _swap_last
-    # under no_grad no VJP reads what the step would keep: each such array
-    # goes as soon as the forward is done with it
-    keep = ad.grad_enabled()
     d = cfg.slot_dim
     scale = 1.0 / np.sqrt(d)
     xhat, inv_std = ad.normalize_rows(slots.data)
     g_row = p.ln_slot_gain.data.reshape(1, d)
     b_row = p.ln_slot_bias.data.reshape(1, d)
     s = check(xhat * g_row + b_row, "layer_norm")
-    if not keep:
-        xhat = inv_std = None
     wq, wz, uz, wr, ur, wh, uh = (t.data for t in (p.wq, p.wz, p.uz, p.wr, p.ur, p.wh, p.uh))
     q = check(s @ wq, "matmul")
-    x = inputs.normed.data
-    wk, wv = p.wk.data, p.wv.data
-    if inputs.keys_t is None:
-        k = check(x @ wk, "matmul")
-        inputs.values = check(x @ wv, "matmul")
-        inputs.keys_t = check(np.ascontiguousarray(swap(k)), "transpose")
+    x, wk, wv = inputs.data, p.wk.data, p.wv.data
+    if kv is None:
+        k, values = check(x @ wk, "matmul"), check(x @ wv, "matmul")
+        kv = check(np.ascontiguousarray(swap(k)), "transpose"), values
         del k
-    keys_t, values = inputs.keys_t, inputs.values
+    keys_t, values = kv
     # softmax across slots, then each row over the inputs
     a = check(q @ keys_t, "matmul")
-    if not keep:
-        q = None
     a *= scale
     screen(a, "scale")  # the softmax's exp turns a -inf score into 0
     a -= a.max(axis=-2, keepdims=True)
@@ -355,9 +344,7 @@ def _slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams, cfg: H
     a /= a.sum(axis=-2, keepdims=True)
     check(a, "softmax_axis")
     sums = a.sum(axis=-1, keepdims=True)
-    attn = check(np.divide(a, sums, out=None if keep else a), "row_normalize")
-    if not keep:
-        a = sums = None
+    attn = check(a / sums, "row_normalize")
     readout = check(attn @ values, "matmul")
 
     def gate(w, u, bias):
@@ -380,7 +367,7 @@ def _slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams, cfg: H
     cand += p.bh.data
     screen(cand, "add")  # the tanh turns ±inf into ±1
     check(np.tanh(cand, out=cand), "tanh")
-    new = check(np.subtract(cand, s, out=None if keep else cand), "sub")
+    new = check(cand - s, "sub")
     new *= z
     check(new, "mul")
     new += s
@@ -388,8 +375,8 @@ def _slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams, cfg: H
     # the contributions come out in this order, each computed when the walk
     # asks for it, so that each leaf's can be added into its .grad before the
     # next is made; `inputs` gets its keys' delta before its values'
-    parents = (slots, p.ln_slot_gain, p.ln_slot_bias, p.wq, inputs.normed, p.wk,
-               inputs.normed, p.wv, p.uz, p.ur, p.uh, p.wz, p.bz, p.wr, p.br, p.wh, p.bh)
+    parents = (slots, p.ln_slot_gain, p.ln_slot_bias, p.wq, inputs, p.wk, inputs, p.wv,
+               p.uz, p.ur, p.uh, p.wz, p.bz, p.wr, p.br, p.wh, p.bh)
     (need_slots, need_gain, need_bias, need_wq, need_x, need_wk, _, need_wv, need_uz,
      need_ur, need_uh, need_wz, need_bz, need_wr, need_br, need_wh,
      need_bh) = (t.requires_grad for t in parents)
@@ -462,7 +449,7 @@ def _slot_step(slots: Tensor, inputs: SlotInputs, p: SlotAttentionParams, cfg: H
         yield swap(readout) @ g_h if need_wh else None
         yield g_h if need_bh else None
 
-    return ad.record(new, parents, vjp, "add"), attn
+    return ad.record(new, parents, vjp, "add"), attn, kv
 
 
 def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
@@ -471,7 +458,8 @@ def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
 
     e_raw is (..., L, D); eps is passed on to init_slots. The inputs are
     layer-normed once, and their keys and values are computed once, by the
-    first step. Each step is one recorded op (see slot_step). The isa variant
+    first step, which returns them; each later step takes them from the step
+    before. Each step is one recorded op (see slot_step). The isa variant
     takes the one-step gradient of implicit slot attention: the slot init
     and the first T-1 steps run under no_grad, so only the last step is
     recorded and mu/log_sigma get no gradient. Forward values are identical
@@ -479,12 +467,13 @@ def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
     """
     if e_raw.data.ndim < 2 or e_raw.shape[-1] != cfg.input_dim:
         raise ShapeError(f"expected inputs (*, {cfg.input_dim}), got {e_raw.shape}")
-    inputs = SlotInputs(ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias))
+    inputs = ad.layer_norm(e_raw, p.ln_input_gain, p.ln_input_bias)
+    kv = None
     with ad.no_grad() if cfg.variant == "isa" else contextlib.nullcontext():
         slots = init_slots(p, cfg, rng, e_raw.shape[:-2], eps)
         for _ in range(cfg.iters - 1):
-            slots, _ = slot_step(slots, inputs, p, cfg)
-    slots, _ = slot_step(slots, inputs, p, cfg)
+            slots, _, kv = slot_step(slots, inputs, p, cfg, kv)
+    slots, _, _ = slot_step(slots, inputs, p, cfg, kv)
     return ad.add(slots, p.positions)
 
 

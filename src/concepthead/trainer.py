@@ -479,6 +479,18 @@ def _read_tensor(r: ByteReader) -> tuple[str, np.ndarray]:
     return name, r.array(dims, "<f8")
 
 
+def _read_tensors(r: ByteReader) -> dict[str, np.ndarray]:
+    """A u32 count, then that many tensor entries, no name twice."""
+    tensors = {}
+    for _ in range(r.u32()):
+        start = r.offset
+        name, arr = _read_tensor(r)
+        if name in tensors:
+            raise FormatError(f"checkpoint tensor {name!r} appears twice", offset=start)
+        tensors[name] = arr
+    return tensors
+
+
 def _take(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]
           ) -> dict[str, np.ndarray]:
     """Exactly the checkpoint tensors that shapes names, each of its shape and
@@ -500,11 +512,11 @@ def _take(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]
 
 def _build_params(cfg: HeadConfig, tensors: dict[str, np.ndarray]) -> HeadParams:
     """The configured parameter tree with every tensor taken from the
-    checkpoint; no parameter is drawn."""
+    checkpoint. The tensors are checked against the config's layout before
+    any array of its shapes is made, and no parameter is drawn."""
     params = hd.init_head_params(cfg, None)
-    taken = _take(tensors, {name: t.shape for name, t in params.named()})
-    for name, t in params.named():
-        t.data = taken[name]
+    taken = _take(tensors, dict(params.named()))
+    params.fill(lambda name: Tensor(taken[name], requires_grad=True))
     return params
 
 
@@ -521,8 +533,8 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     version = cur.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    tensors = dict(_read_tensor(cur) for _ in range(cur.u32()))
-    opt_entries = dict(_read_tensor(cur) for _ in range(cur.u32()))
+    tensors = _read_tensors(cur)
+    opt_entries = _read_tensors(cur)
     config_blob = _utf8(cur, cur.u32(), "config block")
     if cur.offset != len(blob):
         raise FormatError("trailing bytes after config block", offset=cur.offset)

@@ -107,10 +107,10 @@ def test_criterion_3_attention_invariants():
             params = hd.init_head_params(cfg, rng)
             e = rng.normal(size=(4, 4))
 
-            inputs = hd.SlotInputs(ad.layer_norm(Tensor(e), params.spatial.slot.ln_input_gain,
-                                                 params.spatial.slot.ln_input_bias))
-            _, binder_attn = hd.slot_step(hd.init_slots(params.spatial.slot, cfg, rng), inputs,
-                                          params.spatial.slot, cfg)
+            inputs = ad.layer_norm(Tensor(e), params.spatial.slot.ln_input_gain,
+                                   params.spatial.slot.ln_input_bias)
+            _, binder_attn, _ = hd.slot_step(hd.init_slots(params.spatial.slot, cfg, rng),
+                                             inputs, params.spatial.slot, cfg, None)
             assert np.max(np.abs(binder_attn.sum(axis=1) - 1.0)) <= 1e-12
 
             slots = hd.refine_slots(Tensor(e), params.spatial.slot, cfg, rng)

@@ -279,6 +279,18 @@ def gate_overflows(w, b, sign):
     return poke
 
 
+def slot_norm_and_keys_overflow(p):
+    """The normed slots and the keys both overflow; the slots come first."""
+    p.ln_slot_gain.data.fill(1.5e308)
+    scaled(p.wk, 1.5e308)
+
+
+def q_and_keys_overflow(p):
+    """q and the keys both overflow; q comes first."""
+    scaled(p.wq, 1.5e308)
+    scaled(p.wk, 1.5e308)
+
+
 SCREEN_POKES = {f"{gate}{'+' if sign > 0 else '-'}inf": gate_overflows(w, b, sign)
                 for gate, w, b in (("z", "uz", "bz"), ("r", "ur", "br"), ("candidate", "wh", "bh"))
                 for sign in (1.0, -1.0)}
@@ -316,10 +328,11 @@ class TestSlotStep:
         weight = ad.Tensor(np.random.default_rng(2).normal(size=(lead, 5, 8)))
 
         def fused():
-            made = {}  # the SlotInputs of this run
+            run = {"kv": None}  # the keys and values the run's first step returns
 
             def step(inputs, slots):
-                return hd.slot_step(slots, made.setdefault("x", hd.SlotInputs(inputs)), p, cfg)
+                slots, attn, run["kv"] = hd.slot_step(slots, inputs, p, cfg, run["kv"])
+                return slots, attn
             return step
 
         def reference():
@@ -357,13 +370,12 @@ class TestSlotStep:
         p = hd.init_slot_params(cfg, np.random.default_rng(0))
         normed = ad.layer_norm(Tensor(np.random.default_rng(1).normal(size=(2, 6, 5))),
                                p.ln_input_gain, p.ln_input_bias)
-        x = hd.SlotInputs(normed)
-        slots, _ = hd.slot_step(hd.init_slots(p, cfg, None, (2,)), x, p, cfg)
-        keys_t, values = x.keys_t, x.values
+        slots, _, kv = hd.slot_step(hd.init_slots(p, cfg, None, (2,)), normed, p, cfg, None)
+        keys_t, values = kv
         assert np.array_equal(keys_t, np.swapaxes(normed.data @ p.wk.data, -1, -2))
         assert np.array_equal(values, normed.data @ p.wv.data)
-        hd.slot_step(slots, x, p, cfg)
-        assert x.keys_t is keys_t and x.values is values
+        _, _, kv = hd.slot_step(slots, normed, p, cfg, kv)
+        assert kv[0] is keys_t and kv[1] is values
 
     @pytest.mark.parametrize("variant", ["sa", "boqsa"])
     def test_gradient_check(self, variant):
@@ -386,20 +398,27 @@ class TestSlotStep:
         ("matmul", lambda p: scaled(p.uz, 1.5e308)),       # slots @ uz
         ("row_normalize", lambda p: scaled(p.wq, 1e300)),  # softmax rows of zeros
         ("add", both_gates_huge),
+        ("layer_norm", slot_norm_and_keys_overflow),
+        ("matmul", q_and_keys_overflow),
     ])
     def test_nonfinite_intermediate_names_the_composed_op(self, op, poke):
+        """The error and the floating-point warnings are the composed
+        chain's, also when a later op of the chain would overflow too."""
         cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
                             variant="sa", iters=2)
         p = hd.init_slot_params(cfg, np.random.default_rng(0))
         poke(p)
         e = Tensor(np.random.default_rng(1).normal(size=(5, 4)))
-        messages = []
-        with np.errstate(all="ignore"):
-            for refine in (hd.refine_slots, composed.refine_slots):
-                with pytest.raises(NumericError) as err:
-                    refine(e, p, cfg, np.random.default_rng(2))
-                messages.append(str(err.value))
+        messages, warned = [], []
+        for refine in (hd.refine_slots, composed.refine_slots):
+            with warnings.catch_warnings(record=True) as seen, \
+                    pytest.raises(NumericError) as err:
+                warnings.simplefilter("always")
+                refine(e, p, cfg, np.random.default_rng(2))
+            messages.append(str(err.value))
+            warned.append([str(w.message) for w in seen])
         assert messages[0] == messages[1] == f"{op} produced non-finite values"
+        assert warned[0] == warned[1]
 
     @pytest.mark.parametrize("grad", [True, False])
     @pytest.mark.parametrize("case", SCREEN_POKES)
@@ -465,9 +484,9 @@ class TestSlotStep:
         cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
                             variant="sa", iters=2)
         p = hd.init_slot_params(cfg, np.random.default_rng(0))
-        x = hd.SlotInputs(ad.layer_norm(Tensor(np.random.default_rng(1).normal(size=(5, 4))),
-                                        p.ln_input_gain, p.ln_input_bias))
-        slots = hd.init_slots(p, cfg, np.random.default_rng(2))
+        normed = ad.layer_norm(Tensor(np.random.default_rng(1).normal(size=(5, 4))),
+                               p.ln_input_gain, p.ln_input_bias)
+        slots, kv = hd.init_slots(p, cfg, np.random.default_rng(2)), None
         checks, checked = [], ad.checked
 
         def spy(data, op):
@@ -477,8 +496,8 @@ class TestSlotStep:
         monkeypatch.setattr(ad, "checked", spy)
         with contextlib.nullcontext() if grad else ad.no_grad():
             for made_keys in (True, False):
-                assert (x.keys_t is None) == made_keys
-                slots, _ = hd.slot_step(slots, x, p, cfg)
+                assert (kv is None) == made_keys
+                slots, _, kv = hd.slot_step(slots, normed, p, cfg, kv)
                 assert checks == ["scale", "add", "add", "add", "add"], made_keys
                 checks.clear()
 
@@ -497,32 +516,31 @@ class TestSlotStep:
 
         monkeypatch.setattr(ad, "checked", spy)
         # keys that overflow: the scores screen fails and the replay finds the keys' matmul
-        x = hd.SlotInputs(normed)
         saved = p.wk.data.copy()
         scaled(p.wk, 1.5e308)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="^matmul produced"):
-            hd.slot_step(slots, x, p, cfg)
+            hd.slot_step(slots, normed, p, cfg, None)
         assert checks == [("scale", (3, 5)), ("layer_norm", (3, 4)), ("matmul", (3, 4)),
                           ("matmul", (5, 4))]
-        assert x.keys_t is None and x.values is None
         # keys made by an earlier step are not made again
         p.wk.data[...] = saved
-        slots, _ = hd.slot_step(slots, x, p, cfg)
-        keys_t, values = x.keys_t, x.values
+        slots, _, kv = hd.slot_step(slots, normed, p, cfg, None)
+        keys_t, values = (a.copy() for a in kv)
         gate_overflows("uz", "bz", 1.0)(p)
         checks.clear()
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="^add produced"):
-            hd.slot_step(slots, x, p, cfg)
+            hd.slot_step(slots, normed, p, cfg, kv)
         # the screened run fails at the z gate's screen; then the replay
         assert checks[:2] == [("scale", (3, 5)), ("add", (3, 4))]
         assert ("matmul", (5, 4)) not in checks
-        assert x.keys_t is keys_t and x.values is values
+        # neither run wrote into the keys and values it was given
+        assert np.array_equal(kv[0], keys_t) and np.array_equal(kv[1], values)
 
     def test_untaped_slots_get_no_gradient_work(self):
         cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2)
         p = hd.init_slot_params(cfg, np.random.default_rng(0))
-        x = hd.SlotInputs(ad.Tensor(np.random.default_rng(1).normal(size=(5, 4))))
-        out, _ = hd.slot_step(ad.Tensor(np.ones((3, 4))), x, p, cfg)
+        x = ad.Tensor(np.random.default_rng(1).normal(size=(5, 4)))
+        out, _, _ = hd.slot_step(ad.Tensor(np.ones((3, 4))), x, p, cfg, None)
         contributions = list(out._node._vjp(np.ones((3, 4))))
         # the constant slots, and the constant inputs for their keys and values
         assert [i for i, c in enumerate(contributions) if c is None] == [0, 4, 6]
@@ -530,9 +548,8 @@ class TestSlotStep:
     def test_slot_shape_checked(self):
         cfg = toy_config()
         p = toy_slot_params(cfg)
-        x = hd.SlotInputs(Tensor(TOY_E))
         with pytest.raises(ShapeError, match=r"expected slots \(\*, 2, 1\)"):
-            hd.slot_step(Tensor(np.zeros((3, 1))), x, p, cfg)
+            hd.slot_step(Tensor(np.zeros((3, 1))), Tensor(TOY_E), p, cfg, None)
 
 
 class TestRefineSlots:
@@ -953,10 +970,10 @@ class TestHeadInvariants:
         perm = np.array([2, 0, 3, 1])
 
         def run(start):
-            inputs = hd.SlotInputs(ad.layer_norm(Tensor(e), p.ln_input_gain, p.ln_input_bias))
-            slots = Tensor(start)
+            inputs = ad.layer_norm(Tensor(e), p.ln_input_gain, p.ln_input_bias)
+            slots, kv = Tensor(start), None
             for _ in range(cfg.iters):
-                slots, attn = hd.slot_step(slots, inputs, p, cfg)
+                slots, attn, kv = hd.slot_step(slots, inputs, p, cfg, kv)
             slots = ad.add(slots, p.positions)
             attn_ca, logits = hd.multi_head_cross_attention(Tensor(e), slots, cross, cfg)
             return slots.data, attn, attn_ca.data, logits.data

@@ -70,12 +70,21 @@ def test_bench_pairs_per_layer_medians():
                  "autodiff.backward_us_per_sample": v, "trace.overhead_pct": 0.0}
                 for v in values]
 
-    lines = load_tool("bench_pairs").per_layer_lines(runs(30.0, 10.0, 20.0),
-                                                     runs(5.0, 15.0, 10.0))
+    per_layer_lines = load_tool("bench_pairs").per_layer_lines
+    lines = per_layer_lines(runs(30.0, 10.0, 20.0), runs(5.0, 15.0, 10.0))
     assert len(lines) == 2  # one per value, none for the run's own entries
+    # pair ratios 1/6, 1.5 and 0.5
     assert lines[0].split() == ["autodiff.backward_us_per_sample", "20", "[15,", "25]", "->",
-                                "10", "[7.5,", "12.5]", "x0.500"]
-    assert lines[1].split()[-1] == "n/a"  # a parent median of 0 has no ratio
+                                "10", "[7.5,", "12.5]", "x0.500", "per", "pair", "x0.500"]
+    # a parent median of 0 has no ratio, and no pair a parent value of 0 has one
+    assert lines[1].split()[-4:] == ["n/a", "per", "pair", "n/a"]
+    # the machine's speed drifts tenfold between pairs: the change reads 0.9 of
+    # the parent within two pairs, and the odd pair moves only the medians' ratio
+    lines = per_layer_lines(runs(10.0, 100.0, 20.0), runs(9.0, 90.0, 40.0))
+    assert lines[0].split()[-4:] == ["x2.000", "per", "pair", "x0.900"]
+    # pairs whose parent value is 0 are left out of the per-pair median
+    lines = per_layer_lines(runs(0.0, 0.0, 10.0, 20.0), runs(5.0, 5.0, 11.0, 18.0))
+    assert lines[0].split()[-4:] == ["x1.600", "per", "pair", "x1.000"]
 
 
 def test_bench_pairs_harness_digests(tmp_path):

@@ -44,6 +44,10 @@ def tiny_config(**overrides):
     return tr.TrainConfig(**kwargs)
 
 
+GRID = [(variant, pathway, heads) for variant in hd.VARIANTS for pathway in hd.PATHWAYS
+        for heads in (1, 4)]
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_leaves_params(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -254,11 +258,12 @@ class TestEvaluate:
             tr.evaluate(dat.Dataset(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64)),
                         state.params, cfg)
 
-    @pytest.mark.parametrize("heads,pathway", [(1, "spatial"), (2, "dual")])
-    def test_untaped_pass_matches_taped_pass(self, heads, pathway):
+    # the grid, and two heads, which the grid leaves out
+    @pytest.mark.parametrize("variant,pathway,heads", GRID + [("isa", "dual", 2)])
+    def test_untaped_pass_matches_taped_pass(self, variant, pathway, heads):
         ds = tiny_dataset()
         head = hd.HeadConfig(concepts=4, slot_dim=4, input_dim=4, n_inputs=3, n_classes=2,
-                             variant="isa", heads=heads, pathway=pathway)
+                             variant=variant, heads=heads, pathway=pathway)
         cfg = tiny_config(head=head)
         state, _ = tr.fit(ds, cfg, epochs=1)
         taped = tr._run_pass(ds, state.params, cfg, np.random.default_rng(3),
@@ -305,10 +310,6 @@ class TestEntropyMetric:
         record = tr.evaluate(ds, state.params, cfg, seed=3)
         want = expected()
         assert record.mean_entropy == record.loss_sparse == want
-
-
-GRID = [(variant, pathway, heads) for variant in hd.VARIANTS for pathway in hd.PATHWAYS
-        for heads in (1, 4)]
 
 
 def without_rows(column, rows):
@@ -597,6 +598,39 @@ class TestCheckpoint:
                            match=r"'spatial\.slot\.positions' has shape \(4, 4\), "
                                  r"config expects \(3, 4\)"):
             tr.parse_checkpoint(blob.replace(b"\nconcepts=4\n", b"\nconcepts=3\n"))
+
+    def test_config_dimension_checked_before_any_array_is_made(self):
+        cfg = tiny_config()
+        blob = replace_config(tr.checkpoint_bytes(tr.init_train_state(cfg), cfg),
+                              b"\nslot_dim=4\n", b"\nslot_dim=16777216\n")
+        # the (slot_dim, slot_dim) weights would take 2 PiB, and each (1, slot_dim)
+        # row 128 MiB: none is made before the shapes are compared
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError,
+                               match=r"'spatial\.slot\.wq' has shape \(4, 4\), "
+                                     r"config expects \(16777216, 16777216\)"):
+                tr.parse_checkpoint(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("prefix", ["", "m:"], ids=["parameter", "moment"])
+    def test_repeated_tensor_name_rejected(self, prefix):
+        cfg = tiny_config()
+        state = tr.init_train_state(cfg)
+        blob = tr.checkpoint_bytes(state, cfg)
+        # the second entry of the section, spatial.slot.wk, renamed as the first
+        first, name = (f"{prefix}spatial.slot.{w}".encode() for w in ("wq", "wk"))
+        second = blob.index(struct.pack("<I", len(first)) + first) + len(
+            tr._pack_tensor(first.decode(), state.params.spatial.slot.wq.data))
+        assert blob[second + 4:second + 4 + len(name)] == name
+        blob = blob.replace(name, first, 1)
+        with pytest.raises(FormatError) as err:
+            tr.parse_checkpoint(blob)
+        assert str(err.value) == (f"checkpoint tensor '{prefix}spatial.slot.wq' appears twice "
+                                  f"(at byte offset {second})")
 
     def test_non_finite_tensor_rejected(self):
         cfg = tiny_config()

@@ -21,8 +21,10 @@ summary lists each side's seeds whose runs exited nonzero, and the tool
 exits 1 once it has printed and written the rest. With
 --trace-seconds, TRACED_RUNS traced runs per side (`--trace 1`, on the
 first seeds, cycling when fewer are given, paired and alternating as above)
-add each per-layer value's median and quartiles: a single traced run's
-layer times move by 15-30% with no code change.
+add each per-layer value's median and quartiles, the ratio of the medians
+and the median of the per-pair ratios: a single traced run's layer times
+move by 15-30% with no code change, and the machine's speed drifts between
+pairs, which only the per-pair ratio cancels.
 
 The records go to --out (default: the current directory) as
 BENCH_baseline.json (PARENT) and BENCH_<label>.json (CHANGE), in the schema
@@ -162,16 +164,22 @@ def metric_names(runs: list[dict]) -> list[str]:
 
 
 def per_layer_lines(parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per per-layer value: each side's median [q1, q3] and the
-    ratio of the medians (n/a where the parent's median is 0)."""
+    """One line per per-layer value: each side's median [q1, q3], the ratio
+    of the medians, and the median over pairs of the change's value over the
+    parent's in that pair (parent[i] and change[i] are pair i). Machine
+    drift between pairs moves the first ratio but not the second. A ratio
+    is n/a where the parent's median, or every pair's parent value, is 0."""
     names = metric_names(parent)
     qp, qc = summarize(parent, names), summarize(change, names)
     lines = []
     for name in names:
         p, c = qp[name], qc[name]
         ratio = f"x{c['median'] / p['median']:.3f}" if p["median"] else "n/a"
+        pairs = [b[name] / a[name] for a, b in zip(parent, change) if a[name]]
+        paired = f"x{statistics.median(pairs):.3f}" if pairs else "n/a"
         lines.append(f"  {name:36s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
-                     f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {ratio}")
+                     f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {ratio}"
+                     f"  per pair {paired}")
     return lines
 
 
