@@ -12,6 +12,12 @@ config. Gradients still add in sample-index order, so the chunk size moves
 no bit, identical (dataset, config) pairs reproduce metric logs bit for bit,
 and a checkpoint restores enough state (parameters, optimizer moments,
 generator state, epoch) to continue a run unchanged.
+
+The parameters and AdamW's two moments live in one flat store (see
+OptimizerState): three contiguous float64 arrays, each parameter's
+Tensor.data and its m and v buffers reshaped views into them in named()
+order, so one AdamW step is one pass of elementwise ops over the three
+arrays. Gradients stay per tensor, in each leaf's .grad.
 """
 
 from __future__ import annotations
@@ -60,10 +66,10 @@ CHECKPOINT_VERSION = 1
 # Bytes of record one training chunk may hold when its walk starts. Larger
 # chunks spread the fixed per-call cost of every op and walk node over more
 # samples, and peak memory grows with the record. On the perfbench workload
-# shapes (batch 64) 6 MiB gives one 64-sample chunk per batch on recovery
-# and 2 x 32 on refine_dual and explain (records of 49, 106 and 159 KiB per
+# shapes (batch 64) 8 MiB gives one 64-sample chunk per batch on recovery
+# and refine_dual and 2 x 32 on explain (records of 49, 106 and 159 KiB per
 # sample).
-RECORD_BUDGET = 6 * 2 ** 20
+RECORD_BUDGET = 8 * 2 ** 20
 
 # AdamW's moment decay rates and denominator epsilon, the usual fixed values
 # (Loshchilov & Hutter, arXiv:1711.05101).
@@ -97,16 +103,53 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """First/second moment buffers keyed by parameter name, plus the step count."""
+    """AdamW's state as one flat store, plus the step count.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    flat holds three contiguous float64 arrays of equal length: the
+    parameters, the first moments and the second moments. Each parameter's
+    Tensor.data, m[name] and v[name] is a reshaped view into its array, laid
+    out in named() order; table lists each parameter's (name, tensor, start,
+    stop) in that order, its values at flat[k][start:stop]. Build one with
+    for_params, which also hands the table to the parameters for reset_grads.
+    """
+
+    table: tuple[tuple[str, Tensor, int, int], ...]
+    flat: tuple[np.ndarray, np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: HeadParams) -> "OptimizerState":
-        return cls(m={name: np.zeros_like(p.data) for name, p in params.named()},
-                   v={name: np.zeros_like(p.data) for name, p in params.named()})
+    def for_params(cls, params: HeadParams, moments: dict[str, np.ndarray] | None = None,
+                   t: int = 0) -> "OptimizerState":
+        """The store over params' tensors, their values copied in and each
+        .data moved to its view. moments, when given, holds "m:NAME" and
+        "v:NAME" for every parameter (a checkpoint's); the moments are zero
+        without it."""
+        table, size = [], 0
+        for name, p in params.named():
+            table.append((name, p, size, size + p.data.size))
+            size += p.data.size
+        flat = np.concatenate([p.data.ravel() for _, p, _, _ in table])
+        m, v = (np.zeros(size) if moments is None
+                else np.concatenate([moments[kind + name].ravel() for name, *_ in table])
+                for kind in ("m:", "v:"))
+        for _, p, start, stop in table:
+            p.data = flat[start:stop].reshape(p.shape)
+        params.table = tuple(table)
+        return cls(table=params.table, flat=(flat, m, v), t=t)
+
+    def _views(self, k: int) -> dict[str, np.ndarray]:
+        return {name: self.flat[k][start:stop].reshape(p.shape)
+                for name, p, start, stop in self.table}
+
+    @functools.cached_property
+    def m(self) -> dict[str, np.ndarray]:
+        """Each parameter's first moments, keyed by name (made when first read)."""
+        return self._views(1)
+
+    @functools.cached_property
+    def v(self) -> dict[str, np.ndarray]:
+        """Each parameter's second moments, keyed by name (made when first read)."""
+        return self._views(2)
 
 
 @dataclass
@@ -126,26 +169,42 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 
 def adamw_step(params: HeadParams, opt: OptimizerState, cfg: TrainConfig,
                lr_t: float) -> None:
-    """One AdamW update with decoupled weight decay; missing grads count as zero."""
+    """One AdamW update with decoupled weight decay over opt's flat store;
+    missing grads count as zero. params' tensors are the store's (see
+    OptimizerState.for_params). A non-finite gradient raises before any
+    value changes, naming the first parameter in named() order that holds one."""
     b1, b2 = ADAM_BETAS
-    opt.t += 1
-    bc1 = 1.0 - b1 ** opt.t
-    bc2 = 1.0 - b2 ** opt.t
-    for name, p in params.named():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r} "
-                               f"at optimizer step {opt.t}")
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.data -= lr_t * update
-        if cfg.weight_decay != 0.0:
-            p.data -= lr_t * cfg.weight_decay * p.data
+    t = opt.t + 1
+    g = np.concatenate([np.zeros(stop - start) if p.grad is None else p.grad.ravel()
+                        for _, p, start, stop in opt.table])
+    if not np.isfinite(g).all():
+        first = np.flatnonzero(~np.isfinite(g))[0]
+        name = next(name for name, _, _, stop in opt.table if first < stop)
+        raise NumericError(f"non-finite gradient for parameter {name!r} "
+                           f"at optimizer step {t}")
+    opt.t = t
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    theta, m, v = opt.flat
+    # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
+    # theta -= lr_t (m / bc1) / (sqrt(v / bc2) + eps), then lr_t wd theta:
+    # each op in that order, into two work arrays (g's once it is used)
+    m *= b1
+    work = np.multiply(1.0 - b1, g)
+    m += work
+    v *= b2
+    np.multiply(g, g, out=work)
+    work *= 1.0 - b2
+    v += work
+    np.divide(v, bc2, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    update = np.divide(m, bc1, out=g)
+    update /= work
+    update *= lr_t
+    theta -= update
+    if cfg.weight_decay != 0.0:
+        theta -= np.multiply(lr_t * cfg.weight_decay, theta, out=update)
 
 
 def shuffled_indices(n: int, seed: int) -> np.ndarray:
@@ -572,10 +631,8 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
         raise FormatError(f"checkpoint generator state is out of range: {err}") from err
 
     params = _build_params(head_cfg, tensors)
-    shapes = {name: p.shape for name, p in params.named()}
-    moments = _take(opt_entries, {f"{kind}:{name}": shape for kind in "mv"
-                                  for name, shape in shapes.items()})
-    opt = OptimizerState(m={name: moments["m:" + name] for name in shapes},
-                         v={name: moments["v:" + name] for name in shapes},
-                         t=tree["state"]["opt"]["t"])
+    shapes = [(name, p.shape) for name, p in params.named()]
+    moments = _take(opt_entries, {kind + name: shape for kind in ("m:", "v:")
+                                  for name, shape in shapes})
+    opt = OptimizerState.for_params(params, moments, t=tree["state"]["opt"]["t"])
     return TrainState(params=params, opt=opt, rng=rng, epoch=tree["state"]["epoch"]), cfg

@@ -1,7 +1,10 @@
 """The slot-refinement iteration as a chain of autodiff ops: the reference
 that `head.slot_step` (one recorded op) is checked against, bit for bit, in
 values, errors and gradients. Every op of the chain checks its output, so
-its NumericError names the first op that made a non-finite value."""
+its NumericError names the first op that made a non-finite value.
+
+AdamW as a loop over the parameter tensors, the reference for
+`trainer.adamw_step`'s one pass over the flat store."""
 
 from __future__ import annotations
 
@@ -11,7 +14,8 @@ import numpy as np
 
 from concepthead import autodiff as ad
 from concepthead import head as hd
-from concepthead.errors import ShapeError
+from concepthead import trainer as tr
+from concepthead.errors import NumericError, ShapeError
 
 
 def row_normalize(a):
@@ -82,3 +86,26 @@ def refine_slots(e_raw, p, cfg, rng, eps=None):
         for _ in range(cfg.iters - 1):
             slots, _ = iterate(inputs, slots, p, cfg)
     return ad.add(iterate(inputs, slots, p, cfg)[0], p.positions)
+
+
+def adamw_step(named, m, v, t, weight_decay, lr_t):
+    """trainer.adamw_step one tensor at a time: named yields (name, Tensor),
+    m and v map each name to its moment array, and t counts this step (1
+    for the first). Each tensor's data and moments change in place; a
+    missing grad counts as zero."""
+    b1, b2 = tr.ADAM_BETAS
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in named:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name!r} "
+                               f"at optimizer step {t}")
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + tr.ADAM_EPS)
+        p.data -= lr_t * update
+        if weight_decay != 0.0:
+            p.data -= lr_t * weight_decay * p.data

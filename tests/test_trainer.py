@@ -7,8 +7,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import composed
+from concepthead import autodiff as ad
 from concepthead import data as dat
 from concepthead import head as hd
+from concepthead import losses
 from concepthead import metrics as mt
 from concepthead import trainer as tr
 from concepthead.autodiff import Tensor
@@ -53,7 +56,7 @@ class TestAdamW:
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
         params = ParamSet(w=p)
-        opt = tr.OptimizerState(m={"w": np.zeros(2)}, v={"w": np.zeros(2)})
+        opt = tr.OptimizerState.for_params(params)
         cfg = tiny_config(weight_decay=0.0)
         tr.adamw_step(params, opt, cfg, lr_t=0.1)
         npt.assert_array_equal(p.data, [1.0, -2.0])
@@ -62,7 +65,7 @@ class TestAdamW:
         p = Tensor(np.array([2.0]), requires_grad=True)
         p.grad = np.zeros(1)
         params = ParamSet(w=p)
-        opt = tr.OptimizerState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)})
+        opt = tr.OptimizerState.for_params(params)
         cfg = tiny_config(weight_decay=0.5)
         tr.adamw_step(params, opt, cfg, lr_t=0.1)
         npt.assert_allclose(p.data, [2.0 * (1 - 0.1 * 0.5)], atol=1e-15)
@@ -71,7 +74,7 @@ class TestAdamW:
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.ones(1)
         params = ParamSet(w=p)
-        opt = tr.OptimizerState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)})
+        opt = tr.OptimizerState.for_params(params)
         cfg = tiny_config(weight_decay=0.0)
         tr.adamw_step(params, opt, cfg, lr_t=1e-3)
         # bias-corrected m = v = 1 -> theta - 1e-3 / (1 + 1e-8)
@@ -82,7 +85,7 @@ class TestAdamW:
         p = Tensor(np.array([0.5, -0.25]), requires_grad=True)
         p.grad = np.array([1.0, 2.0])
         params = ParamSet(w=p)
-        opt = tr.OptimizerState(m={"w": np.zeros(2)}, v={"w": np.zeros(2)})
+        opt = tr.OptimizerState.for_params(params)
         tr.adamw_step(params, opt, tiny_config(), lr_t=0.0)
         npt.assert_array_equal(p.data, [0.5, -0.25])
 
@@ -90,9 +93,164 @@ class TestAdamW:
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([np.nan])
         params = ParamSet(w=p)
-        opt = tr.OptimizerState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)})
+        opt = tr.OptimizerState.for_params(params)
         with pytest.raises(NumericError, match="w"):
             tr.adamw_step(params, opt, tiny_config(), lr_t=0.1)
+
+    @staticmethod
+    def three_params():
+        params = ParamSet(a=Tensor(np.ones((2, 3)), requires_grad=True),
+                          b=Tensor(np.ones((1, 4)), requires_grad=True),
+                          c=Tensor(np.ones((3, 2)), requires_grad=True))
+        for _, p in params.named():
+            p.grad = np.full(p.shape, 0.5)
+        return params, tr.OptimizerState.for_params(params)
+
+    @pytest.mark.parametrize("bad", [{"b": (0, 2, np.nan), "c": (1, 0, np.inf)},
+                                     {"b": (0, 0, np.nan)}, {"c": (2, 1, -np.inf)}])
+    def test_nonfinite_gradient_names_first_parameter_and_changes_nothing(self, bad):
+        params, opt = self.three_params()
+        for name, (i, j, value) in bad.items():
+            params.tensors[name].grad[i, j] = value
+        before = [a.copy() for a in opt.flat]
+        want = "'b'" if "b" in bad else "'c'"
+        with pytest.raises(NumericError) as err:
+            tr.adamw_step(params, opt, tiny_config(), lr_t=0.1)
+        assert str(err.value) == f"non-finite gradient for parameter {want} at optimizer step 1"
+        assert opt.t == 0
+        for a, b in zip(opt.flat, before):
+            npt.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_matches_per_tensor_reference(self, weight_decay):
+        """Five steps over a real parameter tree (boqsa, dual pathway), the
+        first three in warmup, one tensor without a grad: the flat store's
+        parameters and moments equal the per-tensor loop's bit for bit."""
+        head = hd.HeadConfig(concepts=4, slot_dim=8, input_dim=4, n_inputs=3, n_classes=2,
+                             variant="boqsa", pathway="dual", heads=2)
+        cfg = tiny_config(head=head, weight_decay=weight_decay, warmup_iters=3, lr=1e-2)
+        state = tr.init_train_state(cfg)
+        ref = hd.init_head_params(head, np.random.default_rng(cfg.seed))
+        assert {"spatial.slot.init_queries", "global.slot.init_queries"} <= dict(ref.named()).keys()
+        m = {name: np.zeros(p.shape) for name, p in ref.named()}
+        v = {name: np.zeros(p.shape) for name, p in ref.named()}
+        rng = np.random.default_rng(5)
+        for step in range(5):
+            for (name, p), (_, q) in zip(state.params.named(), ref.named()):
+                if name == "global.cross.wk":
+                    p.grad = q.grad = None
+                else:
+                    p.grad = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 1)
+                    q.grad = p.grad.copy()
+            lr_t = tr.lr_at(state.opt.t, cfg)
+            tr.adamw_step(state.params, state.opt, cfg, lr_t)
+            composed.adamw_step(ref.named(), m, v, step + 1, weight_decay, lr_t)
+        assert state.opt.t == 5
+        got = dict(state.params.named())
+        for name, p in ref.named():
+            npt.assert_array_equal(got[name].data, p.data)
+            npt.assert_array_equal(state.opt.m[name], m[name])
+            npt.assert_array_equal(state.opt.v[name], v[name])
+        # the tensor without a grad took zeros: its moments stayed zero
+        assert not state.opt.m["global.cross.wk"].any()
+        assert not state.opt.v["global.cross.wk"].any()
+
+
+class TestFlatStore:
+    @staticmethod
+    def assert_store(state):
+        """Every parameter's data and moments are views into the store's three
+        arrays, at the table's offsets, and no two views of one array overlap."""
+        opt = state.opt
+        assert state.params.table is opt.table
+        assert [(name, p) for name, p, _, _ in opt.table] == list(state.params.named())
+        size = opt.table[-1][3]
+        assert [start for _, _, start, _ in opt.table] == [0] + [s for *_, s in opt.table[:-1]]
+        for flat, views in zip(opt.flat, ({name: p.data for name, p in state.params.named()},
+                                          opt.m, opt.v)):
+            assert flat.shape == (size,) and flat.dtype == np.float64
+            assert flat.flags.c_contiguous
+            arrays = [views[name] for name, _, _, _ in opt.table]
+            for (name, p, start, stop), view in zip(opt.table, arrays):
+                assert view.shape == p.shape
+                assert np.shares_memory(view, flat)
+                assert view.ctypes.data == flat[start:].ctypes.data
+                assert view.size == stop - start
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)
+
+    @pytest.fixture
+    def cfg(self):
+        head = hd.HeadConfig(concepts=4, slot_dim=8, input_dim=4, n_inputs=3, n_classes=2,
+                             variant="boqsa", pathway="dual", heads=2)
+        return tiny_config(head=head)
+
+    def test_fresh_state(self, cfg):
+        state = tr.init_train_state(cfg)
+        self.assert_store(state)
+        # the store copied the drawn values in, bit for bit
+        ref = hd.init_head_params(cfg.head, np.random.default_rng(cfg.seed))
+        for (_, p), (_, q) in zip(state.params.named(), ref.named()):
+            npt.assert_array_equal(p.data, q.data)
+        assert not state.opt.flat[1].any() and not state.opt.flat[2].any()
+
+    def test_loaded_state(self, cfg):
+        state, _ = tr.fit(tiny_dataset(), cfg, epochs=1)
+        loaded, _ = tr.parse_checkpoint(tr.checkpoint_bytes(state, cfg))
+        self.assert_store(loaded)
+        for a, b in zip(loaded.opt.flat, state.opt.flat):
+            npt.assert_array_equal(a, b)
+
+    def test_after_fit(self, cfg):
+        state = tr.init_train_state(cfg)
+        flat = state.opt.flat
+        tr.fit(tiny_dataset(), cfg, state, epochs=1)
+        self.assert_store(state)
+        assert all(a is b for a, b in zip(state.opt.flat, flat))
+        assert state.opt.flat[1].any()
+        state.params.reset_grads()
+        assert all(p.grad is None for _, p in state.params.named())
+
+    def test_gradient_check_perturbs_through_views(self):
+        """grad_check writes each perturbation into a view, so the flat array
+        sees it; criterion 1's end-to-end check (its head, batch and losses)
+        still passes at its tolerance on a store's parameters."""
+        head = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=2, n_classes=2,
+                             variant="boqsa", iters=3, heads=2, pathway="dual")
+        rng = np.random.default_rng(137)
+        params = hd.init_head_params(head, rng)
+        flat = tr.OptimizerState.for_params(params).flat[0]
+        start = flat.copy()
+        batch = [(rng.normal(size=(2, 4)), 0), (rng.normal(size=(2, 4)), 1)]
+        targets = []
+        for e, _ in batch:
+            out = hd.head_forward(Tensor(e), params, head, np.random.default_rng(1))
+            targets.append((np.maximum(out.attn_spatial.data - 0.01, 0.0),
+                            np.maximum(out.attn_global.data - 0.01, 0.0)))
+        weights = LossWeights(lambda_expl=100.0, lambda_sparse=0.5)
+        moved = []
+
+        def batch_loss():
+            moved.append(np.count_nonzero(flat != start))
+            total = None
+            for (e, label), (h_sp, h_gl) in zip(batch, targets):
+                out = hd.head_forward(Tensor(e), params, head, np.random.default_rng(1))
+                expl = ad.add(losses.explanation_loss(out.attn_spatial, h_sp),
+                              losses.explanation_loss(out.attn_global, h_gl))
+                sparse = ad.scale(ad.add(losses.sparsity_loss(out.attn_spatial),
+                                         losses.sparsity_loss(out.attn_global)), 0.5)
+                loss = losses.total_loss(losses.cross_entropy(out.logits, label),
+                                         expl, sparse, weights)
+                total = loss if total is None else ad.add(total, loss)
+            return ad.scale(total, 0.5)
+
+        report = ad.grad_check(batch_loss, list(params.named()), h=1e-6, tol=1e-6)
+        assert not report.failures, report.failures
+        assert report.max_rel_error < 1e-6, (report.max_rel_error, report.worst)
+        assert moved[0] == 0 and set(moved[1:]) == {1}
+        assert len(moved) == 1 + 2 * flat.size
+        npt.assert_array_equal(flat, start)
 
 
 class TestLrSchedule:
@@ -455,7 +613,7 @@ class TestChunkedPass:
         assert [len(c) for c in chunks] == [22, 21, 21, 8]
         assert np.concatenate(chunks).tolist() == tr.shuffled_indices(72, cfg.seed).tolist()
 
-    @pytest.mark.parametrize("name,sizes", [("recovery", [64]), ("refine_dual", [32, 32]),
+    @pytest.mark.parametrize("name,sizes", [("recovery", [64]), ("refine_dual", [64]),
                                             ("explain", [32, 32])])
     def test_benchmark_chunk_plans(self, workloads, monkeypatch, name, sizes):
         """The record budget splits each benchmark workload's 64-sample batch
