@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -158,20 +158,14 @@ class PathwayParams(_ParamTree):
 
 @dataclass
 class HeadParams(_ParamTree):
-    """Per-pathway parameter sets; only the configured pathways are present.
-
-    table, once a trainer's flat store is built over the tree
-    (trainer.OptimizerState.for_params), lists each tensor's (name, tensor,
-    start, stop) in named() order; reset_grads walks it instead of the tree.
-    """
+    """Per-pathway parameter sets; only the configured pathways are present."""
 
     spatial: PathwayParams | None = None
     global_: PathwayParams | None = None
-    table: ClassVar[tuple] = ()
 
     def reset_grads(self) -> None:
-        for entry in self.table or self.named():
-            entry[1].reset_grad()
+        for _, t in self.named():
+            t.reset_grad()
 
 
 @dataclass

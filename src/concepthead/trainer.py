@@ -14,10 +14,10 @@ and a checkpoint restores enough state (parameters, optimizer moments,
 generator state, epoch) to continue a run unchanged.
 
 The parameters and AdamW's two moments live in one flat store (see
-OptimizerState): three contiguous float64 arrays, each parameter's
-Tensor.data and its m and v buffers reshaped views into them in named()
-order, so one AdamW step is one pass of elementwise ops over the three
-arrays. Gradients stay per tensor, in each leaf's .grad.
+OptimizerState): three contiguous float64 arrays laid out in named() order,
+each parameter's Tensor.data a reshaped view into the first, so one AdamW
+step is one pass of elementwise ops over the three arrays. Gradients stay
+per tensor, in each leaf's .grad.
 """
 
 from __future__ import annotations
@@ -106,11 +106,11 @@ class OptimizerState:
     """AdamW's state as one flat store, plus the step count.
 
     flat holds three contiguous float64 arrays of equal length: the
-    parameters, the first moments and the second moments. Each parameter's
-    Tensor.data, m[name] and v[name] is a reshaped view into its array, laid
-    out in named() order; table lists each parameter's (name, tensor, start,
-    stop) in that order, its values at flat[k][start:stop]. Build one with
-    for_params, which also hands the table to the parameters for reset_grads.
+    parameters, the first moments and the second moments. table lists each
+    parameter's (name, tensor, start, stop) in named() order; its values,
+    first and second moments are flat[0], flat[1] and flat[2] at
+    [start:stop], and its Tensor.data is a view of flat[0][start:stop]
+    reshaped to its shape. Build one with for_params.
     """
 
     table: tuple[tuple[str, Tensor, int, int], ...]
@@ -134,22 +134,7 @@ class OptimizerState:
                 for kind in ("m:", "v:"))
         for _, p, start, stop in table:
             p.data = flat[start:stop].reshape(p.shape)
-        params.table = tuple(table)
-        return cls(table=params.table, flat=(flat, m, v), t=t)
-
-    def _views(self, k: int) -> dict[str, np.ndarray]:
-        return {name: self.flat[k][start:stop].reshape(p.shape)
-                for name, p, start, stop in self.table}
-
-    @functools.cached_property
-    def m(self) -> dict[str, np.ndarray]:
-        """Each parameter's first moments, keyed by name (made when first read)."""
-        return self._views(1)
-
-    @functools.cached_property
-    def v(self) -> dict[str, np.ndarray]:
-        """Each parameter's second moments, keyed by name (made when first read)."""
-        return self._views(2)
+        return cls(table=tuple(table), flat=(flat, m, v), t=t)
 
 
 @dataclass
@@ -167,12 +152,11 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
     return cfg.lr
 
 
-def adamw_step(params: HeadParams, opt: OptimizerState, cfg: TrainConfig,
-               lr_t: float) -> None:
-    """One AdamW update with decoupled weight decay over opt's flat store;
-    missing grads count as zero. params' tensors are the store's (see
-    OptimizerState.for_params). A non-finite gradient raises before any
-    value changes, naming the first parameter in named() order that holds one."""
+def adamw_step(opt: OptimizerState, cfg: TrainConfig, lr_t: float) -> None:
+    """One AdamW update with decoupled weight decay over opt's flat store, so
+    over the tensors its table lists; missing grads count as zero. A
+    non-finite gradient raises before any value changes, naming the first
+    parameter in named() order that holds one."""
     b1, b2 = ADAM_BETAS
     t = opt.t + 1
     g = np.concatenate([np.zeros(stop - start) if p.grad is None else p.grad.ravel()
@@ -392,8 +376,7 @@ def train_epoch(state: TrainState, dataset: Dataset, cfg: TrainConfig) -> Metric
     order = shuffled_indices(n, cfg.seed ^ state.epoch)
     batches = [order[start:start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
     record = _run_pass(dataset, state.params, cfg, state.rng, batches, state.epoch + 1,
-                       step=lambda: adamw_step(state.params, state.opt, cfg,
-                                               lr_at(state.opt.t, cfg)))
+                       step=lambda: adamw_step(state.opt, cfg, lr_at(state.opt.t, cfg)))
     state.epoch += 1
     return record
 
@@ -509,8 +492,9 @@ def checkpoint_bytes(state: TrainState, cfg: TrainConfig) -> bytes:
     out += struct.pack("<I", len(named))
     for name, p in named:
         out += _pack_tensor(name, p.data)
-    opt_entries = ([("m:" + name, state.opt.m[name]) for name, _ in named]
-                   + [("v:" + name, state.opt.v[name]) for name, _ in named])
+    opt_entries = [(kind + name, moments[start:stop].reshape(p.shape))
+                   for kind, moments in (("m:", state.opt.flat[1]), ("v:", state.opt.flat[2]))
+                   for name, p, start, stop in state.opt.table]
     out += struct.pack("<I", len(opt_entries))
     for name, arr in opt_entries:
         out += _pack_tensor(name, arr)

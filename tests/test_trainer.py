@@ -47,6 +47,12 @@ def tiny_config(**overrides):
     return tr.TrainConfig(**kwargs)
 
 
+def store_views(opt, k):
+    """Each parameter's slice of the store's array k (0: values, 1: first
+    moments, 2: second moments), reshaped to its shape and keyed by name."""
+    return {name: opt.flat[k][start:stop].reshape(p.shape) for name, p, start, stop in opt.table}
+
+
 GRID = [(variant, pathway, heads) for variant in hd.VARIANTS for pathway in hd.PATHWAYS
         for heads in (1, 4)]
 
@@ -58,7 +64,7 @@ class TestAdamW:
         params = ParamSet(w=p)
         opt = tr.OptimizerState.for_params(params)
         cfg = tiny_config(weight_decay=0.0)
-        tr.adamw_step(params, opt, cfg, lr_t=0.1)
+        tr.adamw_step(opt, cfg, lr_t=0.1)
         npt.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_zero_grad_pure_decay(self):
@@ -67,7 +73,7 @@ class TestAdamW:
         params = ParamSet(w=p)
         opt = tr.OptimizerState.for_params(params)
         cfg = tiny_config(weight_decay=0.5)
-        tr.adamw_step(params, opt, cfg, lr_t=0.1)
+        tr.adamw_step(opt, cfg, lr_t=0.1)
         npt.assert_allclose(p.data, [2.0 * (1 - 0.1 * 0.5)], atol=1e-15)
 
     def test_one_step_hand_value(self):
@@ -76,7 +82,7 @@ class TestAdamW:
         params = ParamSet(w=p)
         opt = tr.OptimizerState.for_params(params)
         cfg = tiny_config(weight_decay=0.0)
-        tr.adamw_step(params, opt, cfg, lr_t=1e-3)
+        tr.adamw_step(opt, cfg, lr_t=1e-3)
         # bias-corrected m = v = 1 -> theta - 1e-3 / (1 + 1e-8)
         assert p.data[0] == pytest.approx(1.0 - 1e-3 / (1.0 + 1e-8), abs=1e-15)
         assert opt.t == 1
@@ -86,7 +92,7 @@ class TestAdamW:
         p.grad = np.array([1.0, 2.0])
         params = ParamSet(w=p)
         opt = tr.OptimizerState.for_params(params)
-        tr.adamw_step(params, opt, tiny_config(), lr_t=0.0)
+        tr.adamw_step(opt, tiny_config(), lr_t=0.0)
         npt.assert_array_equal(p.data, [0.5, -0.25])
 
     def test_nonfinite_gradient_aborts(self):
@@ -95,7 +101,7 @@ class TestAdamW:
         params = ParamSet(w=p)
         opt = tr.OptimizerState.for_params(params)
         with pytest.raises(NumericError, match="w"):
-            tr.adamw_step(params, opt, tiny_config(), lr_t=0.1)
+            tr.adamw_step(opt, tiny_config(), lr_t=0.1)
 
     @staticmethod
     def three_params():
@@ -115,7 +121,7 @@ class TestAdamW:
         before = [a.copy() for a in opt.flat]
         want = "'b'" if "b" in bad else "'c'"
         with pytest.raises(NumericError) as err:
-            tr.adamw_step(params, opt, tiny_config(), lr_t=0.1)
+            tr.adamw_step(opt, tiny_config(), lr_t=0.1)
         assert str(err.value) == f"non-finite gradient for parameter {want} at optimizer step 1"
         assert opt.t == 0
         for a, b in zip(opt.flat, before):
@@ -143,31 +149,32 @@ class TestAdamW:
                     p.grad = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 1)
                     q.grad = p.grad.copy()
             lr_t = tr.lr_at(state.opt.t, cfg)
-            tr.adamw_step(state.params, state.opt, cfg, lr_t)
+            tr.adamw_step(state.opt, cfg, lr_t)
             composed.adamw_step(ref.named(), m, v, step + 1, weight_decay, lr_t)
         assert state.opt.t == 5
         got = dict(state.params.named())
+        got_m, got_v = store_views(state.opt, 1), store_views(state.opt, 2)
         for name, p in ref.named():
             npt.assert_array_equal(got[name].data, p.data)
-            npt.assert_array_equal(state.opt.m[name], m[name])
-            npt.assert_array_equal(state.opt.v[name], v[name])
+            npt.assert_array_equal(got_m[name], m[name])
+            npt.assert_array_equal(got_v[name], v[name])
         # the tensor without a grad took zeros: its moments stayed zero
-        assert not state.opt.m["global.cross.wk"].any()
-        assert not state.opt.v["global.cross.wk"].any()
+        assert not got_m["global.cross.wk"].any()
+        assert not got_v["global.cross.wk"].any()
 
 
 class TestFlatStore:
     @staticmethod
     def assert_store(state):
-        """Every parameter's data and moments are views into the store's three
-        arrays, at the table's offsets, and no two views of one array overlap."""
+        """The table lays the parameters out back to back in named() order,
+        every parameter's data and moments are views into the store's three
+        arrays at the table's offsets, and no two views of one array overlap."""
         opt = state.opt
-        assert state.params.table is opt.table
         assert [(name, p) for name, p, _, _ in opt.table] == list(state.params.named())
         size = opt.table[-1][3]
         assert [start for _, _, start, _ in opt.table] == [0] + [s for *_, s in opt.table[:-1]]
         for flat, views in zip(opt.flat, ({name: p.data for name, p in state.params.named()},
-                                          opt.m, opt.v)):
+                                          store_views(opt, 1), store_views(opt, 2))):
             assert flat.shape == (size,) and flat.dtype == np.float64
             assert flat.flags.c_contiguous
             arrays = [views[name] for name, _, _, _ in opt.table]
@@ -699,9 +706,10 @@ class TestCheckpoint:
                                                 state2.params.named()):
             assert name_a == name_b
             assert np.array_equal(t_a.data, t_b.data)
-        for name in state.opt.m:
-            assert np.array_equal(state.opt.m[name], state2.opt.m[name])
-            assert np.array_equal(state.opt.v[name], state2.opt.v[name])
+        assert ([name for name, *_ in state.opt.table]
+                == [name for name, *_ in state2.opt.table])
+        for k in (1, 2):
+            assert np.array_equal(state.opt.flat[k], state2.opt.flat[k])
         assert state2.opt.t == state.opt.t
         assert state2.epoch == state.epoch
         assert state2.rng.bit_generator.state == state.rng.bit_generator.state
@@ -827,11 +835,14 @@ class TestCheckpoint:
     def test_optimizer_buffer_shape_checked(self):
         cfg = tiny_config()
         state = tr.init_train_state(cfg)
-        state.opt.v["spatial.slot.mu"] = np.zeros((2, 4))
+        blob = tr.checkpoint_bytes(state, cfg)
+        entry = tr._pack_tensor("v:spatial.slot.mu", np.zeros((1, 4)))
+        assert blob.count(entry) == 1
+        blob = blob.replace(entry, tr._pack_tensor("v:spatial.slot.mu", np.zeros((2, 4))))
         with pytest.raises(FormatError,
                            match=r"'v:spatial\.slot\.mu' has shape \(2, 4\), "
                                  r"config expects \(1, 4\)"):
-            tr.parse_checkpoint(tr.checkpoint_bytes(state, cfg))
+            tr.parse_checkpoint(blob)
 
     def test_optimizer_tensor_the_model_does_not_use_rejected(self):
         cfg = tiny_config()
