@@ -615,8 +615,8 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
         raise FormatError(f"checkpoint generator state is out of range: {err}") from err
 
     params = _build_params(head_cfg, tensors)
-    shapes = [(name, p.shape) for name, p in params.named()]
-    moments = _take(opt_entries, {kind + name: shape for kind in ("m:", "v:")
-                                  for name, shape in shapes})
+    shapes = {name: p.shape for name, p in params.named()}
+    moments = _take(opt_entries, {f"{kind}:{name}": shape for kind in "mv"
+                                  for name, shape in shapes.items()})
     opt = OptimizerState.for_params(params, moments, t=tree["state"]["opt"]["t"])
     return TrainState(params=params, opt=opt, rng=rng, epoch=tree["state"]["epoch"]), cfg
