@@ -280,21 +280,19 @@ class ByteReader:
         self.what = what
         self.offset = 0
 
-    def take(self, size: int) -> bytes:
+    def skip(self, size: int) -> int:
+        """Move past size bytes without copying them; returns their offset."""
         if self.offset + size > len(self.blob):
             raise FormatError(f"truncated {self.what}", offset=self.offset)
-        piece = self.blob[self.offset:self.offset + size]
         self.offset += size
-        return piece
+        return self.offset - size
+
+    def take(self, size: int) -> bytes:
+        start = self.skip(size)
+        return self.blob[start:self.offset]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
-
-    def array(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
-        """Read prod(shape) values of dtype, widened to a fresh float64 array."""
-        count = math.prod(shape)
-        raw = np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype=dtype)
-        return raw.astype(np.float64).reshape(shape)
 
 
 def read_emb(path: str) -> Dataset:

@@ -488,7 +488,7 @@ def decomposed_logits(slots: Tensor, p: CrossAttentionParams, rel: Tensor,
 
     Equals the single-head readback logits up to floating rounding; that identity
     is what makes the relevance scores a faithful explanation. cfg is not
-    read; it keeps the signature of the readback it mirrors.
+    read; it stays because perfbench's check_head passes it.
     """
     beta = ad.matmul(ad.matmul(slots, p.wv), p.out)  # (C, n_classes)
     return ad.vecmat(rel, beta)

@@ -17,7 +17,10 @@ The parameters and AdamW's two moments live in one flat store (see
 OptimizerState): three contiguous float64 arrays laid out in named() order,
 each parameter's Tensor.data a reshaped view into the first, so one AdamW
 step is one pass of elementwise ops over the three arrays. Gradients stay
-per tensor, in each leaf's .grad.
+per tensor, in each leaf's .grad. The store's table is also the checkpoint's
+one tensor layout: the writer walks it for every tensor entry, and the reader
+takes the file's entries by position, in the table's order, and copies each
+section into the store's arrays.
 """
 
 from __future__ import annotations
@@ -110,7 +113,10 @@ class OptimizerState:
     parameter's (name, tensor, start, stop) in named() order; its values,
     first and second moments are flat[0], flat[1] and flat[2] at
     [start:stop], and its Tensor.data is a view of flat[0][start:stop]
-    reshaped to its shape. Build one with for_params.
+    reshaped to its shape. The table is the checkpoint's tensor layout too:
+    a checkpoint holds each array's entries in the table's order, and
+    parse_checkpoint takes them by position into a new store. Build one over
+    existing tensors with for_params.
     """
 
     table: tuple[tuple[str, Tensor, int, int], ...]
@@ -118,23 +124,26 @@ class OptimizerState:
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: HeadParams, moments: dict[str, np.ndarray] | None = None,
-                   t: int = 0) -> "OptimizerState":
+    def for_params(cls, params: HeadParams, t: int = 0) -> "OptimizerState":
         """The store over params' tensors, their values copied in and each
-        .data moved to its view. moments, when given, holds "m:NAME" and
-        "v:NAME" for every parameter (a checkpoint's); the moments are zero
-        without it."""
+        .data moved to its view, with zero moments."""
         table, size = [], 0
         for name, p in params.named():
             table.append((name, p, size, size + p.data.size))
             size += p.data.size
         flat = np.concatenate([p.data.ravel() for _, p, _, _ in table])
-        m, v = (np.zeros(size) if moments is None
-                else np.concatenate([moments[kind + name].ravel() for name, *_ in table])
-                for kind in ("m:", "v:"))
         for _, p, start, stop in table:
             p.data = flat[start:stop].reshape(p.shape)
-        return cls(table=tuple(table), flat=(flat, m, v), t=t)
+        return cls(table=tuple(table), flat=(flat, np.zeros(size), np.zeros(size)), t=t)
+
+
+def _first_nonfinite(table, values: np.ndarray) -> str | None:
+    """The name of the first table entry (name, ..., stop) whose slice of
+    values holds a non-finite value, or None when every value is finite."""
+    if np.isfinite(values).all():
+        return None
+    first = np.flatnonzero(~np.isfinite(values))[0]
+    return next(name for name, *_, stop in table if first < stop)
 
 
 @dataclass
@@ -161,9 +170,8 @@ def adamw_step(opt: OptimizerState, cfg: TrainConfig, lr_t: float) -> None:
     t = opt.t + 1
     g = np.concatenate([np.zeros(stop - start) if p.grad is None else p.grad.ravel()
                         for _, p, start, stop in opt.table])
-    if not np.isfinite(g).all():
-        first = np.flatnonzero(~np.isfinite(g))[0]
-        name = next(name for name, _, _, stop in opt.table if first < stop)
+    name = _first_nonfinite(opt.table, g)
+    if name is not None:
         raise NumericError(f"non-finite gradient for parameter {name!r} "
                            f"at optimizer step {t}")
     opt.t = t
@@ -420,6 +428,11 @@ def evaluate(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
 # magic "CCTK" | u32 version | u32 n_params | entries | u32 n_opt | entries |
 # u32 config_len | config utf-8 "key=value" lines.
 # Tensor entry: u32 name_len | name | u32 rank | u32 dims... | f64 LE payload.
+# The entries are the store's table (see OptimizerState), in its order: the
+# parameters, then every "m:NAME" first moment, then every "v:NAME" second
+# moment. A reader compares them by position with the table that the config's
+# layout gives (init_head_params with rng None), names and then shapes, and
+# copies each array's entries into the store.
 # The config lines hold the keys of _CONFIG_KEYS, each once and in that order.
 # A _Key gives the converter of its value and the path from _config_lines' roots
 # to it; the writer writes convert(value), so an int in a float field is written
@@ -460,6 +473,10 @@ _CONFIG_KEYS = (
 )
 
 
+# the name prefix of each store array's entries: parameters, first and second moments
+_PREFIXES = ("", "m:", "v:")
+
+
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
     encoded = name.encode("utf-8")
     out = struct.pack("<I", len(encoded)) + encoded
@@ -485,19 +502,17 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path: str) -> None:
 
 
 def checkpoint_bytes(state: TrainState, cfg: TrainConfig) -> bytes:
-    named = list(state.params.named())
+    table = state.opt.table
+    entries = [(prefix + name, values[start:stop].reshape(p.shape))
+               for prefix, values in zip(_PREFIXES, state.opt.flat)
+               for name, p, start, stop in table]
     out = bytearray()
     out += CHECKPOINT_MAGIC
     out += struct.pack("<I", CHECKPOINT_VERSION)
-    out += struct.pack("<I", len(named))
-    for name, p in named:
-        out += _pack_tensor(name, p.data)
-    opt_entries = [(kind + name, moments[start:stop].reshape(p.shape))
-                   for kind, moments in (("m:", state.opt.flat[1]), ("v:", state.opt.flat[2]))
-                   for name, p, start, stop in state.opt.table]
-    out += struct.pack("<I", len(opt_entries))
-    for name, arr in opt_entries:
-        out += _pack_tensor(name, arr)
+    for section in (entries[:len(table)], entries[len(table):]):
+        out += struct.pack("<I", len(section))
+        for name, arr in section:
+            out += _pack_tensor(name, arr)
     config = _config_lines(cfg, state).encode("utf-8")
     out += struct.pack("<I", len(config)) + config
     return bytes(out)
@@ -512,55 +527,29 @@ def _utf8(r: ByteReader, size: int, what: str) -> str:
                           offset=start + err.start) from err
 
 
-def _read_tensor(r: ByteReader) -> tuple[str, np.ndarray]:
+def _read_tensor(r: ByteReader) -> tuple[int, str, np.ndarray]:
+    """One tensor entry: its offset, its name and its values, a float64 view
+    of the file."""
+    start = r.offset
     name = _utf8(r, r.u32(), "tensor name")
     rank = r.u32()
     if rank != 2:  # every parameter and moment buffer is a matrix
         raise FormatError(f"checkpoint tensor {name!r} has rank {rank}, expected 2",
                           offset=r.offset - 4)
     dims = struct.unpack("<2I", r.take(8))
-    return name, r.array(dims, "<f8")
+    count = dims[0] * dims[1]
+    return start, name, np.frombuffer(r.blob, "<f8", count, r.skip(8 * count)).reshape(dims)
 
 
-def _read_tensors(r: ByteReader) -> dict[str, np.ndarray]:
-    """A u32 count, then that many tensor entries, no name twice."""
-    tensors = {}
-    for _ in range(r.u32()):
-        start = r.offset
-        name, arr = _read_tensor(r)
-        if name in tensors:
-            raise FormatError(f"checkpoint tensor {name!r} appears twice", offset=start)
-        tensors[name] = arr
-    return tensors
-
-
-def _take(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]
-          ) -> dict[str, np.ndarray]:
-    """Exactly the checkpoint tensors that shapes names, each of its shape and
-    holding only finite values; a tensor shapes does not name is rejected."""
-    for name, shape in shapes.items():
-        if name not in tensors:
-            raise FormatError(f"checkpoint is missing tensor {name!r}")
-        arr = tensors[name]
-        if arr.shape != shape:
-            raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                              f"config expects {shape}")
-        if not np.isfinite(arr).all():
-            raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
-    extra = sorted(tensors.keys() - shapes.keys())
-    if extra:
-        raise FormatError(f"checkpoint has unexpected tensors: {extra[:3]}")
-    return {name: tensors[name] for name in shapes}
-
-
-def _build_params(cfg: HeadConfig, tensors: dict[str, np.ndarray]) -> HeadParams:
-    """The configured parameter tree with every tensor taken from the
-    checkpoint. The tensors are checked against the config's layout before
-    any array of its shapes is made, and no parameter is drawn."""
-    params = hd.init_head_params(cfg, None)
-    taken = _take(tensors, dict(params.named()))
-    params.fill(lambda name: Tensor(taken[name], requires_grad=True))
-    return params
+def _check_order(what: str, found: list[str], expected: list[str], end: str,
+                 offsets: list[int] | None = None) -> None:
+    """Raise a FormatError at the first position where found and expected
+    differ, either of them read as `end` past its last item. offsets, when
+    given, holds each found item's byte offset and then the offset after it."""
+    for at, (got, want) in enumerate(itertools.zip_longest(found, expected, fillvalue=end)):
+        if got != want:
+            raise FormatError(f"checkpoint {what} {at + 1}: found {got}, expected {want}",
+                              offset=offsets and offsets[at])
 
 
 def load_checkpoint(path: str) -> tuple[TrainState, TrainConfig]:
@@ -576,8 +565,8 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     version = cur.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    tensors = _read_tensors(cur)
-    opt_entries = _read_tensors(cur)
+    # the parameters' and then the moments' entries, each with the offset after them
+    sections = [([_read_tensor(cur) for _ in range(cur.u32())], cur.offset) for _ in range(2)]
     config_blob = _utf8(cur, cur.u32(), "config block")
     if cur.offset != len(blob):
         raise FormatError("trailing bytes after config block", offset=cur.offset)
@@ -585,11 +574,8 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     # The first config line out of place, and a value that does not parse or
     # that its key does not allow, raise a FormatError naming the key.
     lines = [line.partition("=") for line in config_blob.splitlines()]
-    pairs = itertools.zip_longest([key for key, _, _ in lines], [key.name for key in _CONFIG_KEYS])
-    for at, pair in enumerate(pairs):
-        if pair[0] != pair[1]:
-            got, want = ("the end of the block" if key is None else f"key {key!r}" for key in pair)
-            raise FormatError(f"checkpoint config line {at + 1}: found {got}, expected {want}")
+    _check_order("config line", [f"key {key!r}" for key, _, _ in lines],
+                 [f"key {key.name!r}" for key in _CONFIG_KEYS], "the end of the block")
     tree: dict = {}  # the values, nested along their keys' paths
     for key, (_, _, raw) in zip(_CONFIG_KEYS, lines):
         try:
@@ -614,9 +600,34 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     except (OverflowError, ValueError) as err:
         raise FormatError(f"checkpoint generator state is out of range: {err}") from err
 
-    params = _build_params(head_cfg, tensors)
-    shapes = {name: p.shape for name, p in params.named()}
-    moments = _take(opt_entries, {f"{kind}:{name}": shape for kind in "mv"
-                                  for name, shape in shapes.items()})
-    opt = OptimizerState.for_params(params, moments, t=tree["state"]["opt"]["t"])
+    # The entries against the config's layout, by position, before any array
+    # of its shapes is made; then one copy of each array's entries into the
+    # store, and one finite check per array.
+    params = hd.init_head_params(head_cfg, None)
+    spans, size = [], 0  # the store's table, with each tensor's shape in its place
+    for name, shape in params.named():
+        spans.append((name, shape, size, size + math.prod(shape)))
+        size += math.prod(shape)
+    n = len(spans)
+    layout = [(prefix + name, shape) for prefix in _PREFIXES for name, shape, _, _ in spans]
+    arrays = []
+    for what, (entries, end), want in zip(("parameter", "moment"), sections,
+                                          (layout[:n], layout[n:])):
+        _check_order(f"{what} entry", [f"tensor {name!r}" for _, name, _ in entries],
+                     [f"tensor {name!r}" for name, _ in want], "the end of the section",
+                     [at for at, _, _ in entries] + [end])
+        for (at, name, arr), (_, shape) in zip(entries, want):
+            if arr.shape != shape:
+                raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                                  f"config expects {shape}", offset=at)
+            arrays.append(arr.ravel())
+    flat = tuple(np.concatenate(arrays[k * n:(k + 1) * n], dtype=np.float64) for k in range(3))
+    for prefix, values in zip(_PREFIXES, flat):
+        name = _first_nonfinite(spans, values)
+        if name is not None:
+            raise FormatError(f"checkpoint tensor '{prefix}{name}' holds non-finite values")
+    table = [(name, Tensor(flat[0][start:stop].reshape(shape), requires_grad=True), start, stop)
+             for name, shape, start, stop in spans]
+    params.fill({name: p for name, p, _, _ in table}.__getitem__)
+    opt = OptimizerState(table=tuple(table), flat=flat, t=tree["state"]["opt"]["t"])
     return TrainState(params=params, opt=opt, rng=rng, epoch=tree["state"]["epoch"]), cfg
