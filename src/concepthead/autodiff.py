@@ -20,12 +20,13 @@ make a non-finite value from finite inputs: transpose, split_heads,
 merge_heads and pick copy values, softmax_axis divides exps in [0, 1] by a
 sum of at least 1, clamped_log takes the log of a value of at least
 LOG_FLOOR, and log_sum_exp adds a log in [0, log n] to the row max. The
-fused op head.slot_step checks only its output and the values where a
-non-finite value could vanish before that check: IEEE +, -, *, / and matmul
-never turn a NaN finite, and ±inf vanishes only in a saturating function
-(exp of -inf, a sigmoid, a tanh). On a failed check it runs again with a
-check at every step of the chain it fuses, so its error names the chain's
-first op that made a non-finite value.
+fused op head.slot_step checks only the values where a non-finite value
+could vanish before it reaches the step's output: IEEE +, -, *, / and
+matmul never turn a NaN finite, and ±inf vanishes only in a saturating
+function (exp of -inf, a sigmoid, a tanh). Its output is then finite, so
+it is not checked. On a failed check it runs again with a check at every
+step of the chain it fuses, so its error names the chain's first op that
+made a non-finite value.
 
 The record is slim: it holds the graph, not the op outputs. A recorded op
 output carries a `_Node` with its parents' record entries (a parent's node,
@@ -141,9 +142,11 @@ class Tensor:
     _parents: tuple = ()
     _vjp = None
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, finite: bool = False):
+        """finite=True: the caller has checked that data is finite, so it is
+        not checked again."""
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if not np.isfinite(arr).all():
+        if not (finite or np.isfinite(arr).all()):
             raise NumericError("tensor holds non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -212,7 +215,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str,
 
 
 def record(data: np.ndarray, parents: tuple[Tensor, ...],
-           vjp: Callable[[np.ndarray], Iterable], op: str) -> Tensor:
+           vjp: Callable[[np.ndarray], Iterable], op: str, finite: bool = False) -> Tensor:
     """Record a hand-written op whose output data the caller computed from
     the parents' values.
 
@@ -220,9 +223,11 @@ def record(data: np.ndarray, parents: tuple[Tensor, ...],
     a parent that takes no gradient; a parent listed twice gets its two
     contributions added in that order. It may be a generator: the walk then
     takes each contribution in before it asks for the next. A non-finite
-    output raises the NumericError that names op.
+    output raises the NumericError that names op, unless the caller passes
+    finite=True, as _make takes it: an output its own checks have already
+    shown to be finite.
     """
-    return _make(data, parents, vjp, op)
+    return _make(data, parents, vjp, op, finite)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:

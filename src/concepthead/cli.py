@@ -156,6 +156,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    """Write each sample's exported map as a heatmap and its top-k concepts
+    by relevance to topk.csv, cfg.batch_size samples per forward.
+
+    The exported map is the spatial one, or the global one when that is the
+    only pathway (head.explanation_map): the slot noise of every pathway is
+    drawn as in head_forward, so every map is head_forward's, but only the
+    exported pathway runs.
+    """
     if args.topk < 1:
         raise ConceptHeadError(f"--topk must be >= 1, got {args.topk}")
     if args.limit is not None and args.limit < 0:
@@ -170,9 +178,8 @@ def _cmd_explain(args) -> int:
     for start in range(0, count, cfg.batch_size):
         stop = min(start + cfg.batch_size, count)
         with ad.no_grad():
-            out = hd.head_forward(Tensor(dataset.features[start:stop]), state.params,
-                                  cfg.head, rng)
-            maps = out.attn_spatial if out.attn_spatial is not None else out.attn_global
+            maps = hd.explanation_map(Tensor(dataset.features[start:stop]), state.params,
+                                      cfg.head, rng)
             rel = hd.relevance(maps).data  # (B, C), the gamma of the faithfulness identity
         mt.export_heatmaps(maps.data, [os.path.join(args.out, f"sample_{i:04d}.pgm")
                                        for i in range(start, stop)])

@@ -39,6 +39,7 @@ __all__ = [
     "decomposed_logits",
     "multi_head_cross_attention",
     "head_forward",
+    "explanation_map",
     "class_token",
 ]
 
@@ -295,16 +296,17 @@ def slot_step(slots: Tensor, inputs: Tensor, p: SlotAttentionParams, cfg: HeadCo
     no node keeps the VJP, so what it would read is freed on return.
 
     Finite checks: the step first runs with floating-point warnings off and
-    checks five values only, the points where a non-finite value could
-    vanish before a later check sees it. From finite slots and parameters,
+    checks four values only, the points where a non-finite value could
+    vanish before it reaches the output. From finite slots and parameters,
     +, -, *, / and matmul never turn a NaN finite; ±inf vanishes only in the
     softmax's exp, a gate's sigmoid and the candidate's tanh, and the
     row normalization's division by an infinite sum leaves a NaN in that
-    row. So it checks the scaled scores, the z and r gate pre-activations,
-    the candidate pre-activation and the recorded output. When one of them
-    is not finite, the step runs again from the same kv under the caller's
-    floating-point settings with every check the chain made, those of the
-    keys and values when kv is None, and raises the chain's error.
+    row. So it checks the scaled scores, the z and r gate pre-activations
+    and the candidate pre-activation. Once they pass, the output is finite
+    and is recorded unchecked. When one of them is not finite, the step
+    runs again from the same kv under the caller's floating-point settings
+    with every check the chain made, those of the keys and values when kv
+    is None, and raises the chain's error.
     """
     if slots.data.ndim < 2 or slots.shape[-2:] != (cfg.concepts, cfg.slot_dim):
         raise ShapeError(f"expected slots (*, {cfg.concepts}, {cfg.slot_dim}), "
@@ -449,7 +451,8 @@ def _slot_step(slots: Tensor, inputs: Tensor, p: SlotAttentionParams, cfg: HeadC
         yield swap(readout) @ g_h if need_wh else None
         yield g_h if need_bh else None
 
-    return ad.record(new, parents, vjp, "add"), attn, kv
+    # finite: s is (or the scores' screen fails), |cand| <= 1 and z is in [0, 1]
+    return ad.record(new, parents, vjp, "add", finite=True), attn, kv
 
 
 def refine_slots(e_raw: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
@@ -528,32 +531,69 @@ def class_token(e_raw: Tensor) -> Tensor:
     return Tensor(e_raw.data.mean(axis=-2, keepdims=True))
 
 
+def _pathways(params: HeadParams, cfg: HeadConfig) -> list[tuple[str, PathwayParams]]:
+    """The configured pathways as (name, params), spatial first."""
+    return [(name, p) for name, p in (("spatial", params.spatial), ("global", params.global_))
+            if cfg.pathway in (name, "dual")]
+
+
+def _slot_noise(e_raw: Tensor, cfg: HeadConfig, rng: np.random.Generator,
+                pathways: int) -> list[np.ndarray | None]:
+    """Each pathway's slot noise (..., C, d) for one forward pass, drawn in
+    one call, per sample in sample order and spatial before global within a
+    sample: the stream of one call per sample and pathway. boqsa draws none
+    (None per pathway)."""
+    if cfg.variant == "boqsa":
+        return [None] * pathways
+    noise = rng.standard_normal(e_raw.shape[:-2] + (pathways, cfg.concepts, cfg.slot_dim))
+    return [noise[..., k, :, :] for k in range(pathways)]
+
+
+def _pathway_forward(e_raw: Tensor, name: str, p: PathwayParams, cfg: HeadConfig,
+                     rng: np.random.Generator, eps: np.ndarray | None
+                     ) -> tuple[Tensor, Tensor]:
+    """One pathway's slot refinement and readback from its slot noise eps:
+    the spatial pathway reads the feature rows, the global pathway their
+    class_token row. Returns its (map, logits)."""
+    inputs = e_raw if name == "spatial" else class_token(e_raw)
+    slots = refine_slots(inputs, p.slot, cfg, rng, eps)
+    return multi_head_cross_attention(inputs, slots, p.cross, cfg)
+
+
 def head_forward(e_raw: Tensor, params: HeadParams, cfg: HeadConfig,
                  rng: np.random.Generator) -> HeadOutput:
     """Forward one sample (L, D), or a stack of samples (B, L, D), through the
     configured pathway(s).
 
-    The spatial pathway reads the feature rows, the global pathway the
-    single class_token row of them; each refines its own slots and reads
-    them back. With pathway="dual" both run, and the logits are the mean
-    scale(add(spatial, global), 0.5). A single pathway returns its readback
-    logits unchanged. Slot noise (sa/isa) is drawn up front in one call, per
-    sample in sample order and spatial before global within a sample: the
-    stream of one call per sample and pathway.
+    The slot noise of every pathway is drawn up front (_slot_noise); then
+    each pathway refines its own slots and reads them back
+    (_pathway_forward), spatial first. With pathway="dual" both run, and the
+    logits are the mean scale(add(spatial, global), 0.5). A single pathway
+    returns its readback logits unchanged.
     """
-    pathways = [(name, p) for name, p in (("spatial", params.spatial), ("global", params.global_))
-                if cfg.pathway in (name, "dual")]
-    noise = None
-    if cfg.variant != "boqsa":
-        noise = rng.standard_normal(e_raw.shape[:-2] + (len(pathways), cfg.concepts,
-                                                        cfg.slot_dim))
+    pathways = _pathways(params, cfg)
+    noise = _slot_noise(e_raw, cfg, rng, len(pathways))
     maps, logits = {}, []
-    for k, (name, p) in enumerate(pathways):
-        inputs = e_raw if name == "spatial" else class_token(e_raw)
-        slots = refine_slots(inputs, p.slot, cfg, rng,
-                             None if noise is None else noise[..., k, :, :])
-        maps[name], pathway_logits = multi_head_cross_attention(inputs, slots, p.cross, cfg)
+    for (name, p), eps in zip(pathways, noise):
+        maps[name], pathway_logits = _pathway_forward(e_raw, name, p, cfg, rng, eps)
         logits.append(pathway_logits)
     joint = logits[0] if len(logits) == 1 else ad.scale(ad.add(*logits), 0.5)
     return HeadOutput(logits=joint, attn_spatial=maps.get("spatial"),
                       attn_global=maps.get("global"))
+
+
+def explanation_map(e_raw: Tensor, params: HeadParams, cfg: HeadConfig,
+                    rng: np.random.Generator) -> Tensor:
+    """The map an explanation exports: head_forward's spatial map, or its
+    global map when the global pathway is the only one.
+
+    It draws the slot noise of every configured pathway, as head_forward
+    does, so it leaves rng in the same state, and then runs only the
+    exported pathway, the first. The map equals head_forward's bit for bit;
+    the other pathway's values, and the dual logits, are not computed, so a
+    non-finite value made only there raises nothing.
+    """
+    pathways = _pathways(params, cfg)
+    noise = _slot_noise(e_raw, cfg, rng, len(pathways))
+    attn, _ = _pathway_forward(e_raw, *pathways[0], cfg, rng, noise[0])
+    return attn

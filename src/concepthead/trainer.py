@@ -20,7 +20,10 @@ step is one pass of elementwise ops over the three arrays. Gradients stay
 per tensor, in each leaf's .grad. The store's table is also the checkpoint's
 one tensor layout: the writer walks it for every tensor entry, and the reader
 takes the file's entries by position, in the table's order, and copies each
-section into the store's arrays.
+section into the store's arrays. Both check each store array for
+non-finite values once, with the same text, so the writer makes no file
+that the reader refuses. The reader reads each entry's header with two
+struct reads and makes no array until the entries match the layout.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from . import autodiff as ad
 from . import head as hd
 from . import losses
 from .autodiff import Tensor
-from .data import ByteReader, Dataset
+from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError
 from .head import HeadConfig, HeadParams
 from .losses import LossWeights
@@ -497,12 +500,19 @@ def _config_lines(cfg: TrainConfig, state: TrainState) -> str:
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path: str) -> None:
+    """Write checkpoint_bytes to path. The bytes are made before the file is
+    opened, so a store that checkpoint_bytes refuses leaves path as it was."""
+    blob = checkpoint_bytes(state, cfg)
     with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(state, cfg))
+        fh.write(blob)
 
 
 def checkpoint_bytes(state: TrainState, cfg: TrainConfig) -> bytes:
+    """The checkpoint of state and cfg. A store array that holds a non-finite
+    value raises the NumericError whose text parse_checkpoint would give for
+    it, so no file a reader refuses is made."""
     table = state.opt.table
+    _check_finite(table, state.opt.flat, NumericError)
     entries = [(prefix + name, values[start:stop].reshape(p.shape))
                for prefix, values in zip(_PREFIXES, state.opt.flat)
                for name, p, start, stop in table]
@@ -518,27 +528,68 @@ def checkpoint_bytes(state: TrainState, cfg: TrainConfig) -> bytes:
     return bytes(out)
 
 
-def _utf8(r: ByteReader, size: int, what: str) -> str:
-    start = r.offset
+def _truncated(offset: int) -> FormatError:
+    return FormatError("truncated checkpoint", offset=offset)
+
+
+def _u32(blob: bytes, pos: int) -> int:
+    if pos + 4 > len(blob):
+        raise _truncated(pos)
+    return struct.unpack_from("<I", blob, pos)[0]
+
+
+def _utf8(blob: bytes, pos: int, size: int, what: str) -> str:
+    if pos + size > len(blob):
+        raise _truncated(pos)
     try:
-        return r.take(size).decode("utf-8")
+        return blob[pos:pos + size].decode("utf-8")
     except UnicodeDecodeError as err:
         raise FormatError(f"checkpoint {what} is not valid UTF-8",
-                          offset=start + err.start) from err
+                          offset=pos + err.start) from err
 
 
-def _read_tensor(r: ByteReader) -> tuple[int, str, np.ndarray]:
-    """One tensor entry: its offset, its name and its values, a float64 view
-    of the file."""
-    start = r.offset
-    name = _utf8(r, r.u32(), "tensor name")
-    rank = r.u32()
-    if rank != 2:  # every parameter and moment buffer is a matrix
-        raise FormatError(f"checkpoint tensor {name!r} has rank {rank}, expected 2",
-                          offset=r.offset - 4)
-    dims = struct.unpack("<2I", r.take(8))
-    count = dims[0] * dims[1]
-    return start, name, np.frombuffer(r.blob, "<f8", count, r.skip(8 * count)).reshape(dims)
+def _rank_error(name: str, rank: int, offset: int) -> FormatError:
+    # every parameter and moment buffer is a matrix
+    return FormatError(f"checkpoint tensor {name!r} has rank {rank}, expected 2", offset=offset)
+
+
+def _cut_dims(blob: bytes, pos: int, name: str) -> FormatError:
+    """The error of a rank-and-dims field that the blob's end cuts: a rank
+    other than 2, when the rank is whole, is named before the cut."""
+    if pos + 4 > len(blob):
+        return _truncated(pos)
+    rank = struct.unpack_from("<I", blob, pos)[0]
+    return _rank_error(name, rank, pos) if rank != 2 else _truncated(pos + 4)
+
+
+def _read_section(blob: bytes, pos: int) -> tuple[list[tuple[int, str, tuple[int, int], int]],
+                                                  int]:
+    """The tensor entries of the section at pos, each as its offset, name,
+    shape and payload offset, and the offset after the section. Each header
+    is two struct reads, its name length and then its rank and dims; a field
+    that the blob's end cuts raises "truncated checkpoint" at its start."""
+    end = len(blob)
+    entries = []
+    count = _u32(blob, pos)
+    pos += 4
+    for _ in range(count):
+        start = pos
+        if pos + 4 > end:
+            raise _truncated(pos)
+        size = struct.unpack_from("<I", blob, pos)[0]
+        name = _utf8(blob, pos + 4, size, "tensor name")
+        pos += 4 + size
+        if pos + 12 > end:
+            raise _cut_dims(blob, pos, name)
+        rank, rows, cols = struct.unpack_from("<3I", blob, pos)
+        if rank != 2:
+            raise _rank_error(name, rank, pos)
+        pos += 12
+        if pos + 8 * rows * cols > end:
+            raise _truncated(pos)
+        entries.append((start, name, (rows, cols), pos))
+        pos += 8 * rows * cols
+    return entries, pos
 
 
 def _check_order(what: str, found: list[str], expected: list[str], end: str,
@@ -552,30 +603,52 @@ def _check_order(what: str, found: list[str], expected: list[str], end: str,
                               offset=offsets and offsets[at])
 
 
+def _check_finite(table, flat, error: type[Exception]) -> None:
+    """Raise error for the first store array, and its first table entry, that
+    holds a non-finite value, in the text a checkpoint reader gives."""
+    for prefix, values in zip(_PREFIXES, flat):
+        name = _first_nonfinite(table, values)
+        if name is not None:
+            raise error(f"checkpoint tensor '{prefix}{name}' holds non-finite values")
+
+
 def load_checkpoint(path: str) -> tuple[TrainState, TrainConfig]:
     with open(path, "rb") as fh:
         return parse_checkpoint(fh.read())
 
 
 def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
-    cur = ByteReader(blob, "checkpoint")
-    magic = cur.take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}", offset=0)
-    version = cur.u32()
+    """The state and config a checkpoint holds; a FormatError names what is
+    malformed and, for a field of the file, its byte offset.
+
+    The tensor headers are read first, the payloads only located. Then the
+    config is read and the entries are compared, by position, with the
+    tensor layout it gives, names and then shapes, before any array of its
+    shapes is made. Each store array is then one copy of its entries'
+    payloads, checked for finiteness once, and each parameter Tensor is a
+    view of the first.
+    """
+    if len(blob) < 4:
+        raise _truncated(0)
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad magic {blob[:4]!r}", offset=0)
+    version = _u32(blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
     # the parameters' and then the moments' entries, each with the offset after them
-    sections = [([_read_tensor(cur) for _ in range(cur.u32())], cur.offset) for _ in range(2)]
-    config_blob = _utf8(cur, cur.u32(), "config block")
-    if cur.offset != len(blob):
-        raise FormatError("trailing bytes after config block", offset=cur.offset)
+    param_entries, param_end = _read_section(blob, 8)
+    moment_entries, moment_end = _read_section(blob, param_end)
+    size = _u32(blob, moment_end)
+    config_blob = _utf8(blob, moment_end + 4, size, "config block")
+    if moment_end + 4 + size != len(blob):
+        raise FormatError("trailing bytes after config block", offset=moment_end + 4 + size)
 
     # The first config line out of place, and a value that does not parse or
     # that its key does not allow, raise a FormatError naming the key.
     lines = [line.partition("=") for line in config_blob.splitlines()]
-    _check_order("config line", [f"key {key!r}" for key, _, _ in lines],
-                 [f"key {key.name!r}" for key in _CONFIG_KEYS], "the end of the block")
+    if [key for key, _, _ in lines] != [key.name for key in _CONFIG_KEYS]:
+        _check_order("config line", [f"key {key!r}" for key, _, _ in lines],
+                     [f"key {key.name!r}" for key in _CONFIG_KEYS], "the end of the block")
     tree: dict = {}  # the values, nested along their keys' paths
     for key, (_, _, raw) in zip(_CONFIG_KEYS, lines):
         try:
@@ -610,23 +683,26 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
         size += math.prod(shape)
     n = len(spans)
     layout = [(prefix + name, shape) for prefix in _PREFIXES for name, shape, _, _ in spans]
-    arrays = []
-    for what, (entries, end), want in zip(("parameter", "moment"), sections,
-                                          (layout[:n], layout[n:])):
-        _check_order(f"{what} entry", [f"tensor {name!r}" for _, name, _ in entries],
-                     [f"tensor {name!r}" for name, _ in want], "the end of the section",
-                     [at for at, _, _ in entries] + [end])
-        for (at, name, arr), (_, shape) in zip(entries, want):
-            if arr.shape != shape:
-                raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                                  f"config expects {shape}", offset=at)
-            arrays.append(arr.ravel())
-    flat = tuple(np.concatenate(arrays[k * n:(k + 1) * n], dtype=np.float64) for k in range(3))
-    for prefix, values in zip(_PREFIXES, flat):
-        name = _first_nonfinite(spans, values)
-        if name is not None:
-            raise FormatError(f"checkpoint tensor '{prefix}{name}' holds non-finite values")
-    table = [(name, Tensor(flat[0][start:stop].reshape(shape), requires_grad=True), start, stop)
+    for what, entries, end, want in (("parameter", param_entries, param_end, layout[:n]),
+                                     ("moment", moment_entries, moment_end, layout[n:])):
+        if [name for _, name, _, _ in entries] != [name for name, _ in want]:
+            _check_order(f"{what} entry", [f"tensor {name!r}" for _, name, _, _ in entries],
+                         [f"tensor {name!r}" for name, _ in want], "the end of the section",
+                         [at for at, _, _, _ in entries] + [end])
+        if [shape for _, _, shape, _ in entries] != [shape for _, shape in want]:
+            for (at, name, shape, _), (_, expected) in zip(entries, want):
+                if shape != expected:
+                    raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, "
+                                      f"config expects {expected}", offset=at)
+    payloads = [at for _, _, _, at in param_entries + moment_entries]
+    flat = tuple(np.concatenate([np.frombuffer(blob, "<f8", stop - start, at)
+                                 for at, (_, _, start, stop) in zip(payloads[k * n:], spans)],
+                                dtype=np.float64)
+                 for k in range(3))
+    _check_finite(spans, flat, FormatError)
+    # the views are finite: flat[0] was checked as a whole
+    table = [(name, Tensor(flat[0][start:stop].reshape(shape), requires_grad=True,
+                           finite=True), start, stop)
              for name, shape, start, stop in spans]
     params.fill({name: p for name, p, _, _ in table}.__getitem__)
     opt = OptimizerState(table=tuple(table), flat=flat, t=tree["state"]["opt"]["t"])

@@ -4,11 +4,15 @@ values, errors and gradients. Every op of the chain checks its output, so
 its NumericError names the first op that made a non-finite value.
 
 AdamW as a loop over the parameter tensors, the reference for
-`trainer.adamw_step`'s one pass over the flat store."""
+`trainer.adamw_step`'s one pass over the flat store.
+
+A checkpoint writer without the finite check, for the reader's tests of the
+files that `trainer.checkpoint_bytes` refuses to make."""
 
 from __future__ import annotations
 
 import contextlib
+import struct
 
 import numpy as np
 
@@ -109,3 +113,25 @@ def adamw_step(named, m, v, t, weight_decay, lr_t):
         p.data -= lr_t * update
         if weight_decay != 0.0:
             p.data -= lr_t * weight_decay * p.data
+
+
+def unchecked_checkpoint_bytes(state, cfg):
+    """trainer.checkpoint_bytes(state, cfg) as it would read with no finite
+    check: each non-finite store value is written as a distinct finite
+    stand-in, which is then replaced in the bytes. The store is left as it
+    was."""
+    flat = state.opt.flat
+    spots = [(values, i, values[i]) for values in flat
+             for i in np.flatnonzero(~np.isfinite(values))]
+    stand_ins = [struct.pack("<d", 1e-300 * (n + 3.5)) for n in range(len(spots))]
+    for (values, i, _), stand_in in zip(spots, stand_ins):
+        values[i] = struct.unpack("<d", stand_in)[0]
+    try:
+        blob = tr.checkpoint_bytes(state, cfg)
+    finally:
+        for values, i, bad in spots:
+            values[i] = bad
+    for (_, _, bad), stand_in in zip(spots, stand_ins):
+        assert blob.count(stand_in) == 1
+        blob = blob.replace(stand_in, struct.pack("<d", bad))
+    return blob

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import composed
 from concepthead import autodiff as ad
 from concepthead import cli
 from concepthead import data as dat
@@ -245,11 +246,30 @@ class TestBoundaryValues:
         state, cfg = tr.load_checkpoint(ckpt)
         state.params.spatial.slot.wq.data[1, 2] = np.inf
         bad = str(tmp_path / "inf.cctk")
-        tr.save_checkpoint(state, cfg, bad)
+        with open(bad, "wb") as fh:
+            fh.write(composed.unchecked_checkpoint_bytes(state, cfg))
         capsys.readouterr()
         assert run(["eval", "--data", tiny_emb, "--checkpoint", bad]) == 1
         assert_one_error_line(capsys,
                               "checkpoint tensor 'spatial.slot.wq' holds non-finite values")
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_train_overflowing_step_writes_no_checkpoint(self, tiny_emb, tmp_path, capsys,
+                                                         existing):
+        """One optimizer step that overflows the parameters (lr 1e200 with
+        weight decay) ends train in exit 1 with the reader's text: no
+        checkpoint is made, and one already at the path keeps its bytes."""
+        out_dir = tmp_path / "run"
+        ckpt = out_dir / "model.cctk"
+        if existing:
+            out_dir.mkdir()
+            ckpt.write_bytes(b"kept")
+        capsys.readouterr()
+        assert run(train_args(tiny_emb, str(out_dir),
+                              ["--lr", "1e200", "--epochs", "1", "--batch-size", "12"])) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: checkpoint tensor 'spatial.slot.wq' holds non-finite values")
+        assert ckpt.read_bytes() == b"kept" if existing else not ckpt.exists()
 
     def test_eval_identity_mode_checkpoint(self, tiny_emb, ckpt, tmp_path, capsys):
         blob = open(ckpt, "rb").read()
@@ -385,6 +405,48 @@ def test_explain_topk_matches_per_sample_reference(tmp_path, n_inputs, heads, ti
     want = tmp_path / "want.csv"
     mt.write_topk_csv(reference_topk_rows(dat.read_emb(data), state, cfg, 9, 7, 4), str(want))
     assert (out_dir / "topk.csv").read_bytes() == want.read_bytes()
+
+
+def reference_explain(dataset, state, cfg, seed, count, topk, out_dir):
+    """The explain outputs as head_forward gives them: the spatial map of
+    each chunk of cfg.batch_size samples, or the global one when that is the
+    only pathway, exported with its top-k concepts by relevance."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for start in range(0, count, cfg.batch_size):
+        stop = min(start + cfg.batch_size, count)
+        with ad.no_grad():
+            out = hd.head_forward(Tensor(dataset.features[start:stop]), state.params,
+                                  cfg.head, rng)
+        maps = out.maps()[0]
+        rel = hd.relevance(maps).data
+        mt.export_heatmaps(maps.data, [os.path.join(out_dir, f"sample_{i:04d}.pgm")
+                                       for i in range(start, stop)])
+        order = np.argsort(-rel, axis=-1, kind="stable")[:, :topk]
+        for i, gamma, top in zip(range(start, stop), rel, order):
+            rows.extend((i, rank + 1, int(c), float(gamma[c])) for rank, c in enumerate(top))
+    mt.write_topk_csv(rows, os.path.join(out_dir, "topk.csv"))
+
+
+@pytest.mark.parametrize("variant", hd.VARIANTS)
+@pytest.mark.parametrize("heads", [1, 4])
+def test_dual_explain_matches_head_forward_reference(tiny_emb, tmp_path, variant, heads):
+    """A dual explain of more samples than batch_size (chunks of 5, 5 and 2)
+    writes the bytes of the head_forward reference."""
+    head = hd.HeadConfig(concepts=4, slot_dim=8, input_dim=6, n_inputs=3, n_classes=2,
+                         variant=variant, heads=heads, pathway="dual")
+    cfg = tr.TrainConfig(head=head, batch_size=5, seed=3)
+    state = tr.init_train_state(cfg)
+    ckpt = str(tmp_path / "m.cctk")
+    tr.save_checkpoint(state, cfg, ckpt)
+    out_dir, want_dir = tmp_path / "explain", tmp_path / "want"
+    assert run(["explain", "--data", tiny_emb, "--checkpoint", ckpt, "--out", str(out_dir),
+                "--seed", "7", "--topk", "2"]) == 0
+    want_dir.mkdir()
+    reference_explain(dat.read_emb(tiny_emb), state, cfg, 7, 12, 2, str(want_dir))
+    got, want = explain_files(out_dir), explain_files(want_dir)
+    assert len(want) == 2 * 12 + 1
+    assert got == want
 
 
 def explain_model(tmp_path, name, n_inputs, heads, pathway):

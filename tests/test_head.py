@@ -477,10 +477,10 @@ class TestSlotStep:
         assert messages[0] == messages[1] == "matmul produced non-finite values"
 
     @pytest.mark.parametrize("grad", [True, False])
-    def test_finite_step_checks_five_values(self, grad, monkeypatch):
-        """The screened run checks the scaled scores, the three
-        pre-activations and the recorded output, also when it makes the keys
-        and values, and does not replay."""
+    def test_finite_step_checks_four_values(self, grad, monkeypatch):
+        """The screened run checks the scaled scores and the three
+        pre-activations, also when it makes the keys and values, records its
+        output unchecked and does not replay."""
         cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=4, n_inputs=5, n_classes=2,
                             variant="sa", iters=2)
         p = hd.init_slot_params(cfg, np.random.default_rng(0))
@@ -498,7 +498,7 @@ class TestSlotStep:
             for made_keys in (True, False):
                 assert (kv is None) == made_keys
                 slots, _, kv = hd.slot_step(slots, normed, p, cfg, kv)
-                assert checks == ["scale", "add", "add", "add", "add"], made_keys
+                assert checks == ["scale", "add", "add", "add"], made_keys
                 checks.clear()
 
     def test_replay_checks_the_keys_only_when_the_step_made_them(self, monkeypatch):
@@ -915,6 +915,46 @@ class TestDualPathway:
         _, want_g = oracle_cross_attention(TOY_E2.mean(axis=0, keepdims=True), slots,
                                            out_matrix, 2)
         npt.assert_allclose(logits.data, (want_s + want_g) / 2, atol=1e-12)
+
+
+class TestExplanationMap:
+    @pytest.mark.parametrize("variant", hd.VARIANTS)
+    @pytest.mark.parametrize("pathway", hd.PATHWAYS)
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_equals_head_forward_map_chunk_after_chunk(self, variant, pathway, heads):
+        """The exported map of head_forward (spatial, or global when that is
+        the only pathway) bit for bit, over chunks that share one generator,
+        the last an unstacked sample; each call leaves the generator as
+        head_forward does."""
+        cfg = hd.HeadConfig(concepts=5, slot_dim=8, input_dim=6, n_inputs=4, n_classes=3,
+                            variant=variant, heads=heads, pathway=pathway)
+        params = hd.init_head_params(cfg, np.random.default_rng(0))
+        features = np.random.default_rng(1).normal(size=(7, 4, 6))
+        forward_rng, map_rng = np.random.default_rng(2), np.random.default_rng(2)
+        with ad.no_grad():
+            for chunk in (features[:3], features[3:6], features[6]):
+                out = hd.head_forward(Tensor(chunk), params, cfg, forward_rng)
+                got = hd.explanation_map(Tensor(chunk), params, cfg, map_rng)
+                want = out.attn_global if pathway == "global" else out.attn_spatial
+                assert got.shape == want.shape
+                assert np.array_equal(got.data, want.data)
+                assert forward_rng.bit_generator.state == map_rng.bit_generator.state
+
+    def test_dual_skips_the_global_pathway(self):
+        """A non-finite value made only in the global pathway of a dual head
+        stops head_forward but not the spatial map."""
+        cfg = hd.HeadConfig(concepts=3, slot_dim=4, input_dim=5, n_inputs=4, n_classes=3,
+                            variant="sa", pathway="dual")
+        params = hd.init_head_params(cfg, np.random.default_rng(0))
+        params.global_.cross.out.data[...] = np.finfo(np.float64).max
+        e = Tensor(np.random.default_rng(1).normal(size=(2, 4, 5)))
+        with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                hd.head_forward(e, params, cfg, np.random.default_rng(2))
+            got = hd.explanation_map(e, params, cfg, np.random.default_rng(2))
+            params.global_.cross.out.data[...] = 0.0
+            want = hd.head_forward(e, params, cfg, np.random.default_rng(2)).attn_spatial
+        assert np.array_equal(got.data, want.data)
 
 
 class TestHeadInvariants:

@@ -665,6 +665,29 @@ def replace_config(blob, old, new):
     return blob[:start - 4] + struct.pack("<I", len(config)) + config
 
 
+def checkpoint_fields(blob):
+    """(kind, start, stop) of each field of a checkpoint, in file order,
+    walked from the format's description alone."""
+    fields, pos = [], 0
+
+    def field(kind, size):
+        nonlocal pos
+        fields.append((kind, pos, pos + size))
+        pos += size
+        return blob[pos - size:pos]
+
+    field("magic", 4)
+    field("version", 4)
+    for _ in range(2):
+        for _ in range(struct.unpack("<I", field("count", 4))[0]):
+            field("name", struct.unpack("<I", field("name length", 4))[0])
+            rank = struct.unpack("<I", field("rank", 4))[0]
+            dims = struct.unpack(f"<{rank}I", field("dims", 4 * rank))
+            field("payload", 8 * math.prod(dims))
+    field("config", struct.unpack("<I", field("config length", 4))[0])
+    return fields
+
+
 class TestCheckpoint:
     def test_roundtrip_bytes_identical(self, tmp_path):
         ds = tiny_dataset()
@@ -745,13 +768,35 @@ class TestCheckpoint:
             tr.parse_checkpoint(bytes(blob))
 
     def test_truncation_reports_offset(self):
+        """A checkpoint cut at every length raises "truncated checkpoint" at
+        the start of the field the cut falls in: magic, version, a section's
+        count, a tensor's name length, name, rank, dims or payload, the
+        config's length or the config block. With a wrong rank the rank is
+        named first, wherever its dims are cut."""
         ds = tiny_dataset()
         cfg = tiny_config()
         state, _ = tr.fit(ds, cfg)
         blob = tr.checkpoint_bytes(state, cfg)
-        with pytest.raises(FormatError) as err:
-            tr.parse_checkpoint(blob[:100])
-        assert err.value.offset is not None
+        fields = checkpoint_fields(blob)
+        assert [kind for kind, _, _ in fields].count("payload") == 3 * len(state.opt.table)
+        assert fields[-1][2] == len(blob)
+        for cut in range(len(blob)):
+            kind, start, _ = next(field for field in fields if field[2] > cut)
+            with pytest.raises(FormatError) as err:
+                tr.parse_checkpoint(blob[:cut])
+            assert (str(err.value), err.value.offset) == (
+                f"truncated checkpoint (at byte offset {start})", start), (cut, kind)
+        # each rank's field follows its name's
+        ranks = [(blob[name[1]:name[2]].decode(), rank[1])
+                 for name, rank in zip(fields, fields[1:]) if rank[0] == "rank"]
+        for name, at in ranks[:2] + ranks[-1:]:
+            bad = blob[:at] + struct.pack("<I", 3) + blob[at + 4:]
+            for cut in range(at + 4, at + 12):
+                with pytest.raises(FormatError) as err:
+                    tr.parse_checkpoint(bad[:cut])
+                assert (str(err.value), err.value.offset) == (
+                    f"checkpoint tensor {name!r} has rank 3, expected 2 "
+                    f"(at byte offset {at})", at)
 
     def test_non_numeric_config_value_names_key(self):
         cfg = tiny_config()
@@ -825,7 +870,7 @@ class TestCheckpoint:
         state.params.spatial.cross.out.data[0, 0] = np.nan
         with pytest.raises(FormatError,
                            match=r"tensor 'spatial\.cross\.out' holds non-finite values"):
-            tr.parse_checkpoint(tr.checkpoint_bytes(state, cfg))
+            tr.parse_checkpoint(composed.unchecked_checkpoint_bytes(state, cfg))
 
     @pytest.mark.parametrize("k,prefix", [(1, "m:"), (2, "v:")])
     def test_non_finite_moment_rejected(self, k, prefix):
@@ -835,10 +880,28 @@ class TestCheckpoint:
         moments["spatial.cross.wv"][1, 2] = np.inf
         moments["spatial.cross.out"][0, 0] = np.nan
         with pytest.raises(FormatError) as err:
-            tr.parse_checkpoint(tr.checkpoint_bytes(state, cfg))
+            tr.parse_checkpoint(composed.unchecked_checkpoint_bytes(state, cfg))
         # the first tensor in the table's order that holds one is named
         assert str(err.value) == (f"checkpoint tensor '{prefix}spatial.cross.wv' "
                                   f"holds non-finite values")
+
+    @pytest.mark.parametrize("k,prefix", [(0, ""), (1, "m:"), (2, "v:")])
+    def test_writer_refuses_non_finite_store(self, k, prefix, tmp_path):
+        """checkpoint_bytes raises the reader's text for the first non-finite
+        entry in the table's order, and save_checkpoint leaves the file at its
+        path as it was."""
+        cfg = tiny_config()
+        state = tr.init_train_state(cfg)
+        views = store_views(state.opt, k)
+        views["spatial.cross.wv"][1, 2] = np.inf
+        views["spatial.cross.out"][0, 0] = np.nan
+        path = tmp_path / "m.cctk"
+        path.write_bytes(b"kept")
+        with pytest.raises(NumericError) as err:
+            tr.save_checkpoint(state, cfg, str(path))
+        assert str(err.value) == (f"checkpoint tensor '{prefix}spatial.cross.wv' "
+                                  f"holds non-finite values")
+        assert path.read_bytes() == b"kept"
 
     def test_non_utf8_tensor_name_rejected_with_offset(self):
         cfg = tiny_config()
