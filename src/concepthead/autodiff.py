@@ -73,13 +73,14 @@ import numpy as np
 from .errors import NumericError, RecordConsumedError, ShapeError
 
 # no_grad is the one gradient stop and clamped_log the one log. no_grad,
-# grad_enabled, the head-axis helpers (split_heads, merge_heads, sum_heads)
-# and the arithmetic helpers of fused ops (checked, normalize_rows,
-# layer_norm_dx) are not listed. perfbench traces every listed function and counts its
-# calls, also those under no_grad, as tape nodes: a fused op counts once,
-# through `record`. The head-axis helpers add no node for one head, so they
-# stay out of that count (with h > 1 heads they add five nodes per
-# readback).
+# grad_enabled, the head-axis helpers (split_heads, merge_heads, sum_heads),
+# the arithmetic helpers of fused ops (checked, normalize_rows,
+# layer_norm_dx) and softmax_axis's row max (axis_max) are not listed.
+# perfbench traces every listed function and counts its calls, also those
+# under no_grad, as tape nodes: a fused op counts once, through `record`,
+# and axis_max records nothing. The head-axis helpers add no node for one
+# head, so they stay out of that count (with h > 1 heads they add five
+# nodes per readback).
 __all__ = [
     "Tensor",
     "matmul",
@@ -412,10 +413,34 @@ def clamped_log(a: Tensor) -> Tensor:
     return _make(np.log(clamped), (a,), vjp, "clamped_log", finite=True)
 
 
+# The longest axis whose max axis_max takes as np.maximum over its slices.
+# NumPy's max reduce costs about 60 ns per row of a short axis, the slices
+# one ufunc call each: they win up to 8-12 entries at 256 rows and up to
+# 24 from 1024 rows on (the explain readback has 8192 rows of 12), and
+# lose up to 16 µs at 64 rows.
+MAX_BY_SLICES = 16
+
+
+def axis_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """x.max(axis=axis, keepdims=True): for an axis of at most MAX_BY_SLICES
+    entries, np.maximum over its slices in order. A max is exact, so both
+    ways give the same values."""
+    n = x.shape[axis]
+    if not 1 < n <= MAX_BY_SLICES:
+        return x.max(axis=axis, keepdims=True)
+    lead = (slice(None),) * (axis % x.ndim)
+    out = np.maximum(x[lead + (slice(0, 1),)], x[lead + (slice(1, 2),)])
+    for j in range(2, n):
+        np.maximum(out, x[lead + (slice(j, j + 1),)], out=out)
+    return out
+
+
 def softmax_axis(a: Tensor, axis: int) -> Tensor:
+    """exp(x - max) / sum along axis. The row max is axis_max's; the sum is
+    np.sum's, whose pairwise order fixes the output bits."""
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"softmax_axis: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - axis_max(a.data, axis)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 

@@ -162,7 +162,9 @@ def _cmd_explain(args) -> int:
     The exported map is the spatial one, or the global one when that is the
     only pathway (head.explanation_map): the slot noise of every pathway is
     drawn as in head_forward, so every map is head_forward's, but only the
-    exported pathway runs.
+    exported pathway's map is made, not its readback logits. Each chunk's
+    ranked concepts and their relevances fill two (count, k) arrays, and
+    write_topk_csv makes the whole topk.csv text from them at the end.
     """
     if args.topk < 1:
         raise ConceptHeadError(f"--topk must be >= 1, got {args.topk}")
@@ -173,8 +175,10 @@ def _cmd_explain(args) -> int:
     tr.check_dataset(dataset, cfg.head, targets=False)
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    rows = []
     count = len(dataset) if args.limit is None else min(args.limit, len(dataset))
+    k = min(args.topk, cfg.head.concepts)
+    order = np.empty((count, k), dtype=np.intp)
+    gamma = np.empty((count, k))
     for start in range(0, count, cfg.batch_size):
         stop = min(start + cfg.batch_size, count)
         with ad.no_grad():
@@ -183,10 +187,9 @@ def _cmd_explain(args) -> int:
             rel = hd.relevance(maps).data  # (B, C), the gamma of the faithfulness identity
         mt.export_heatmaps(maps.data, [os.path.join(args.out, f"sample_{i:04d}.pgm")
                                        for i in range(start, stop)])
-        order = np.argsort(-rel, axis=-1, kind="stable")[:, :args.topk]
-        for i, gamma, top in zip(range(start, stop), rel, order):
-            rows.extend((i, rank + 1, int(c), float(gamma[c])) for rank, c in enumerate(top))
-    mt.write_topk_csv(rows, os.path.join(args.out, "topk.csv"))
+        order[start:stop] = np.argsort(-rel, axis=-1, kind="stable")[:, :k]
+        gamma[start:stop] = np.take_along_axis(rel, order[start:stop], axis=-1)
+    mt.write_topk_csv(np.arange(count), order, gamma, os.path.join(args.out, "topk.csv"))
     print(f"wrote {count} heatmaps and topk.csv to {args.out}")
     return 0
 

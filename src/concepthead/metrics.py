@@ -253,14 +253,23 @@ def format_metrics_row(m: Metrics) -> str:
                     + [_f17(0.0)])
 
 
-def write_topk_csv(rows: Sequence[tuple[int, int, int, float]], path: str) -> None:
+def write_topk_csv(samples: np.ndarray, order: np.ndarray, gamma: np.ndarray,
+                   path: str) -> None:
     """Per-sample ranked concept relevances: sample_index,rank,concept_index,gamma_value.
 
-    The text is built once, and an existing file is rewritten in place (see
+    samples (N,) holds the sample indices, order (N, k) each sample's concept
+    indices by rank and gamma (N, k) their relevances: one line per sample
+    and rank 1..k, gamma as "%.17g" text. The whole text is one "%" format
+    over the four columns, and an existing file is rewritten in place (see
     _overwrite) for the reason export_heatmaps gives: a rerun of explain into
     the same directory need not truncate the previous topk.csv first.
     """
-    lines = ["sample_index,rank,concept_index,gamma_value\n"]
-    lines.extend(f"{sample_index},{rank},{concept_index},{_f17(gamma_value)}\n"
-                 for sample_index, rank, concept_index, gamma_value in rows)
-    _overwrite(path, "".join(lines).encode("ascii"))
+    rows, k = np.shape(order)
+    cells: list = [None] * (4 * rows * k)
+    cells[0::4] = np.repeat(samples, k).tolist()
+    cells[1::4] = list(range(1, k + 1)) * rows
+    cells[2::4] = np.ravel(order).tolist()
+    cells[3::4] = np.ravel(gamma).tolist()
+    text = "sample_index,rank,concept_index,gamma_value\n" + (
+        "%d,%d,%d,%.17g\n" * (rows * k)) % tuple(cells)
+    _overwrite(path, text.encode("ascii"))

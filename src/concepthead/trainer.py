@@ -125,6 +125,9 @@ class OptimizerState:
     table: tuple[tuple[str, Tensor, int, int], ...]
     flat: tuple[np.ndarray, np.ndarray, np.ndarray]
     t: int = 0
+    # the two arrays adamw_step makes its new moments in, kept across steps
+    work: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
+                                                       compare=False)
 
     @classmethod
     def for_params(cls, params: HeadParams, t: int = 0) -> "OptimizerState":
@@ -149,6 +152,13 @@ def _first_nonfinite(table, values: np.ndarray) -> str | None:
     return next(name for name, *_, stop in table if first < stop)
 
 
+def _gathered_grads(table) -> np.ndarray:
+    """The table's parameters' gradients back to back in its order, a
+    missing grad as zeros."""
+    return np.concatenate([np.zeros(stop - start) if p.grad is None else p.grad.ravel()
+                           for _, p, start, stop in table])
+
+
 @dataclass
 class TrainState:
     params: HeadParams
@@ -166,40 +176,63 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 
 def adamw_step(opt: OptimizerState, cfg: TrainConfig, lr_t: float) -> None:
     """One AdamW update with decoupled weight decay over opt's flat store, so
-    over the tensors its table lists; missing grads count as zero. A
-    non-finite gradient raises before any value changes, naming the first
-    parameter in named() order that holds one."""
+    over the tensors its table lists; missing grads count as zero.
+
+    The new first and second moments are made in opt.work, two arrays of
+    the store's length that the first step makes and later steps reuse,
+    and the new values in a fresh array; all three are copied into the
+    store once they are known to be finite. The new second moments and
+    values are checked once each: a non-finite gradient makes a non-finite
+    second moment, and a non-finite first moment a non-finite value (the
+    update divides it by a denominator of at least eps), so the two checks
+    cover the gradients and all three new arrays. On a non-finite value
+    the step raises the NumericError that names the first parameter in
+    named() order with a non-finite gradient, or else the first with a
+    non-finite second moment, or else value, and the step; the store and
+    opt.t are left as they were.
+    """
     b1, b2 = ADAM_BETAS
     t = opt.t + 1
-    g = np.concatenate([np.zeros(stop - start) if p.grad is None else p.grad.ravel()
-                        for _, p, start, stop in opt.table])
-    name = _first_nonfinite(opt.table, g)
-    if name is not None:
-        raise NumericError(f"non-finite gradient for parameter {name!r} "
-                           f"at optimizer step {t}")
-    opt.t = t
+    theta, m, v = opt.flat
+    if opt.work is None:
+        opt.work = (np.empty_like(m), np.empty_like(v))
+    new_m, new_v = opt.work
+    g = _gathered_grads(opt.table)
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    theta, m, v = opt.flat
     # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
     # theta -= lr_t (m / bc1) / (sqrt(v / bc2) + eps), then lr_t wd theta:
-    # each op in that order, into two work arrays (g's once it is used)
-    m *= b1
-    work = np.multiply(1.0 - b1, g)
-    m += work
-    v *= b2
-    np.multiply(g, g, out=work)
-    work *= 1.0 - b2
-    v += work
-    np.divide(v, bc2, out=work)
-    np.sqrt(work, out=work)
-    work += ADAM_EPS
-    update = np.divide(m, bc1, out=g)
-    update /= work
-    update *= lr_t
-    theta -= update
-    if cfg.weight_decay != 0.0:
-        theta -= np.multiply(lr_t * cfg.weight_decay, theta, out=update)
+    # each op in that order, out of place (into g once it is used); a
+    # non-finite value surfaces in the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(m, b1, out=new_m)
+        work = np.multiply(1.0 - b1, g)
+        new_m += work
+        np.multiply(v, b2, out=new_v)
+        np.multiply(g, g, out=work)
+        work *= 1.0 - b2
+        new_v += work
+        np.divide(new_v, bc2, out=work)
+        np.sqrt(work, out=work)
+        work += ADAM_EPS
+        update = np.divide(new_m, bc1, out=g)
+        update /= work
+        update *= lr_t
+        new_theta = np.subtract(theta, update, out=work)
+        if cfg.weight_decay != 0.0:
+            new_theta -= np.multiply(lr_t * cfg.weight_decay, new_theta, out=update)
+    for what, values in (("second moment", new_v), ("value", new_theta)):
+        name = _first_nonfinite(opt.table, values)
+        if name is not None:
+            bad_grad = _first_nonfinite(opt.table, _gathered_grads(opt.table))
+            if bad_grad is not None:
+                what, name = "gradient", bad_grad
+            raise NumericError(f"non-finite {what} for parameter {name!r} "
+                               f"at optimizer step {t}")
+    opt.t = t
+    np.copyto(theta, new_theta)
+    np.copyto(m, new_m)
+    np.copyto(v, new_v)
 
 
 def shuffled_indices(n: int, seed: int) -> np.ndarray:
@@ -677,9 +710,13 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
     # of its shapes is made; then one copy of each array's entries into the
     # store, and one finite check per array.
     params = hd.init_head_params(head_cfg, None)
-    spans, size = [], 0  # the store's table, with each tensor's shape in its place
-    for name, shape in params.named():
+    # the store's table, with each tensor's shape in its place, and the
+    # (group, field) of the layout tree that its parsed Tensor is set on
+    spans, places, size = [], [], 0
+    for name, group, f in params._leaves():
+        shape = getattr(group, f)
         spans.append((name, shape, size, size + math.prod(shape)))
+        places.append((group, f))
         size += math.prod(shape)
     n = len(spans)
     layout = [(prefix + name, shape) for prefix in _PREFIXES for name, shape, _, _ in spans]
@@ -701,9 +738,10 @@ def parse_checkpoint(blob: bytes) -> tuple[TrainState, TrainConfig]:
                  for k in range(3))
     _check_finite(spans, flat, FormatError)
     # the views are finite: flat[0] was checked as a whole
-    table = [(name, Tensor(flat[0][start:stop].reshape(shape), requires_grad=True,
-                           finite=True), start, stop)
-             for name, shape, start, stop in spans]
-    params.fill({name: p for name, p, _, _ in table}.__getitem__)
+    table = []
+    for (name, shape, start, stop), (group, f) in zip(spans, places):
+        p = Tensor(flat[0][start:stop].reshape(shape), requires_grad=True, finite=True)
+        setattr(group, f, p)
+        table.append((name, p, start, stop))
     opt = OptimizerState(table=tuple(table), flat=flat, t=tree["state"]["opt"]["t"])
     return TrainState(params=params, opt=opt, rng=rng, epoch=tree["state"]["epoch"]), cfg

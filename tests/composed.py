@@ -7,7 +7,10 @@ AdamW as a loop over the parameter tensors, the reference for
 `trainer.adamw_step`'s one pass over the flat store.
 
 A checkpoint writer without the finite check, for the reader's tests of the
-files that `trainer.checkpoint_bytes` refuses to make."""
+files that `trainer.checkpoint_bytes` refuses to make.
+
+The per-row topk.csv text, the reference for `metrics.write_topk_csv`'s one
+format over its arrays."""
 
 from __future__ import annotations
 
@@ -135,3 +138,11 @@ def unchecked_checkpoint_bytes(state, cfg):
         assert blob.count(stand_in) == 1
         blob = blob.replace(stand_in, struct.pack("<d", bad))
     return blob
+
+
+def per_row_topk_csv(rows):
+    """topk.csv's bytes from (sample_index, rank, concept_index, gamma) rows,
+    one f-string per row."""
+    lines = ["sample_index,rank,concept_index,gamma_value\n"]
+    lines.extend(f"{i},{rank},{c},{gamma:.17g}\n" for i, rank, c, gamma in rows)
+    return "".join(lines).encode("ascii")

@@ -62,6 +62,47 @@ class TestSoftmax:
         with pytest.raises(ShapeError):
             ad.softmax_axis(t([[1.0]]), 2)
 
+    @staticmethod
+    def tied_rows(shape, axis, seed):
+        """Values from a few levels, so most rows tie for their max, with
+        -0.0 and +0.0 in every row along axis and rows of signed zeros only."""
+        rng = np.random.default_rng(seed)
+        x = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.75, 3.0], size=shape)
+        x = np.moveaxis(x, axis, -1)
+        if x.shape[-1] > 1:
+            x[..., 0], x[..., -1] = -0.0, 0.0
+        x[:2] = rng.choice([-0.0, 0.0], size=x[:2].shape)
+        return np.moveaxis(x, -1, axis)
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_axis_max_equals_numpy_max(self, axis, n):
+        """axis_max gives x.max(axis, keepdims=True) for axis lengths on both
+        sides of MAX_BY_SLICES, with ties and signed zeros, along the last
+        axis and the first, of 2-D and 3-D arrays."""
+        assert ad.MAX_BY_SLICES == 16
+        for shape in ((5, n), (3, 4, n)):
+            shape = shape if axis == -1 else shape[::-1]
+            x = self.tied_rows(shape, axis, n)
+            got, want = ad.axis_max(x, axis), x.max(axis=axis, keepdims=True)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            x = np.random.default_rng(n).normal(size=shape) * 1e300
+            assert np.array_equal(ad.axis_max(x, axis), x.max(axis=axis, keepdims=True))
+
+    @pytest.mark.parametrize("axis", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [2, 12, ad.MAX_BY_SLICES, ad.MAX_BY_SLICES + 1, 32])
+    def test_softmax_bits_on_both_sides_of_threshold(self, axis, n):
+        """softmax_axis is exp(x - x.max) / sum bit for bit whichever way its
+        row max is taken, also on rows that hold both -0.0 and +0.0."""
+        shape = [6, 5, 7]
+        shape[axis] = n
+        rng = np.random.default_rng(n)
+        for x in (self.tied_rows(tuple(shape), axis, n), rng.normal(size=shape) * 30.0):
+            e = np.exp(x - x.max(axis=axis, keepdims=True))
+            want = e / e.sum(axis=axis, keepdims=True)
+            got = ad.softmax_axis(t(x), axis).data
+            assert got.tobytes() == want.tobytes()
+
 
 class TestLayerNorm:
     def test_constant_row(self):

@@ -257,8 +257,9 @@ class TestBoundaryValues:
     def test_train_overflowing_step_writes_no_checkpoint(self, tiny_emb, tmp_path, capsys,
                                                          existing):
         """One optimizer step that overflows the parameters (lr 1e200 with
-        weight decay) ends train in exit 1 with the reader's text: no
-        checkpoint is made, and one already at the path keeps its bytes."""
+        weight decay) ends train in exit 1 with the step's text, which names
+        the parameter and the step: no checkpoint is made, and one already
+        at the path keeps its bytes."""
         out_dir = tmp_path / "run"
         ckpt = out_dir / "model.cctk"
         if existing:
@@ -268,7 +269,7 @@ class TestBoundaryValues:
         assert run(train_args(tiny_emb, str(out_dir),
                               ["--lr", "1e200", "--epochs", "1", "--batch-size", "12"])) == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "error: checkpoint tensor 'spatial.slot.wq' holds non-finite values")
+            "error: non-finite value for parameter 'spatial.slot.wq' at optimizer step 1")
         assert ckpt.read_bytes() == b"kept" if existing else not ckpt.exists()
 
     def test_eval_identity_mode_checkpoint(self, tiny_emb, ckpt, tmp_path, capsys):
@@ -402,9 +403,8 @@ def test_explain_topk_matches_per_sample_reference(tmp_path, n_inputs, heads, ti
     out_dir = tmp_path / "explain"
     assert run(["explain", "--data", data, "--checkpoint", ckpt, "--out", str(out_dir),
                 "--seed", "9", "--topk", "4", "--limit", "7"]) == 0  # chunks of 4, then 3
-    want = tmp_path / "want.csv"
-    mt.write_topk_csv(reference_topk_rows(dat.read_emb(data), state, cfg, 9, 7, 4), str(want))
-    assert (out_dir / "topk.csv").read_bytes() == want.read_bytes()
+    want = composed.per_row_topk_csv(reference_topk_rows(dat.read_emb(data), state, cfg, 9, 7, 4))
+    assert (out_dir / "topk.csv").read_bytes() == want
 
 
 def reference_explain(dataset, state, cfg, seed, count, topk, out_dir):
@@ -425,7 +425,8 @@ def reference_explain(dataset, state, cfg, seed, count, topk, out_dir):
         order = np.argsort(-rel, axis=-1, kind="stable")[:, :topk]
         for i, gamma, top in zip(range(start, stop), rel, order):
             rows.extend((i, rank + 1, int(c), float(gamma[c])) for rank, c in enumerate(top))
-    mt.write_topk_csv(rows, os.path.join(out_dir, "topk.csv"))
+    with open(os.path.join(out_dir, "topk.csv"), "wb") as fh:
+        fh.write(composed.per_row_topk_csv(rows))
 
 
 @pytest.mark.parametrize("variant", hd.VARIANTS)
@@ -447,6 +448,31 @@ def test_dual_explain_matches_head_forward_reference(tiny_emb, tmp_path, variant
     got, want = explain_files(out_dir), explain_files(want_dir)
     assert len(want) == 2 * 12 + 1
     assert got == want
+
+
+@pytest.mark.parametrize("tensor", ["wv", "out"])
+def test_explain_does_not_make_the_readback_logits(tiny_emb, tmp_path, capsys, tensor):
+    """A checkpoint whose spatial cross.wv or cross.out makes the readback
+    logits overflow still explains, with the maps and top-k of a finite
+    model that differs from it only there; eval on it exits 1 with the
+    matmul's text."""
+    head = hd.HeadConfig(concepts=4, slot_dim=8, input_dim=6, n_inputs=3, n_classes=2,
+                         variant="boqsa", heads=4)
+    cfg = tr.TrainConfig(head=head, batch_size=5, seed=3)
+    state = tr.init_train_state(cfg)
+    finite, overflowing = str(tmp_path / "finite.cctk"), str(tmp_path / "overflowing.cctk")
+    tr.save_checkpoint(state, cfg, finite)
+    getattr(state.params.spatial.cross, tensor).data[...] = np.finfo(np.float64).max
+    tr.save_checkpoint(state, cfg, overflowing)
+    for ckpt in (finite, overflowing):
+        assert run(["explain", "--data", tiny_emb, "--checkpoint", ckpt,
+                    "--out", ckpt[:-5], "--seed", "7"]) == 0
+    got, want = explain_files(tmp_path / "overflowing"), explain_files(tmp_path / "finite")
+    assert len(want) == 2 * 12 + 1 and got == want
+    capsys.readouterr()
+    assert run(["eval", "--data", tiny_emb, "--checkpoint", overflowing]) == 1
+    assert_one_error_line(capsys, "non-finite loss at epoch 0, batch 0, sample 0: "
+                                  "matmul produced non-finite values")
 
 
 def explain_model(tmp_path, name, n_inputs, heads, pathway):

@@ -957,6 +957,28 @@ class TestExplanationMap:
         assert np.array_equal(got.data, want.data)
 
 
+    @pytest.mark.parametrize("pathway", hd.PATHWAYS)
+    @pytest.mark.parametrize("tensor", ["wv", "out"])
+    def test_readback_logits_are_not_made(self, pathway, tensor):
+        """An exported pathway's cross.wv or cross.out that makes its readback
+        logits overflow stops head_forward but not explanation_map, which
+        gives the map of a head with that tensor at zero."""
+        cfg = hd.HeadConfig(concepts=3, slot_dim=8, input_dim=5, n_inputs=4, n_classes=3,
+                            variant="boqsa", heads=4, pathway=pathway)
+        params = hd.init_head_params(cfg, np.random.default_rng(0))
+        cross = (params.global_ if pathway == "global" else params.spatial).cross
+        getattr(cross, tensor).data[...] = np.finfo(np.float64).max
+        e = Tensor(np.random.default_rng(1).normal(size=(2, 4, 5)))
+        with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^matmul produced non-finite values$"):
+                hd.head_forward(e, params, cfg, np.random.default_rng(2))
+            got = hd.explanation_map(e, params, cfg, np.random.default_rng(2))
+            getattr(cross, tensor).data[...] = 0.0
+            out = hd.head_forward(e, params, cfg, np.random.default_rng(2))
+        want = out.attn_global if pathway == "global" else out.attn_spatial
+        assert np.array_equal(got.data, want.data)
+
+
 class TestHeadInvariants:
     def test_faithfulness_random_draws(self):
         for seed in range(20):

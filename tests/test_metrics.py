@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import composed
 from concepthead import autodiff as ad
 from concepthead import data as dat
 from concepthead import head as hd
@@ -314,7 +315,9 @@ class TestOverwrite:
 
     @staticmethod
     def topk_rows():
-        return [(i, r, (3 * i + r) % 7, 1 / (i + r + 2)) for i in range(40) for r in (1, 2, 3)]
+        """write_topk_csv's (samples, order, gamma) for 40 samples of 3 ranks."""
+        i, r = np.arange(40)[:, None], np.arange(1, 4)
+        return np.arange(40), (3 * i + r) % 7, 1 / (i + r + 2)
 
     @pytest.mark.parametrize("prefill", PREFILLS)
     @pytest.mark.parametrize("rows", [1, 32])
@@ -331,9 +334,9 @@ class TestOverwrite:
     @pytest.mark.parametrize("prefill", PREFILLS)
     def test_topk_over_existing_file(self, tmp_path, prefill):
         fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
-        mt.write_topk_csv(self.topk_rows(), str(fresh))
+        mt.write_topk_csv(*self.topk_rows(), str(fresh))
         old.write_bytes(PREFILLS[prefill])
-        mt.write_topk_csv(self.topk_rows(), str(old))
+        mt.write_topk_csv(*self.topk_rows(), str(old))
         assert old.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
@@ -342,7 +345,7 @@ class TestOverwrite:
         try:
             with open(tmp_path / "ref", "wb"):
                 pass
-            mt.write_topk_csv(self.topk_rows(), str(tmp_path / "topk.csv"))
+            mt.write_topk_csv(*self.topk_rows(), str(tmp_path / "topk.csv"))
             mt.export_heatmaps(np.eye(3)[None], [str(tmp_path / "map.pgm")])
         finally:
             os.umask(previous)
@@ -353,12 +356,12 @@ class TestOverwrite:
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_topk_to_null_device(self):
-        mt.write_topk_csv(self.topk_rows(), os.devnull)
+        mt.write_topk_csv(*self.topk_rows(), os.devnull)
 
     def test_directory_at_target_rejected(self, tmp_path):
         (tmp_path / "topk.csv").mkdir()
         with pytest.raises(IsADirectoryError):
-            mt.write_topk_csv(self.topk_rows(), str(tmp_path / "topk.csv"))
+            mt.write_topk_csv(*self.topk_rows(), str(tmp_path / "topk.csv"))
         (tmp_path / "map.csv").mkdir()
         with pytest.raises(IsADirectoryError):
             mt.export_heatmaps(np.eye(2)[None], [str(tmp_path / "map.pgm")])
@@ -404,8 +407,29 @@ class TestMetricsCsv:
 class TestTopkCsv:
     def test_writes_ranked_rows(self, tmp_path):
         path = tmp_path / "topk.csv"
-        mt.write_topk_csv([(0, 1, 5, 0.625), (0, 2, 2, 0.25)], str(path))
+        mt.write_topk_csv(np.array([0]), np.array([[5, 2]]), np.array([[0.625, 0.25]]),
+                          str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "sample_index,rank,concept_index,gamma_value"
         assert lines[1] == "0,1,5,0.625"
         assert lines[2] == "0,2,2,0.25"
+
+    @pytest.mark.parametrize("samples,k", [(0, 3), (1, 1), (5, 4), (37, 12)])
+    def test_bytes_match_per_row_writer(self, tmp_path, samples, k):
+        """One format over the arrays gives the per-row f-string writer's
+        bytes: for gammas below 1e-4 (exponent form), exact and signed
+        zeros, subnormals, ties, 1 and values of every magnitude, and
+        sample indices that start past 0 as a --limit or a later chunk
+        leaves them."""
+        rng = np.random.default_rng(samples + k)
+        gamma = 10.0 ** rng.uniform(-12, 0, (samples, k))
+        special = [0.0, -0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0.0), 1.0, 1 / 3, 2.5e-7]
+        gamma.ravel()[:len(special)] = special[:gamma.size]
+        if samples > 2:
+            gamma[2] = gamma[2, 0]  # a sample whose k gammas tie
+        order = np.argsort(rng.uniform(size=(samples, 12)), axis=-1)[:, :k]
+        index = np.arange(samples) + 1000
+        mt.write_topk_csv(index, order, gamma, str(tmp_path / "topk.csv"))
+        rows = [(int(i), rank + 1, int(c), float(g)) for i, top, gammas in
+                zip(index, order, gamma) for rank, (c, g) in enumerate(zip(top, gammas))]
+        assert (tmp_path / "topk.csv").read_bytes() == composed.per_row_topk_csv(rows)

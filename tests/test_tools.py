@@ -86,6 +86,37 @@ def test_bench_pairs_per_layer_medians():
     lines = per_layer_lines(runs(0.0, 0.0, 10.0, 20.0), runs(5.0, 5.0, 11.0, 18.0))
     assert lines[0].split()[-4:] == ["x1.600", "per", "pair", "x1.000"]
 
+    # --reference: the machine ran the change twice as slow within pairs 1 and
+    # 2, as the untouched reference layer shows; against it the layer reads 0.9
+    ref = "data.parse_us_per_sample"
+    parent, change = runs(10.0, 20.0, 30.0), runs(18.0, 36.0, 27.0)
+    for row, value in zip(parent + change, [5.0, 4.0, 6.0, 10.0, 8.0, 6.0]):
+        row[ref] = value
+    lines = per_layer_lines(parent, change, ref)
+    assert len(lines) == 3
+    assert lines[0].split()[-7:] == ["x1.350", "per", "pair", "x1.800", "vs", ref, "x0.900"]
+    assert lines[2].split()[0] == ref and lines[2].split()[-1] == "x1.000"
+    # without it the lines are those of before, and a 0 leaves a pair out
+    assert [line.split()[:-3] for line in lines] == [
+        line.split() for line in per_layer_lines(parent, change)]
+    parent[0][ref], change[1][ref], change[2][ref] = 0.0, 0.0, 5.0
+    assert per_layer_lines(parent, change, ref)[0].split()[-1] == "x1.080"  # pair 3 alone
+    assert per_layer_lines(runs(0.0), runs(1.0), "trace.overhead_pct")[0].split()[-1] == "n/a"
+
+
+def test_bench_pairs_reference_needs_traced_runs_and_a_declared_layer(capsys):
+    parse_args = load_tool("bench_pairs").parse_args
+    base = [str(ROOT), str(ROOT), "--workload", "explain", "--seeds", "1"]
+    args = parse_args(base + ["--trace-seconds", "2", "--reference", "data.parse_us_per_sample"])
+    assert args.reference == "data.parse_us_per_sample"
+    assert parse_args(base).reference is None
+    for extra, text in ((["--reference", "data.parse_us_per_sample"], "needs --trace-seconds"),
+                        (["--trace-seconds", "2", "--reference", "train_sps"],
+                         "is not a per-layer value")):
+        with pytest.raises(SystemExit):
+            parse_args(base + extra)
+        assert text in capsys.readouterr().err
+
 
 def test_bench_pairs_harness_digests(tmp_path):
     bench = load_tool("bench_pairs")

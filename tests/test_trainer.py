@@ -127,6 +127,46 @@ class TestAdamW:
         for a, b in zip(opt.flat, before):
             npt.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("case,want", [
+        ("value", "value for parameter 'a'"), ("second moment", "second moment for parameter 'b'"),
+        ("first moment", "value for parameter 'c'"), ("both", "gradient for parameter 'c'")])
+    def test_overflowing_step_names_parameter_and_changes_nothing(self, case, want):
+        """A step whose new values or second moments are not finite raises
+        the NumericError that names the first parameter that holds one and
+        the step, and leaves the store, opt.t and the parameters' views as
+        they were; the next finite step then runs as if the failed one had
+        not been tried. A non-finite first moment shows in the values it
+        makes, and a non-finite gradient is named before an overflow."""
+        params, opt = self.three_params()
+        cfg, lr_t = tiny_config(), 0.1
+        if case == "value":  # lr_t wd theta overflows once theta is 1e200
+            lr_t = 1e200
+        elif case == "second moment":  # g * g overflows; the update is then 0
+            params.tensors["b"].grad[0, 1] = 1e200
+        elif case == "first moment":  # set by hand: a store the API never makes
+            opt.flat[1][12] = np.inf  # in c, the third parameter
+        else:  # an overflowing gradient in b, a NaN one in c
+            params.tensors["b"].grad[0, 1] = 1e200
+            params.tensors["c"].grad[1, 1] = np.nan
+        flat, before = opt.flat, [a.copy() for a in opt.flat]
+        views = [p.data for _, p in params.named()]
+        with pytest.raises(NumericError) as err:
+            tr.adamw_step(opt, cfg, lr_t=lr_t)
+        assert str(err.value) == f"non-finite {want} at optimizer step 1"
+        assert opt.t == 0 and all(a is b for a, b in zip(opt.flat, flat))
+        for a, b in zip(opt.flat, before):
+            npt.assert_array_equal(a, b)
+        assert all(p.data is view for (_, p), view in zip(params.named(), views))
+        if case != "first moment":
+            for _, p in params.named():
+                p.grad = np.full(p.shape, 0.5)
+            tr.adamw_step(opt, cfg, lr_t=0.1)
+            fresh_params, fresh = self.three_params()
+            tr.adamw_step(fresh, cfg, lr_t=0.1)
+            assert opt.t == fresh.t == 1
+            for a, b in zip(opt.flat, fresh.flat):
+                npt.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_matches_per_tensor_reference(self, weight_decay):
         """Five steps over a real parameter tree (boqsa, dual pathway), the

@@ -1,7 +1,8 @@
 """Paired benchmark runs of two checkouts, alternating which side runs first.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds 6 7 8 \
-        [--seconds 30] [--label NAME] [--out DIR] [--trace-seconds 10]
+        [--seconds 30] [--label NAME] [--out DIR] [--trace-seconds 10 \
+        [--reference LAYER]]
 
 PARENT and CHANGE are checkouts (or unpacked copies) of the repository. For
 each seed this runs `python3 perfbench/run.py --workload W --seed S
@@ -24,7 +25,11 @@ first seeds, cycling when fewer are given, paired and alternating as above)
 add each per-layer value's median and quartiles, the ratio of the medians
 and the median of the per-pair ratios: a single traced run's layer times
 move by 15-30% with no code change, and the machine's speed drifts between
-pairs, which only the per-pair ratio cancels.
+pairs, which only the per-pair ratio cancels. The speed drifts within a
+pair too, between its two traced runs; --reference LAYER names a per-layer
+value the change leaves untouched (say data.parse_us_per_sample), and each
+line then also gives the median over pairs of its per-pair ratio divided
+by that pair's ratio of LAYER, which cancels that drift as well.
 
 The records go to --out (default: the current directory) as
 BENCH_baseline.json (PARENT) and BENCH_<label>.json (CHANGE), in the schema
@@ -75,9 +80,20 @@ def parse_args(argv):
     parser.add_argument("--trace-seconds", type=float, default=0.0,
                         help=f"seconds of each of {TRACED_RUNS} traced runs per side; "
                              "0 skips per-layer values")
+    parser.add_argument("--reference", metavar="LAYER",
+                        help="a per-layer value the change leaves untouched: each per-layer "
+                             "line adds its per-pair ratio over LAYER's")
     parser.add_argument("--label", default="change")
     parser.add_argument("--out", type=Path, default=Path("."))
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.reference is not None:
+        if not args.trace_seconds:
+            parser.error("--reference needs --trace-seconds")
+        declared = json.loads((args.parent / "BENCHMARK.json").read_text())["per_layer"]
+        if args.reference not in [m["name"] for m in declared]:
+            parser.error(f"--reference {args.reference} is not a per-layer value that "
+                         f"{args.parent / 'BENCHMARK.json'} declares")
+    return args
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -163,23 +179,38 @@ def metric_names(runs: list[dict]) -> list[str]:
     return [name for name in runs[0] if name not in RUN_KEYS]
 
 
-def per_layer_lines(parent: list[dict], change: list[dict]) -> list[str]:
+def _median_ratio(ratios: list[float]) -> str:
+    return f"x{statistics.median(ratios):.3f}" if ratios else "n/a"
+
+
+def per_layer_lines(parent: list[dict], change: list[dict],
+                    reference: str | None = None) -> list[str]:
     """One line per per-layer value: each side's median [q1, q3], the ratio
     of the medians, and the median over pairs of the change's value over the
     parent's in that pair (parent[i] and change[i] are pair i). Machine
     drift between pairs moves the first ratio but not the second. A ratio
-    is n/a where the parent's median, or every pair's parent value, is 0."""
+    is n/a where the parent's median, or every pair's parent value, is 0.
+
+    With a reference layer, each line ends with "vs LAYER" and the median
+    over pairs of the pair's ratio divided by the pair's ratio of the
+    reference, which cancels drift within a pair too; pairs where either
+    ratio has a 0 in it are left out."""
     names = metric_names(parent)
     qp, qc = summarize(parent, names), summarize(change, names)
     lines = []
     for name in names:
         p, c = qp[name], qc[name]
         ratio = f"x{c['median'] / p['median']:.3f}" if p["median"] else "n/a"
-        pairs = [b[name] / a[name] for a, b in zip(parent, change) if a[name]]
-        paired = f"x{statistics.median(pairs):.3f}" if pairs else "n/a"
-        lines.append(f"  {name:36s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
-                     f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {ratio}"
-                     f"  per pair {paired}")
+        paired = _median_ratio([b[name] / a[name] for a, b in zip(parent, change) if a[name]])
+        line = (f"  {name:36s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+                f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {ratio}"
+                f"  per pair {paired}")
+        if reference is not None:
+            relative = [(b[name] / a[name]) / (b[reference] / a[reference])
+                        for a, b in zip(parent, change)
+                        if a[name] and a[reference] and b[reference]]
+            line += f"  vs {reference} {_median_ratio(relative)}"
+        lines.append(line)
     return lines
 
 
@@ -313,7 +344,7 @@ def main(argv: list[str]) -> int:
     if traced["parent"]:
         print(f"  per layer, median [q1, q3] over {len(traced['parent'])} traced "
               f"{args.trace_seconds:g} s runs, parent -> change")
-        print("\n".join(per_layer_lines(traced["parent"], traced["change"])))
+        print("\n".join(per_layer_lines(traced["parent"], traced["change"], args.reference)))
 
     args.out.mkdir(parents=True, exist_ok=True)
     for side, label in (("parent", "baseline"), ("change", args.label)):
