@@ -1,38 +1,44 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Provides exactly the operations the concept head needs: matrix products,
-head split/merge/sum, axis softmax, layer norm, pointwise arithmetic, exp,
-a floored log (the only log), reductions, a way to record a
-hand-written fused op (`record`; the head's slot-refinement step is one),
-and a central-difference gradient checker. The operation record is rebuilt on
-every forward pass (define-by-run) and `backward` consumes it: the walk runs
-in reverse topological order and drops each node's closure, inputs and delta
-as soon as it has passed the node, so memory falls as the walk goes. A
-second `backward` over a walked record raises RecordConsumedError; a fresh
-gradient needs a fresh forward. Inside `no_grad()` no record is kept at all,
-and that is also the one way to stop a gradient: a tensor made there is a
-constant to the ops recorded after it.
+layer norm, pointwise arithmetic, exp, a floored log (the only log),
+reductions, a way to record a hand-written fused op (`record`; the head's
+slot-refinement step and its three readback ops are such ops), and a
+central-difference gradient checker. The operation record is rebuilt on
+every forward pass (define-by-run) and `backward` consumes it: the walk
+runs in reverse topological order and drops each node's closure, inputs and
+delta as soon as it has passed the node, so memory falls as the walk goes.
+A second `backward` over a walked record raises RecordConsumedError; a
+fresh gradient needs a fresh forward. Inside `no_grad()` no record is kept
+at all, and that is also the one way to stop a gradient: a tensor made
+there is a constant to the ops recorded after it.
 
 Finite values: every Tensor holds finite values, so a non-finite op output
 raises the NumericError that names the op ("matmul produced non-finite
 values"), recorded or not. An op's output is checked unless the op cannot
-make a non-finite value from finite inputs: transpose, split_heads,
-merge_heads and pick copy values, softmax_axis divides exps in [0, 1] by a
-sum of at least 1, clamped_log takes the log of a value of at least
-LOG_FLOOR, and log_sum_exp adds a log in [0, log n] to the row max. The
-fused op head.slot_step checks only the values where a non-finite value
-could vanish before it reaches the step's output: IEEE +, -, *, / and
-matmul never turn a NaN finite, and ±inf vanishes only in a saturating
-function (exp of -inf, a sigmoid, a tanh). Its output is then finite, so
-it is not checked. On a failed check it runs again with a check at every
-step of the chain it fuses, so its error names the chain's first op that
-made a non-finite value.
+make a non-finite value from finite inputs: pick copies values, clamped_log
+takes the log of a value of at least LOG_FLOOR, and log_sum_exp adds a log
+in [0, log n] to the row max. A fused op checks only the values where a
+non-finite value could vanish before it reaches the op's output: IEEE +, -,
+*, / and matmul never turn a NaN finite, and ±inf vanishes only in a
+saturating function (exp of -inf, a sigmoid, a tanh). head.slot_step checks
+its scaled scores and its three gate and candidate pre-activations. The
+readback's maps check their scaled scores only: a non-finite query or key
+makes a whole row or column of scores non-finite (inf * 0 is NaN), and the
+softmax gives values in [0, 1] from finite scores. Its logits check only
+themselves: a non-finite value, map product or merged row reaches them
+through matmuls with the maps and the output matrix and through the row
+mean, none of which turns it finite, and the head mean of maps in [0, 1] is
+finite. A fused op's output is then finite, so it is not checked. On a
+failed check it runs again with a check at every step of the chain it
+fuses, so its error names the chain's first op that made a non-finite
+value.
 
 The record is slim: it holds the graph, not the op outputs. A recorded op
 output carries a `_Node` with its parents' record entries (a parent's node,
 or the parent tensor itself when it is a leaf or a constant), its VJP and
 its shape. Each VJP keeps only the arrays or shapes it reads, so an
-intermediate no VJP reads (an `add` or `transpose` output) is freed as soon
+intermediate no VJP reads (an `add` or `sub` output) is freed as soon
 as the code that made it drops it. Whether each input takes a gradient is
 also decided when the op is recorded: a VJP gives None for an input that
 does not (a constant such as the features or the slot noise), and computes
@@ -63,7 +69,6 @@ order of B one-sample walks.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -73,18 +78,13 @@ import numpy as np
 from .errors import NumericError, RecordConsumedError, ShapeError
 
 # no_grad is the one gradient stop and clamped_log the one log. no_grad,
-# grad_enabled, the head-axis helpers (split_heads, merge_heads, sum_heads),
-# the arithmetic helpers of fused ops (checked, normalize_rows,
-# layer_norm_dx) and softmax_axis's row max (axis_max) are not listed.
-# perfbench traces every listed function and counts its calls, also those
-# under no_grad, as tape nodes: a fused op counts once, through `record`,
-# and axis_max records nothing. The head-axis helpers add no node for one
-# head, so they stay out of that count (with h > 1 heads they add five
-# nodes per readback).
+# grad_enabled and the arithmetic helpers of fused ops (checked,
+# normalize_rows, layer_norm_dx) are not listed. perfbench traces every
+# listed function and counts its calls, also those under no_grad, as tape
+# nodes: a fused op counts once, through `record`.
 __all__ = [
     "Tensor",
     "matmul",
-    "transpose",
     "add",
     "sub",
     "mul",
@@ -92,7 +92,6 @@ __all__ = [
     "exp",
     "LOG_FLOOR",
     "clamped_log",
-    "softmax_axis",
     "layer_norm",
     "reduce_mean_axis",
     "reduce_sum",
@@ -283,69 +282,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), vjp, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose: expected at least 2 axes, got shape {a.shape}")
-
-    def vjp(g):
-        return (_swap_last(g),)
-
-    # a copy of finite values
-    return _make(_swap_last(a.data), (a,), vjp, "transpose", finite=True)
-
-
-def split_heads(a: Tensor, heads: int) -> Tensor:
-    """(..., L, d) -> contiguous (..., heads, L, d/heads): head j takes columns
-    [j*d/heads, (j+1)*d/heads). One head returns a itself, adding no node."""
-    if heads == 1:
-        return a
-    if a.data.ndim < 2 or heads < 1 or a.shape[-1] % heads != 0:
-        raise ShapeError(f"split_heads: cannot split shape {a.shape} into {heads} heads")
-    shape = a.shape
-    rows, cols = shape[-2:]
-
-    def vjp(g):
-        return (np.swapaxes(g, -3, -2).reshape(shape),)
-
-    # a copy of finite values
-    return _make(np.swapaxes(a.data.reshape(shape[:-1] + (heads, cols // heads)), -3, -2),
-                 (a,), vjp, "split_heads", finite=True)
-
-
-def merge_heads(a: Tensor, heads: int) -> Tensor:
-    """Inverse of split_heads: (..., heads, L, dh) -> (..., L, heads*dh). One
-    head returns a itself."""
-    if heads == 1:
-        return a
-    if a.data.ndim < 3 or a.shape[-3] != heads:
-        raise ShapeError(f"merge_heads: shape {a.shape} does not stack {heads} heads")
-    lead, (rows, width) = a.shape[:-3], a.shape[-2:]
-
-    def vjp(g):
-        return (np.swapaxes(g.reshape(lead + (rows, heads, width)), -3, -2),)
-
-    # a copy of finite values
-    return _make(np.swapaxes(a.data, -3, -2).reshape(lead + (rows, heads * width)), (a,), vjp,
-                 "merge_heads", finite=True)
-
-
-def sum_heads(a: Tensor, heads: int) -> Tensor:
-    """Sum over the head axis (-3), adding heads 0, 1, ..., h-1 in that order.
-    One head returns a itself."""
-    if heads == 1:
-        return a
-    if a.data.ndim < 3 or a.shape[-3] != heads:
-        raise ShapeError(f"sum_heads: shape {a.shape} does not stack {heads} heads")
-    shape = a.shape
-
-    def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, -3), shape),)
-
-    return _make(functools.reduce(np.add, (a.data[..., j, :, :] for j in range(heads))),
-                 (a,), vjp, "sum_heads")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b; b may broadcast over a (see _check_broadcast)."""
     _check_broadcast(a, b, "add")
@@ -411,44 +347,6 @@ def clamped_log(a: Tensor) -> Tensor:
 
     # the log of a value in [LOG_FLOOR, max double] is finite
     return _make(np.log(clamped), (a,), vjp, "clamped_log", finite=True)
-
-
-# The longest axis whose max axis_max takes as np.maximum over its slices.
-# NumPy's max reduce costs about 60 ns per row of a short axis, the slices
-# one ufunc call each: they win up to 8-12 entries at 256 rows and up to
-# 24 from 1024 rows on (the explain readback has 8192 rows of 12), and
-# lose up to 16 µs at 64 rows.
-MAX_BY_SLICES = 16
-
-
-def axis_max(x: np.ndarray, axis: int) -> np.ndarray:
-    """x.max(axis=axis, keepdims=True): for an axis of at most MAX_BY_SLICES
-    entries, np.maximum over its slices in order. A max is exact, so both
-    ways give the same values."""
-    n = x.shape[axis]
-    if not 1 < n <= MAX_BY_SLICES:
-        return x.max(axis=axis, keepdims=True)
-    lead = (slice(None),) * (axis % x.ndim)
-    out = np.maximum(x[lead + (slice(0, 1),)], x[lead + (slice(1, 2),)])
-    for j in range(2, n):
-        np.maximum(out, x[lead + (slice(j, j + 1),)], out=out)
-    return out
-
-
-def softmax_axis(a: Tensor, axis: int) -> Tensor:
-    """exp(x - max) / sum along axis. The row max is axis_max's; the sum is
-    np.sum's, whose pairwise order fixes the output bits."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax_axis: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - axis_max(a.data, axis)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return (out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),)
-
-    # the shifted exps lie in [0, 1] and sum to at least 1 (the max's is 1)
-    return _make(out_data, (a,), vjp, "softmax_axis", finite=True)
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

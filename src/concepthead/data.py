@@ -32,7 +32,6 @@ __all__ = [
     "SynthConfig",
     "Sample",
     "Dataset",
-    "ByteReader",
     "block_concept_map",
     "build_explanations",
     "gen_synthetic",
@@ -42,6 +41,8 @@ __all__ = [
 
 EMB_MAGIC = b"CCTE"
 EMB_VERSION = 1
+# magic, version, N, L, D, C, flags: 25 bytes
+_HEADER = struct.Struct("<4sIIIIIB")
 
 _U32_MAX = 2**32 - 1
 
@@ -269,30 +270,7 @@ def emb_bytes(dataset: Dataset) -> bytes:
     if bad:
         raise FormatError(f"sample {bad[0]} has {bad[1]} values that are not finite "
                           f"in float32")
-    return struct.pack("<4sIIIIIB", EMB_MAGIC, EMB_VERSION, *dims, flags) + records.tobytes()
-
-
-class ByteReader:
-    """Little-endian byte cursor; a short read names `what` and its byte offset."""
-
-    def __init__(self, blob: bytes, what: str):
-        self.blob = blob
-        self.what = what
-        self.offset = 0
-
-    def skip(self, size: int) -> int:
-        """Move past size bytes without copying them; returns their offset."""
-        if self.offset + size > len(self.blob):
-            raise FormatError(f"truncated {self.what}", offset=self.offset)
-        self.offset += size
-        return self.offset - size
-
-    def take(self, size: int) -> bytes:
-        start = self.skip(size)
-        return self.blob[start:self.offset]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    return _HEADER.pack(EMB_MAGIC, EMB_VERSION, *dims, flags) + records.tobytes()
 
 
 def read_emb(path: str) -> Dataset:
@@ -302,21 +280,28 @@ def read_emb(path: str) -> Dataset:
 
 
 def parse_emb(blob: bytes) -> Dataset:
-    r = ByteReader(blob, "payload")
-    magic = r.take(4)
+    """The Dataset an EMB1 file's bytes hold. A header cut short names the
+    offset of the first of its fields that is not whole, after the magic
+    and the version as far as they are."""
+    size = len(blob)
+    magic, version, n, n_inputs, input_dim, n_concepts, flags = _HEADER.unpack_from(
+        blob if size >= _HEADER.size else blob.ljust(_HEADER.size, b"\0"))
+    if size < 4:
+        raise FormatError("truncated payload", offset=0)
     if magic != EMB_MAGIC:
         raise FormatError(f"bad magic {magic!r}", offset=0)
-    version = r.u32()
+    if size < 8:
+        raise FormatError("truncated payload", offset=4)
     if version != EMB_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    n, n_inputs, input_dim, n_concepts = r.u32(), r.u32(), r.u32(), r.u32()
-    flags = r.take(1)[0]
+    if size < _HEADER.size:
+        raise FormatError("truncated payload", offset=min(size - size % 4, 24))
     if flags & ~0x3:
         raise FormatError(f"unknown flag bits 0x{flags:02x}", offset=24)
     has_spatial, has_global = bool(flags & 1), bool(flags & 2)
     if (has_spatial or has_global) and n_concepts == 0:
         raise FormatError("explanation flags set but concept count is zero", offset=24)
-    body = r.offset
+    body = _HEADER.size
     try:
         record = np.dtype(_record(n_inputs, input_dim, n_concepts, has_spatial, has_global))
     except ValueError as err:  # a record NumPy cannot describe: no file holds one

@@ -10,6 +10,7 @@ scores, so the attention map is the explanation of the prediction.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -262,6 +263,19 @@ def _unchecked(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
+def _screened(op, *args):
+    """op(*args, check) for a fused op whose body calls check(value, name)
+    at each point of its chain that it does not always check: first with
+    floating-point warnings off and no such check, then, when the op's own
+    screen raises, again under the caller's floating-point settings with
+    every check, which raises the chain's NumericError."""
+    try:
+        with np.errstate(all="ignore"):
+            return op(*args, _unchecked)
+    except NumericError:
+        return op(*args, ad.checked)
+
+
 def slot_step(slots: Tensor, inputs: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
               kv: _KeysValues | None) -> tuple[Tensor, np.ndarray, _KeysValues]:
     """One refinement iteration, recorded as one op: layer-norm the slots,
@@ -307,11 +321,7 @@ def slot_step(slots: Tensor, inputs: Tensor, p: SlotAttentionParams, cfg: HeadCo
     if slots.data.ndim < 2 or slots.shape[-2:] != (cfg.concepts, cfg.slot_dim):
         raise ShapeError(f"expected slots (*, {cfg.concepts}, {cfg.slot_dim}), "
                          f"got {slots.shape}")
-    try:
-        with np.errstate(all="ignore"):
-            return _slot_step(slots, inputs, p, cfg, kv, _unchecked)
-    except NumericError:
-        return _slot_step(slots, inputs, p, cfg, kv, ad.checked)
+    return _screened(_slot_step, slots, inputs, p, cfg, kv)
 
 
 def _slot_step(slots: Tensor, inputs: Tensor, p: SlotAttentionParams, cfg: HeadConfig,
@@ -493,19 +503,157 @@ def decomposed_logits(slots: Tensor, p: CrossAttentionParams, rel: Tensor,
     return ad.vecmat(rel, beta)
 
 
-def _attention(q: Tensor, k: Tensor, cfg: HeadConfig) -> Tensor:
-    """The per-head maps (..., h, L, C) from the split queries (..., h, L,
-    d/h) and keys (..., h, C, d/h): scaled scores softmaxed across concepts
-    per input row, so every row sums to 1."""
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(cfg.slot_dim // cfg.heads))
-    return ad.softmax_axis(scores, axis=-1)
+# _row_max and _row_sum reduce by column slices, one ufunc call per column
+# over all rows, where that beats NumPy's reduce, which costs about 25 ns
+# (sum) or 60 ns (max) per row of a short axis: for rows of 8 to 16 entries
+# from about 1024 rows (sum) and 256 rows (max) on, and the explain readback
+# has 8192 rows of 12 (2-core x86 VM, NumPy 2.4). Longer rows are reduced
+# by NumPy; _row_sum's slices follow np.sum's order up to 128 entries.
+SLICED_ROW = 16
+SLICED_SUM_ROWS, SLICED_MAX_ROWS = 1024, 256
 
 
-def _head_mean(attn: Tensor, heads: int) -> Tensor:
-    """The exported map: the per-head maps summed in head order, then
-    scaled by 1/h; with one head the map itself."""
-    mean = ad.sum_heads(attn, heads)
-    return ad.scale(mean, 1.0 / heads) if heads > 1 else mean
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True); a max is exact, so slices and reduce
+    give the same values."""
+    n = x.shape[-1]
+    if not 1 < n <= SLICED_ROW or x.size < SLICED_MAX_ROWS * n:
+        return x.max(axis=-1, keepdims=True)
+    return functools.reduce(np.maximum, (x[..., j:j + 1] for j in range(n)))
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1, keepdims=True) bit for bit. np.sum adds a short row
+    pairwise: below 8 entries in order; from 8 on, entry j into accumulator
+    j mod 8 up to the last multiple of 8, the eight accumulators as a tree
+    of pairs, then the rest in order. It adds that to 0.0, which turns a sum
+    of -0.0 terms into 0.0; the sign of a zero partial sum changes no other
+    sum."""
+    n = x.shape[-1]
+    if not 1 < n <= SLICED_ROW or x.size < SLICED_SUM_ROWS * n:
+        return x.sum(axis=-1, keepdims=True)
+    cols = [x[..., j:j + 1] for j in range(n)]
+    full = n - n % 8
+    if full:
+        acc = [functools.reduce(np.add, cols[j:full:8]) for j in range(8)]
+        tree = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        cols = [tree] + cols[full:]
+    return functools.reduce(np.add, cols) + 0.0
+
+
+def _heads(x: np.ndarray, h: int) -> np.ndarray:
+    """(..., n, d) as h strided per-head views (..., h, n, d/h), head j over
+    columns [j*d/h, (j+1)*d/h); x itself for one head."""
+    return x if h == 1 else np.swapaxes(x.reshape(x.shape[:-1] + (h, -1)), -3, -2)
+
+
+def _merged(x: np.ndarray, h: int) -> np.ndarray:
+    """The inverse of _heads as a contiguous array: (..., h, n, dh) ->
+    (..., n, h*dh); for one head x itself, contiguous."""
+    x = np.swapaxes(x, -3, -2) if h > 1 else x[..., None, :]
+    return np.ascontiguousarray(x).reshape(x.shape[:-2] + (-1,))
+
+
+def _attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionParams, cfg: HeadConfig,
+               check) -> Tensor:
+    """The readback's per-head maps (..., h, L, C), (..., L, C) for one
+    head, as one recorded op: the input rows' queries (..., L, D) @ wq score
+    the slots' keys (..., C, d) @ wk per head, and the scaled scores are
+    softmaxed across the concepts, so every row sums to 1.
+
+    It computes what the chain matmul, matmul, split_heads, transpose,
+    matmul, scale, softmax_axis (tests/composed.py) computed, bit for bit.
+    The queries are split into strided views, which multiply the keys'
+    transpose, made contiguous as the chain made it, to the chain's bits;
+    the VJP splits them into a contiguous copy, as the chain kept them,
+    because a strided view of one-column heads moves the bits of the keys'
+    delta. The softmax's row sum and its VJP's follow np.sum's order
+    (_row_sum). The VJP keeps the queries, the keys' transpose and the maps.
+    Only the scaled scores are screened (see the autodiff module
+    docstring)."""
+    h = cfg.heads
+    scale = 1.0 / np.sqrt(cfg.slot_dim // h)
+    x, s, wq, wk = e_raw.data, slots.data, p.wq.data, p.wk.data
+    q = check(x @ wq, "matmul")
+    keys_t = np.ascontiguousarray(_swap_last(_heads(check(s @ wk, "matmul"), h)))
+    a = check(_heads(q, h) @ keys_t, "matmul")
+    a *= scale
+    ad.checked(a, "scale")  # the softmax's exp turns a -inf score into 0
+    a -= _row_max(a)
+    np.exp(a, out=a)
+    a /= _row_sum(a)
+    parents = (e_raw, slots, p.wq, p.wk)
+    need_x, need_s, need_wq, need_wk = (t.requires_grad for t in parents)
+
+    def vjp(g):
+        g_a = g * a
+        g_a = np.subtract(g, _row_sum(g_a), out=g_a)
+        g_a *= a  # through the softmax
+        g_a *= scale
+        g_q = _merged(g_a @ _swap_last(keys_t), h)
+        g_k = _merged(_swap_last(_swap_last(np.ascontiguousarray(_heads(q, h))) @ g_a), h)
+        del g_a
+        yield g_q @ _swap_last(wq) if need_x else None
+        yield g_k @ _swap_last(wk) if need_s else None
+        yield _swap_last(x) @ g_q if need_wq else None
+        yield _swap_last(s) @ g_k if need_wk else None
+
+    # the shifted exps lie in [0, 1] and sum to at least 1 (the max's is 1)
+    return ad.record(a, parents, vjp, "softmax_axis", finite=True)
+
+
+def _readout(maps: Tensor, slots: Tensor, values: np.ndarray, p: CrossAttentionParams,
+             cfg: HeadConfig, check) -> Tensor:
+    """The readback logits (..., n_classes) from the per-head maps, as one
+    recorded op: each head's map reads its block of the slots' values
+    (..., C, d), slots @ wv, which the caller made; the heads' outputs side
+    by side are the merged rows, and the logits are the mean over rows of
+    merged @ out.
+
+    It computes what the chain matmul, split_heads, matmul, merge_heads,
+    matmul, reduce_mean_axis (tests/composed.py) computed, bit for bit. The
+    values are split into contiguous heads, as the chain split them: a
+    strided view moves the bits of a one-row map's product. Each head writes
+    its block of the merged rows in place, so the merge is a reshape. The
+    VJP keeps the split values and the merged rows. Only the logits are
+    checked (see the autodiff module docstring)."""
+    h = cfg.heads
+    m, s, wv, w_out = maps.data, slots.data, p.wv.data, p.out.data
+    v = np.ascontiguousarray(_heads(check(values, "matmul"), h))
+    rows = m.shape[-2]
+    merged = np.empty((m.shape[:-3] if h > 1 else m.shape[:-2]) + (rows, cfg.slot_dim))
+    check(np.matmul(m, v, out=_heads(merged, h)), "matmul")
+    logits = ad.checked(check(merged @ w_out, "matmul").mean(axis=-2), "reduce_mean_axis")
+    parents = (maps, slots, p.wv, p.out)
+    need_m, need_s, need_wv, need_out = (t.requires_grad for t in parents)
+
+    def vjp(g):
+        g_rows = np.repeat(np.expand_dims(g, -2) / rows, rows, axis=-2)
+        g_heads = np.ascontiguousarray(_heads(g_rows @ _swap_last(w_out), h))
+        g_v = _merged(_swap_last(m) @ g_heads, h)
+        yield g_heads @ _swap_last(v) if need_m else None
+        yield g_v @ _swap_last(wv) if need_s else None
+        yield _swap_last(s) @ g_v if need_wv else None
+        yield _swap_last(merged) @ g_rows if need_out else None
+
+    return ad.record(logits, parents, vjp, "reduce_mean_axis", finite=True)
+
+
+def _head_mean(maps: Tensor, heads: int) -> Tensor:
+    """The exported map: the per-head maps added in head order, then scaled
+    by 1/h, as one recorded op (sum_heads, scale); with one head the maps
+    themselves. Each map lies in [0, 1], so the mean is finite."""
+    if heads == 1:
+        return maps
+    m = maps.data
+    mean = functools.reduce(np.add, (m[..., j, :, :] for j in range(heads)))
+    mean *= 1.0 / heads
+    shape = m.shape
+
+    def vjp(g):
+        return (np.broadcast_to(np.expand_dims(g * (1.0 / heads), -3), shape),)
+
+    return ad.record(mean, (maps,), vjp, "sum_heads", finite=True)
 
 
 def multi_head_cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionParams,
@@ -513,28 +661,30 @@ def multi_head_cross_attention(e_raw: Tensor, slots: Tensor, p: CrossAttentionPa
     """Readback with cfg.heads parallel heads over contiguous d/h blocks:
     returns (map, logits).
 
-    Inputs (..., L, D) query the refined slots (..., C, d). All heads run
-    as one stacked (..., h, ...) attention (_attention). Per-head outputs
-    are merged back along features before the output matrix, the logits
-    average the per-row class scores over input rows, and the exported
-    explanation map is the head mean (_head_mean); with one head it is the
-    softmax output itself, the tensor that also feeds the readback product.
-    explanation_map makes the map alone, from the same queries, keys and
-    parts. The ops run in this order, the projections first and the head
-    mean last, on purpose: the order in which a training record allocates
-    moves glibc's heap trimming, and making the map before the values read
-    40-57% more minor faults and 4-5% less train_sps on perfbench's
-    refine_dual workload (2-core x86 VM).
+    Inputs (..., L, D) query the refined slots (..., C, d), as three
+    recorded ops: the per-head maps (_attention), the logits that average
+    the per-row class scores of the merged head outputs (_readout), and the
+    exported explanation map, their head mean (_head_mean); with one head
+    the maps themselves, the tensor that also feeds the readback product.
+    Each op's VJP replays the backward walk of the chain of autodiff ops it
+    replaces (tests/composed.py) and gives the same gradients, bit for bit;
+    its NumericError names the chain's first op that made a non-finite value.
+    The slots get the values' delta from _readout before the keys' delta
+    from _attention, where the chain's walk could give the keys' first; two
+    deltas add to the same bits in either order.
+    explanation_map makes the map alone, from the same ops. The values are
+    made first and the head mean last, as the chain made them, on purpose:
+    the order in which a training record allocates moves glibc's heap
+    trimming. Making the map before the values read 40-57% more minor faults
+    and 4-5% less train_sps on perfbench's refine_dual workload, and in one
+    probe making the values inside _readout, after the maps, read 161k minor
+    faults against 52k over 20 in-process refine_dual epochs (2-core x86
+    VM).
     """
-    h = cfg.heads
-    q_full = ad.matmul(e_raw, p.wq)
-    k_full = ad.matmul(slots, p.wk)
-    v_full = ad.matmul(slots, p.wv)
-    q, k, v = (ad.split_heads(t, h) for t in (q_full, k_full, v_full))
-    attn = _attention(q, k, cfg)
-    merged = ad.merge_heads(ad.matmul(attn, v), h)
-    logits = ad.reduce_mean_axis(ad.matmul(merged, p.out), axis=-2)
-    return _head_mean(attn, h), logits
+    values = slots.data @ p.wv.data
+    maps = _screened(_attention, e_raw, slots, p, cfg)
+    logits = _screened(_readout, maps, slots, values, p, cfg)
+    return _head_mean(maps, cfg.heads), logits
 
 
 def class_token(e_raw: Tensor) -> Tensor:
@@ -602,15 +752,13 @@ def explanation_map(e_raw: Tensor, params: HeadParams, cfg: HeadConfig,
     It draws the slot noise of every configured pathway, as head_forward
     does, so it leaves rng in the same state, and then runs only the
     exported pathway, the first, and of its readback only the map: the
-    queries and keys, _attention and _head_mean. The map equals
-    head_forward's bit for bit; the readback's values and logits, the
-    other pathway's values and the dual logits are not computed, so a
-    non-finite value made only there raises nothing.
+    ops _attention and _head_mean. The map equals head_forward's bit for
+    bit; the readback's values and logits (_readout), the other pathway
+    and the dual logits are not computed, so a non-finite value made only
+    there raises nothing.
     """
     pathways = _pathways(params, cfg)
     noise = _slot_noise(e_raw, cfg, rng, len(pathways))
     name, p = pathways[0]
     inputs, slots = _pathway_slots(e_raw, name, p, cfg, rng, noise[0])
-    q = ad.split_heads(ad.matmul(inputs, p.cross.wq), cfg.heads)
-    k = ad.split_heads(ad.matmul(slots, p.cross.wk), cfg.heads)
-    return _head_mean(_attention(q, k, cfg), cfg.heads)
+    return _head_mean(_screened(_attention, inputs, slots, p.cross, cfg), cfg.heads)

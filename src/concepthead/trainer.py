@@ -306,8 +306,9 @@ def record_bytes_per_sample(head: HeadConfig) -> int:
             # each step: normed slot rows and their 1/std; q, softmax, its row
             # sums and readout; z, r and the GRU candidate
             + recorded * (6 * c * d + 2 * c + c * rows)
-            + 3 * c * d + 2 * rows * d + k  # refined slots; readback k^T, v, q, merged, logits
-            + heads * rows * c + (heads > 1) * rows * c  # per-head maps, their mean
+            # refined slots; the readback maps' q and k^T, its logits' v and
+            # merged rows, and the logits; the per-head maps and their mean
+            + 3 * c * d + 2 * rows * d + k + heads * rows * c + (heads > 1) * rows * c
             + 4 * rows * c)  # explanation target and residual; entropy's clamp and log
     return 8 * floats
 

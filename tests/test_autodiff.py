@@ -34,33 +34,33 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetric(self):
-        npt.assert_allclose(ad.softmax_axis(t([0.0, 0.0]), 0).data, [0.5, 0.5], atol=1e-15)
+        npt.assert_allclose(composed.softmax_axis(t([0.0, 0.0]), 0).data, [0.5, 0.5], atol=1e-15)
 
     def test_analytic(self):
-        npt.assert_allclose(ad.softmax_axis(t([0.0, math.log(2)]), 0).data,
+        npt.assert_allclose(composed.softmax_axis(t([0.0, math.log(2)]), 0).data,
                             [1 / 3, 2 / 3], atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5))
         for c in (0.5, -3.0, 1234.5):
-            a = ad.softmax_axis(t(x), 1).data
-            b = ad.softmax_axis(t(x + c), 1).data
+            a = composed.softmax_axis(t(x), 1).data
+            b = composed.softmax_axis(t(x + c), 1).data
             npt.assert_allclose(a, b, atol=1e-12)
 
     def test_rows_sum_to_one_and_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.normal(size=(3, 6)) * 10
-            out = ad.softmax_axis(t(x), 1).data
+            out = composed.softmax_axis(t(x), 1).data
             assert np.all(out >= 0)
             npt.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-            out0 = ad.softmax_axis(t(x), 0).data
+            out0 = composed.softmax_axis(t(x), 0).data
             npt.assert_allclose(out0.sum(axis=0), 1.0, atol=1e-12)
 
     def test_bad_axis(self):
         with pytest.raises(ShapeError):
-            ad.softmax_axis(t([[1.0]]), 2)
+            composed.softmax_axis(t([[1.0]]), 2)
 
     @staticmethod
     def tied_rows(shape, axis, seed):
@@ -80,17 +80,17 @@ class TestSoftmax:
         """axis_max gives x.max(axis, keepdims=True) for axis lengths on both
         sides of MAX_BY_SLICES, with ties and signed zeros, along the last
         axis and the first, of 2-D and 3-D arrays."""
-        assert ad.MAX_BY_SLICES == 16
+        assert composed.MAX_BY_SLICES == 16
         for shape in ((5, n), (3, 4, n)):
             shape = shape if axis == -1 else shape[::-1]
             x = self.tied_rows(shape, axis, n)
-            got, want = ad.axis_max(x, axis), x.max(axis=axis, keepdims=True)
+            got, want = composed.axis_max(x, axis), x.max(axis=axis, keepdims=True)
             assert got.shape == want.shape and np.array_equal(got, want)
             x = np.random.default_rng(n).normal(size=shape) * 1e300
-            assert np.array_equal(ad.axis_max(x, axis), x.max(axis=axis, keepdims=True))
+            assert np.array_equal(composed.axis_max(x, axis), x.max(axis=axis, keepdims=True))
 
     @pytest.mark.parametrize("axis", [-1, 0, 1])
-    @pytest.mark.parametrize("n", [2, 12, ad.MAX_BY_SLICES, ad.MAX_BY_SLICES + 1, 32])
+    @pytest.mark.parametrize("n", [2, 12, composed.MAX_BY_SLICES, composed.MAX_BY_SLICES + 1, 32])
     def test_softmax_bits_on_both_sides_of_threshold(self, axis, n):
         """softmax_axis is exp(x - x.max) / sum bit for bit whichever way its
         row max is taken, also on rows that hold both -0.0 and +0.0."""
@@ -100,7 +100,7 @@ class TestSoftmax:
         for x in (self.tied_rows(tuple(shape), axis, n), rng.normal(size=shape) * 30.0):
             e = np.exp(x - x.max(axis=axis, keepdims=True))
             want = e / e.sum(axis=axis, keepdims=True)
-            got = ad.softmax_axis(t(x), axis).data
+            got = composed.softmax_axis(t(x), axis).data
             assert got.tobytes() == want.tobytes()
 
 
@@ -303,8 +303,8 @@ SHARED_CASES = {
     "matmul_shared_right": lambda x, p: ad.matmul(x, p["w"]),
     "matmul_shared_left": lambda x, p: ad.matmul(p["square"], x),
     "matmul_stacked": lambda x, p: ad.matmul(ad.matmul(x, p["w"]),
-                                             ad.transpose(ad.matmul(x, p["w"]))),
-    "matmul_of_shared": lambda x, p: ad.matmul(x, ad.matmul(ad.transpose(p["trailing"]),
+                                             composed.transpose(ad.matmul(x, p["w"]))),
+    "matmul_of_shared": lambda x, p: ad.matmul(x, ad.matmul(composed.transpose(p["trailing"]),
                                                             p["square"])),
     "add_row": lambda x, p: ad.add(x, p["row"]),
     "add_trailing": lambda x, p: ad.add(x, p["trailing"]),
@@ -476,7 +476,7 @@ class TestLeadingAxis:
 
         def chain(x):
             y = ad.layer_norm(ad.matmul(t(x), t(w)), t(gain), t(bias))
-            y = composed.row_normalize(ad.softmax_axis(ad.mul(ad.add(y, t(row)), t(row)), -2))
+            y = composed.row_normalize(composed.softmax_axis(ad.mul(ad.add(y, t(row)), t(row)), -2))
             return ad.reduce_sum(y, keep=y.data.ndim - 2), ad.log_sum_exp(y)
 
         stacked = chain(xs)
@@ -552,7 +552,7 @@ class TestGradCheck:
 
         cases = {
             "matmul": lambda: ad.reduce_sum(composed.tanh(ad.matmul(x, w))),
-            "transpose": lambda: ad.reduce_sum(ad.mul(ad.transpose(x), ad.transpose(weight))),
+            "transpose": lambda: ad.reduce_sum(ad.mul(composed.transpose(x), composed.transpose(weight))),
             "add_rowvec": lambda: ad.reduce_sum(ad.mul(ad.add(x, row), weight)),
             "sub_mul": lambda: ad.reduce_sum(ad.mul(ad.sub(x, ad.mul(x, x)), weight)),
             "mul_rowvec": lambda: ad.reduce_sum(ad.mul(ad.mul(x, row), weight)),
@@ -562,8 +562,8 @@ class TestGradCheck:
             "exp": lambda: ad.reduce_sum(ad.mul(ad.exp(x), weight)),
             "clamped_log_linear": lambda: ad.reduce_sum(ad.mul(ad.clamped_log(pos), weight)),
             "clamped_log": lambda: ad.reduce_sum(ad.mul(pos, ad.clamped_log(pos))),
-            "softmax0": lambda: ad.reduce_sum(ad.mul(ad.softmax_axis(x, 0), weight)),
-            "softmax1": lambda: ad.reduce_sum(ad.mul(ad.softmax_axis(x, 1), weight)),
+            "softmax0": lambda: ad.reduce_sum(ad.mul(composed.softmax_axis(x, 0), weight)),
+            "softmax1": lambda: ad.reduce_sum(ad.mul(composed.softmax_axis(x, 1), weight)),
             "layer_norm": lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, bias), weight)),
             "row_normalize": lambda: ad.reduce_sum(ad.mul(composed.row_normalize(pos), weight)),
             "reduce_mean0": lambda: ad.reduce_sum(ad.mul(ad.reduce_mean_axis(x, 0),
@@ -575,11 +575,11 @@ class TestGradCheck:
             "vecmat": lambda: ad.reduce_sum(ad.mul(ad.vecmat(vec, mat),
                                                    ad.Tensor(weight.data[0, :2]))),
             "split_merge_matmul3d": lambda: ad.add(
-                ad.reduce_sum(ad.mul(ad.merge_heads(ad.matmul(
-                    ad.matmul(ad.split_heads(x, 2), ad.transpose(ad.split_heads(pos, 2))),
-                    ad.split_heads(x, 2)), 2), weight)),
-                ad.reduce_sum(ad.mul(ad.sum_heads(ad.matmul(
-                    ad.split_heads(pos, 2), ad.transpose(ad.split_heads(x, 2))), 2), square))),
+                ad.reduce_sum(ad.mul(composed.merge_heads(ad.matmul(
+                    ad.matmul(composed.split_heads(x, 2), composed.transpose(composed.split_heads(pos, 2))),
+                    composed.split_heads(x, 2)), 2), weight)),
+                ad.reduce_sum(ad.mul(composed.sum_heads(ad.matmul(
+                    composed.split_heads(pos, 2), composed.transpose(composed.split_heads(x, 2))), 2), square))),
         }
         params = [("x", x), ("w", w), ("row", row), ("gain", gain), ("bias", bias),
                   ("pos", pos), ("vec", vec), ("mat", mat)]
@@ -612,21 +612,21 @@ class TestGradCheck:
         cases = {
             "matmul_shared_right": lambda: ad.reduce_sum(composed.tanh(ad.matmul(x, w))),
             "matmul_shared_left": lambda: ad.reduce_sum(composed.tanh(ad.matmul(
-                trailing, ad.transpose(x)))),
-            "matmul_stacked": lambda: total(ad.matmul(ad.matmul(x, ad.transpose(pos)), x)),
+                trailing, composed.transpose(x)))),
+            "matmul_stacked": lambda: total(ad.matmul(ad.matmul(x, composed.transpose(pos)), x)),
             "add_row": lambda: total(ad.add(x, row)),
             "add_trailing": lambda: total(ad.add(x, trailing)),
             "mul_row": lambda: total(ad.mul(x, row)),
             "mul_trailing": lambda: total(ad.mul(x, trailing)),
             "layer_norm": lambda: total(ad.layer_norm(x, gain, bias)),
             "row_normalize": lambda: total(composed.row_normalize(pos)),
-            "softmax_rows": lambda: total(ad.softmax_axis(x, -2)),
+            "softmax_rows": lambda: total(composed.softmax_axis(x, -2)),
             "zeros_plus_shared": lambda: total(ad.add(ad.Tensor(np.zeros((2, 3, 4))), trailing)),
-            "split_merge_heads": lambda: total(ad.merge_heads(ad.matmul(
-                ad.matmul(ad.split_heads(x, 2), ad.transpose(ad.split_heads(pos, 2))),
-                ad.split_heads(x, 2)), 2)),
-            "sum_heads": lambda: ad.reduce_sum(ad.mul(ad.sum_heads(ad.matmul(
-                ad.split_heads(pos, 2), ad.transpose(ad.split_heads(x, 2))), 2),
+            "split_merge_heads": lambda: total(composed.merge_heads(ad.matmul(
+                ad.matmul(composed.split_heads(x, 2), composed.transpose(composed.split_heads(pos, 2))),
+                composed.split_heads(x, 2)), 2)),
+            "sum_heads": lambda: ad.reduce_sum(ad.mul(composed.sum_heads(ad.matmul(
+                composed.split_heads(pos, 2), composed.transpose(composed.split_heads(x, 2))), 2),
                 ad.Tensor(weight.data[..., :3]))),
             "row_log_sum_exp": lambda: ad.reduce_sum(ad.mul(ad.log_sum_exp(logits),
                                                             per_sample)),
@@ -655,8 +655,8 @@ class TestInvariants:
     def test_deterministic_outputs(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 5))
-        a = ad.softmax_axis(ad.matmul(t(x), t(x)), 1).data
-        b = ad.softmax_axis(ad.matmul(t(x), t(x)), 1).data
+        a = composed.softmax_axis(ad.matmul(t(x), t(x)), 1).data
+        b = composed.softmax_axis(ad.matmul(t(x), t(x)), 1).data
         assert np.array_equal(a, b)
 
     def test_nonfinite_input_rejected(self):
@@ -681,12 +681,12 @@ EXTREMES = np.array([[BIG, -BIG, TINY, -TINY], [BIG, BIG, BIG, BIG], [-BIG, -BIG
                      [0.0, TINY, -TINY, BIG], [TINY, TINY, TINY, TINY], [0.0, 0.0, 0.0, 0.0],
                      [-BIG, 0.0, -TINY, TINY], [TINY, -BIG, BIG, 0.0]])
 UNCHECKED_OPS = {
-    "transpose": lambda x: ad.transpose(x),
-    "split_heads": lambda x: ad.split_heads(x, 2),
-    "merge_heads": lambda x: ad.merge_heads(t(x.data.reshape(2, 4, 4)), 2),
+    "transpose": lambda x: composed.transpose(x),
+    "split_heads": lambda x: composed.split_heads(x, 2),
+    "merge_heads": lambda x: composed.merge_heads(t(x.data.reshape(2, 4, 4)), 2),
     "pick": lambda x: ad.pick(x, np.arange(8) % 4),
-    "softmax_rows": lambda x: ad.softmax_axis(x, -1),
-    "softmax_columns": lambda x: ad.softmax_axis(x, 0),
+    "softmax_rows": lambda x: composed.softmax_axis(x, -1),
+    "softmax_columns": lambda x: composed.softmax_axis(x, 0),
     "clamped_log": lambda x: ad.clamped_log(x),
     "log_sum_exp": lambda x: ad.log_sum_exp(x),
 }
@@ -705,16 +705,16 @@ def test_op_without_output_check_is_finite_on_extreme_inputs(op):
 class TestHeadAxis:
     def test_split_merge_roundtrip_and_layout(self):
         x = t(np.arange(24.0).reshape(3, 8))
-        split = ad.split_heads(x, 4)
+        split = composed.split_heads(x, 4)
         assert split.shape == (4, 3, 2) and split.data.flags.c_contiguous
         npt.assert_array_equal(split.data[1], x.data[:, 2:4])
-        npt.assert_array_equal(ad.merge_heads(split, 4).data, x.data)
+        npt.assert_array_equal(composed.merge_heads(split, 4).data, x.data)
 
     def test_one_head_adds_no_node(self):
         x = t(np.ones((3, 4)))
-        assert ad.split_heads(x, 1) is x
-        assert ad.merge_heads(x, 1) is x
-        assert ad.sum_heads(x, 1) is x
+        assert composed.split_heads(x, 1) is x
+        assert composed.merge_heads(x, 1) is x
+        assert composed.sum_heads(x, 1) is x
 
     def test_stacked_matmul_matches_per_head_products(self):
         rng = np.random.default_rng(5)
@@ -726,11 +726,11 @@ class TestHeadAxis:
     def test_sum_heads_adds_in_head_order(self):
         a = np.random.default_rng(6).normal(size=(4, 2, 3))
         want = ((a[0] + a[1]) + a[2]) + a[3]
-        assert np.array_equal(ad.sum_heads(t(a), 4).data, want)
+        assert np.array_equal(composed.sum_heads(t(a), 4).data, want)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ShapeError):
-            ad.split_heads(t(np.ones((3, 5))), 2)
+            composed.split_heads(t(np.ones((3, 5))), 2)
         with pytest.raises(ShapeError):
             ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 2))))
         with pytest.raises(ShapeError):
@@ -741,9 +741,9 @@ class TestNoGrad:
     def test_outputs_keep_no_record(self):
         x, w = t(np.ones((2, 3))), t(np.full((3, 2), 0.5))
         with ad.no_grad():
-            out = ad.softmax_axis(ad.matmul(x, w), 1)
+            out = composed.softmax_axis(ad.matmul(x, w), 1)
         assert out._node is None and not out.requires_grad
-        npt.assert_array_equal(out.data, ad.softmax_axis(ad.matmul(x, w), 1).data)
+        npt.assert_array_equal(out.data, composed.softmax_axis(ad.matmul(x, w), 1).data)
         assert ad.matmul(x, w).requires_grad
 
     def test_finite_check_still_runs(self):

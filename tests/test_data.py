@@ -194,6 +194,31 @@ class TestEmbFormat:
             dat.parse_emb(blob[:len(blob) - 3])
         assert err.value.offset is not None
 
+    @pytest.mark.parametrize("size", range(25))
+    def test_cut_header_names_the_first_short_field(self, size):
+        """A valid file cut inside its 25-byte header: "truncated payload" at
+        the offset of the first field that is not whole (the u32s at 4, 8,
+        ..., 20, the flags byte at 24)."""
+        ds = dat.gen_synthetic(small_config(samples_per_class=1), seed=0)
+        with pytest.raises(FormatError) as err:
+            dat.parse_emb(dat.emb_bytes(ds)[:size])
+        offset = min(size - size % 4, 24)
+        assert err.value.offset == offset
+        assert str(err.value) == f"truncated payload (at byte offset {offset})"
+
+    @pytest.mark.parametrize("size", range(4, 10))
+    def test_cut_header_checks_magic_and_version_first(self, size):
+        """The magic, once whole, is checked before any later field is
+        missed, and so is the version."""
+        with pytest.raises(FormatError) as err:
+            dat.parse_emb((b"CCTX" + struct.pack("<I", 1))[:size])
+        assert (str(err.value), err.value.offset) == ("bad magic b'CCTX' (at byte offset 0)", 0)
+        with pytest.raises(FormatError) as err:
+            dat.parse_emb((b"CCTE" + struct.pack("<I", 7) + b"\0")[:size])
+        want = ("truncated payload (at byte offset 4)" if size < 8
+                else "unsupported version 7 (at byte offset 4)")
+        assert (str(err.value), err.value.offset) == (want, 4)
+
     def test_trailing_bytes_rejected(self):
         ds = dat.gen_synthetic(small_config(samples_per_class=1), seed=0)
         with pytest.raises(FormatError, match="trailing"):

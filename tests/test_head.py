@@ -809,8 +809,8 @@ def reference_readback(e_raw, slots, p, cfg):
     for j in range(h):
         lo, hi = j * dh, (j + 1) * dh
         q, k, v = (_slice_cols(x, lo, hi) for x in (q_full, k_full, v_full))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
-        attn = ad.softmax_axis(scores, axis=1)
+        scores = ad.scale(ad.matmul(q, composed.transpose(k)), 1.0 / np.sqrt(dh))
+        attn = composed.softmax_axis(scores, axis=1)
         attns.append(attn)
         outs.append(ad.matmul(attn, v))
     merged = outs[0] if h == 1 else _concat_cols(outs)
@@ -920,7 +920,7 @@ class TestDualPathway:
 class TestExplanationMap:
     @pytest.mark.parametrize("variant", hd.VARIANTS)
     @pytest.mark.parametrize("pathway", hd.PATHWAYS)
-    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_equals_head_forward_map_chunk_after_chunk(self, variant, pathway, heads):
         """The exported map of head_forward (spatial, or global when that is
         the only pathway) bit for bit, over chunks that share one generator,
@@ -977,6 +977,156 @@ class TestExplanationMap:
             out = hd.head_forward(e, params, cfg, np.random.default_rng(2))
         want = out.attn_global if pathway == "global" else out.attn_spatial
         assert np.array_equal(got.data, want.data)
+
+
+def readback_losses(out, labels, targets):
+    """Per-sample losses that read every map more than once, as training's do:
+    cross-entropy of the logits, plus each map's explanation loss against
+    targets and its sparsity term."""
+    loss = losses.cross_entropy(out.logits, labels)
+    for attn in out.maps():
+        want = targets if attn.shape[-2] == targets.shape[-2] else targets[..., :1, :]
+        loss = ad.add(loss, ad.add(losses.explanation_loss(attn, want),
+                                   losses.sparsity_loss(attn)))
+    return loss
+
+
+class TestFusedReadback:
+    """The three recorded readback ops against the chain of ops they
+    replace (tests/composed.py)."""
+
+    @pytest.mark.parametrize("variant", hd.VARIANTS)
+    @pytest.mark.parametrize("pathway", hd.PATHWAYS)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_bit_identical_to_composed_reference(self, variant, pathway, heads, monkeypatch):
+        """Maps, logits, every leaf's .grad after per-sample walks over
+        chunks of 5, 5 and 2 samples, and the generator state."""
+        cfg = hd.HeadConfig(concepts=5, slot_dim=8, input_dim=6, n_inputs=7, n_classes=3,
+                            variant=variant, heads=heads, pathway=pathway)
+        params = hd.init_head_params(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        features = rng.normal(size=(12, 7, 6))
+        labels = rng.integers(3, size=12)
+        targets = rng.dirichlet(np.ones(5), size=(12, 7))
+        runs = []
+        for readback in (hd.multi_head_cross_attention, composed.multi_head_cross_attention):
+            monkeypatch.setattr(hd, "multi_head_cross_attention", readback)
+            params.reset_grads()
+            forward_rng, outputs = np.random.default_rng(2), []
+            for chunk in (slice(0, 5), slice(5, 10), slice(10, 12)):
+                out = hd.head_forward(Tensor(features[chunk]), params, cfg, forward_rng)
+                loss = readback_losses(out, labels[chunk], targets[chunk])
+                ad.backward(loss, per_sample=True)
+                outputs += [out.logits.data] + [a.data for a in out.maps()]
+            runs.append((outputs, [t.grad for _, t in params.named()],
+                         forward_rng.bit_generator.state))
+        (outputs, grads, state), (want_outputs, want_grads, want_state) = runs
+        assert len(outputs) == len(want_outputs)
+        for got, want in zip(outputs, want_outputs):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        for (name, _), got, want in zip(params.named(), grads, want_grads):
+            assert (got is None) == (want is None), name
+            assert got is None or np.array_equal(got, want), name
+        assert state == want_state
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_sliced_rows_bit_identical_to_composed_reference(self, heads):
+        """A stack as large as the explain workload's, whose softmax and
+        softmax VJP reduce their rows by slices: the map, the logits and
+        every gradient equal the chain's."""
+        cfg = hd.HeadConfig(concepts=12, slot_dim=32, input_dim=32, n_inputs=32, n_classes=4,
+                            heads=heads)
+        rng = np.random.default_rng(3)
+        p = hd.init_cross_params(cfg, rng)
+        e, slots_np = rng.normal(size=(64, 32, 32)), rng.normal(size=(64, 12, 32))
+        assert 64 * 32 * heads >= hd.SLICED_SUM_ROWS
+        weight = Tensor(rng.normal(size=(64, 32, 12)))
+        positions = Tensor(rng.normal(size=(12, 32)), requires_grad=True)
+        results = []
+        for readback in (hd.multi_head_cross_attention, composed.multi_head_cross_attention):
+            for param in [positions] + [param for _, param in p.named()]:
+                param.reset_grad()
+            slots = ad.add(Tensor(slots_np), positions)  # per-sample slots that take a delta
+            attn, logits = readback(Tensor(e), slots, p, cfg)
+            loss = ad.add(losses.cross_entropy(logits, np.arange(64) % 4),
+                          ad.reduce_sum(ad.mul(attn, weight), keep=1))
+            ad.backward(loss, per_sample=True)
+            results.append([attn.data, logits.data, positions.grad]
+                           + [param.grad for _, param in p.named()])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def overflowing(poke, heads):
+        """A readback whose values overflow where poke says: one of its
+        cross-attention tensors scaled past the float range, or ("mean")
+        per-row class scores near 1e308 whose row sum overflows."""
+        cfg = hd.HeadConfig(concepts=3, slot_dim=8, input_dim=5, n_inputs=4, n_classes=2,
+                            heads=heads)
+        rng = np.random.default_rng(0)
+        p = hd.init_cross_params(cfg, rng)
+        e = rng.normal(size=(2, 4, 5))
+        slots = rng.normal(size=(2, 3, 8))
+        if poke == "mean":
+            slots[...] = slots[:, :1]  # equal slot rows: every merged row is v's row
+            v = slots[0, 0] @ p.wv.data
+            p.out.data[:, 0] = v * (1e308 / (v @ v))
+        else:
+            scaled(getattr(p, poke), 1.5e308)
+        return cfg, p, Tensor(e), Tensor(slots, requires_grad=True)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("poke,op", [("wq", "matmul"), ("wk", "matmul"), ("wv", "matmul"),
+                                         ("out", "matmul"), ("mean", "reduce_mean_axis")])
+    def test_overflow_names_the_composed_op(self, poke, op, grad, heads):
+        cfg, p, e, slots = self.overflowing(poke, heads)
+        messages = []
+        with np.errstate(all="ignore"), contextlib.nullcontext() if grad else ad.no_grad():
+            for readback in (hd.multi_head_cross_attention, composed.multi_head_cross_attention):
+                with pytest.raises(NumericError) as err:
+                    readback(e, slots, p, cfg)
+                messages.append(str(err.value))
+        assert messages[0] == messages[1] == f"{op} produced non-finite values"
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_finite_pass_screens_scores_and_logits(self, grad, heads, monkeypatch):
+        """A finite readback checks the scaled scores and the logits only,
+        records its outputs unchecked and does not replay."""
+        cfg, p, e, slots = self.overflowing("mean", heads)
+        p.out.data[...] = 1.0
+        checks, checked = [], ad.checked
+
+        def spy(data, op):
+            checks.append((op, data.shape))
+            return checked(data, op)
+
+        monkeypatch.setattr(ad, "checked", spy)
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            hd.multi_head_cross_attention(e, slots, p, cfg)
+        scores = (2, heads, 4, 3) if heads > 1 else (2, 4, 3)
+        assert checks == [("scale", scores), ("reduce_mean_axis", (2, 2))]
+
+    @pytest.mark.parametrize("n", range(1, 20))
+    def test_row_sum_and_max_equal_numpy(self, n):
+        """_row_sum is np.sum over the last axis bit for bit and _row_max its
+        max, by slices and by reduce: rows of 1 to 19 entries, on both sides
+        of SLICED_ROW and of eight entries, and row counts on both sides of
+        SLICED_SUM_ROWS and SLICED_MAX_ROWS, with rows of signed zeros and
+        of sums that round differently in another order."""
+        rng = np.random.default_rng(n)
+        shape = (2, hd.SLICED_SUM_ROWS // 2 + 1, n)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        x[0, 0] = -0.0
+        x[0, 1] = 0.0
+        x[0, 2, ::2] = -0.0
+        for rows in (x, x[0], x[1, :hd.SLICED_MAX_ROWS - 1], x[1, :5]):
+            got = hd._row_sum(rows)
+            want = rows.sum(axis=-1, keepdims=True)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(hd._row_max(rows), rows.max(axis=-1, keepdims=True))
 
 
 class TestHeadInvariants:
