@@ -8,7 +8,7 @@ entropy-sparsity penalties on the attention maps. Everything runs on a
 small built-in reverse-mode autodiff core in float64.
 """
 
-from .autodiff import Tensor, backward, grad_check
+from .autodiff import Tensor, backward
 from .data import Dataset, Sample, SynthConfig, gen_synthetic, read_emb, write_emb
 from .errors import (ConceptHeadError, ConfigError, DomainError, FormatError,
                      MetricError, NumericError, RecordConsumedError, ShapeError)
@@ -22,7 +22,7 @@ from .trainer import (TrainConfig, TrainState, evaluate, fit, load_checkpoint,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "backward", "grad_check",
+    "Tensor", "backward",
     "Dataset", "Sample", "SynthConfig", "gen_synthetic", "read_emb", "write_emb",
     "ConceptHeadError", "ConfigError", "DomainError", "FormatError",
     "MetricError", "NumericError", "RecordConsumedError", "ShapeError",

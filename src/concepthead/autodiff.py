@@ -2,12 +2,12 @@
 
 Provides exactly the operations the concept head needs: matrix products,
 layer norm, pointwise arithmetic, exp, a floored log (the only log),
-reductions, a way to record a hand-written fused op (`record`; the head's
-slot-refinement step and its three readback ops are such ops), and a
-central-difference gradient checker. The operation record is rebuilt on
-every forward pass (define-by-run) and `backward` consumes it: the walk
-runs in reverse topological order and drops each node's closure, inputs and
-delta as soon as it has passed the node, so memory falls as the walk goes.
+reductions, and a way to record a hand-written fused op (`record`; the
+head's slot-refinement step and its three readback ops are such ops). The
+operation record is rebuilt on every forward pass (define-by-run) and
+`backward` consumes it: the walk runs in reverse topological order and
+drops each node's closure, inputs and delta as soon as it has passed the
+node, so memory falls as the walk goes.
 A second `backward` over a walked record raises RecordConsumedError; a
 fresh gradient needs a fresh forward. Inside `no_grad()` no record is kept
 at all, and that is also the one way to stop a gradient: a tensor made
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -100,8 +99,6 @@ __all__ = [
     "vecmat",
     "record",
     "backward",
-    "grad_check",
-    "GradCheckReport",
 ]
 
 # Off inside no_grad(): ops then keep no parents or closures.
@@ -567,73 +564,3 @@ def backward(loss: Tensor, per_sample: bool = False) -> None:
                         _fold(parent, deltas.pop(key), samples)
         node._vjp = None
         node._parents = None
-
-
-@dataclass
-class GradCheckReport:
-    """Central-difference check outcome over a set of parameters."""
-
-    max_rel_error: float
-    tol: float
-    passed: bool
-    n_coords: int
-    worst: tuple[str, int] | None = None
-    failures: list[str] = field(default_factory=list)
-
-
-def grad_check(f: Callable[[], Tensor],
-               params: Iterable[tuple[str, Tensor]],
-               h: float = 1e-6,
-               tol: float = 1e-6) -> GradCheckReport:
-    """Compare analytic gradients of f() against central differences.
-
-    f rebuilds its forward pass on every call and must depend on the given
-    parameters only through their .data buffers. Relative error per
-    coordinate is |ga - gn| / (|ga| + |gn| + 1e-12).
-    """
-    params = list(params)
-    for _, p in params:
-        p.reset_grad()
-    loss = f()
-    backward(loss)
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-                for name, p in params}
-
-    max_rel = 0.0
-    worst = None
-    failures: list[str] = []
-    n_coords = 0
-    for name, p in params:
-        flat = p.data.reshape(-1)
-        ga_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            n_coords += 1
-            saved = flat[i]
-            try:
-                flat[i] = saved + h
-                f_plus = float(f().data)
-                flat[i] = saved - h
-                f_minus = float(f().data)
-            except NumericError:
-                failures.append(f"{name}[{i}]: non-finite objective")
-                flat[i] = saved
-                continue
-            finally:
-                flat[i] = saved
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                failures.append(f"{name}[{i}]: non-finite objective")
-                continue
-            gn = (f_plus - f_minus) / (2.0 * h)
-            ga = ga_flat[i]
-            rel = abs(ga - gn) / (abs(ga) + abs(gn) + 1e-12)
-            if rel > max_rel:
-                max_rel = rel
-                worst = (name, i)
-    return GradCheckReport(
-        max_rel_error=max_rel,
-        tol=tol,
-        passed=(max_rel < tol and not failures),
-        n_coords=n_coords,
-        worst=worst,
-        failures=failures,
-    )

@@ -5,15 +5,19 @@ feature rows (the carriers), which gives exact ground-truth explanation
 matrices: one-hot carrier rows spatially, a one-hot concept vector globally.
 
 In memory a Dataset of N samples holds one array per field: features
-(N, L, D) float64, labels (N,) int64, and the explanation targets h_spatial
-(N, L, C) and h_global (N, 1, C) float64, each present for every sample or
-for none. A batch is a gather of rows, features[idx].
+(N, L, D), labels (N,) int64, and the explanation targets h_spatial
+(N, L, C) and h_global (N, 1, C), each present for every sample or for
+none. The three float columns are float32 or float64: gen_synthetic makes
+float64 ones, and parse_emb returns float32 views of the file's bytes
+(read-only when it is given bytes), so a parsed dataset holds no more than
+the file. A batch is a gather of rows, features[idx], and each gather that
+feeds the head widens its rows to float64; float32 to float64 is exact, so
+a parsed column gives the head the values a widened copy of it would.
 
 EMB1 layout (little-endian): magic "CCTE", u32 version=1, u32 N, u32 L,
 u32 D, u32 C (0 when no explanations), u8 flags (bit0 spatial H, bit1
 global H); then per sample: L*D float32 row-major features, u32 label,
-optional L*C float32 spatial H, optional C float32 global H. Values are
-float32 on disk and widened to float64 in memory.
+optional L*C float32 spatial H, optional C float32 global H.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ EMB_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIB")
 
 _U32_MAX = 2**32 - 1
+_FLOATS = (np.float32, np.float64)
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,10 @@ def _kind(x) -> str:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """N samples as the columns the module docstring lays out, with
-    C = n_concepts. Any other column is refused with a ConfigError naming it."""
+    C = n_concepts: features, h_spatial and h_global float32 or float64,
+    labels int64. Any other column is refused with a ConfigError naming it.
+    A float32 column is widened where it is gathered, chunk by chunk, not
+    here."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -116,20 +124,21 @@ class Dataset:
 
     def __post_init__(self):
         features = self.features
-        if not (isinstance(features, np.ndarray) and features.dtype == np.float64
+        if not (isinstance(features, np.ndarray) and features.dtype in _FLOATS
                 and features.ndim == 3):
-            raise ConfigError(f"features must be float64 of shape (N, L, D), got {_kind(features)}")
+            raise ConfigError(f"features must be float32 or float64 of shape (N, L, D), "
+                              f"got {_kind(features)}")
         n, rows = features.shape[:2]
-        for name, dtype, want in (("labels", np.int64, (n,)),
-                                  ("h_spatial", np.float64, (n, rows, self.n_concepts)),
-                                  ("h_global", np.float64, (n, 1, self.n_concepts))):
+        for name, dtypes, want in (("labels", (np.int64,), (n,)),
+                                   ("h_spatial", _FLOATS, (n, rows, self.n_concepts)),
+                                   ("h_global", _FLOATS, (n, 1, self.n_concepts))):
             column = getattr(self, name)
             if column is None and name != "labels":
                 continue
-            if not (isinstance(column, np.ndarray) and column.dtype == dtype
+            if not (isinstance(column, np.ndarray) and column.dtype in dtypes
                     and column.shape == want):
-                raise ConfigError(f"{name} must be {dtype.__name__} of shape {want}, "
-                                  f"got {_kind(column)}")
+                kinds = " or ".join(dtype.__name__ for dtype in dtypes)
+                raise ConfigError(f"{name} must be {kinds} of shape {want}, got {_kind(column)}")
             if name != "labels" and self.n_concepts < 1:
                 raise ConfigError(f"{name} needs n_concepts >= 1, got {self.n_concepts}")
 
@@ -280,9 +289,11 @@ def read_emb(path: str) -> Dataset:
 
 
 def parse_emb(blob: bytes) -> Dataset:
-    """The Dataset an EMB1 file's bytes hold. A header cut short names the
-    offset of the first of its fields that is not whole, after the magic
-    and the version as far as they are."""
+    """The Dataset an EMB1 file's bytes hold. Its float columns are float32
+    views of blob, with no copy (read-only when blob is bytes); its labels
+    are an int64 copy. A header cut short names the offset of the first of
+    its fields that is not whole, after the magic and the version as far as
+    they are."""
     size = len(blob)
     magic, version, n, n_inputs, input_dim, n_concepts, flags = _HEADER.unpack_from(
         blob if size >= _HEADER.size else blob.ljust(_HEADER.size, b"\0"))
@@ -314,16 +325,15 @@ def parse_emb(blob: bytes) -> Dataset:
         raise FormatError("truncated payload", offset=body + whole * record.itemsize + at)
     if end < len(blob):
         raise FormatError("trailing bytes after last sample", offset=end)
-    # One view of the fixed-size records; each float field is widened once
-    # for all samples into its column.
+    # One view of the fixed-size records; each float field's view of it is
+    # that field's column.
     records = np.frombuffer(blob, record, count=n, offset=body)
     bad = _first_nonfinite(records)
     if bad:
         i, name = bad
         raise FormatError(f"sample {i} has non-finite {name} values",
                           offset=body + i * record.itemsize + record.fields[name][1])
-    columns = {name: records[name].astype(np.float64) for name in record.names
-               if name != "labels"}
+    columns = {name: records[name] for name in record.names if name != "labels"}
     labels = records["labels"].astype(np.int64)
     return Dataset(labels=labels, n_classes=int(labels.max()) + 1 if n else 0,
                    n_concepts=n_concepts, **columns)

@@ -5,10 +5,11 @@ Every source of randomness is owned here: parameter init and slot sampling
 share one generator seeded from the config, and each epoch's shuffle is a
 Fisher-Yates pass seeded with seed XOR epoch. Training runs each batch as
 near-equal chunks, each a gather of dataset rows (features[chunk] and the
-like) for one forward and one per-sample backward walk, each as large as
-RECORD_BUDGET allows: a chunk's record is live in full when its walk starts,
-and record_bytes_per_sample estimates its share per sample from the head
-config. Gradients still add in sample-index order, so the chunk size moves
+like, widened there to float64 from the float32 columns of a parsed
+dataset) for one forward and one per-sample backward walk, each as large
+as RECORD_BUDGET allows: a chunk's record is live in full when its walk
+starts, and record_bytes_per_sample estimates its share per sample from the
+head config. Gradients still add in sample-index order, so the chunk size moves
 no bit, identical (dataset, config) pairs reproduce metric logs bit for bit,
 and a checkpoint restores enough state (parameters, optimizer moments,
 generator state, epoch) to continue a run unchanged.
@@ -324,9 +325,12 @@ def _forward_losses(dataset: Dataset, chunk: np.ndarray, params: HeadParams,
     also the entropy metric. total_loss leaves it out when lambda_sparse is 0.
     """
     w = cfg.weights
+    # Tensor() widens a float32 gather to float64, and so does astype for the
+    # targets: concept_top1_scores sums them, and a float32 sum rounds differently
     out = hd.head_forward(Tensor(dataset.features[chunk]), params, cfg.head, rng)
-    pairs = [(a, targets[chunk]) for a, targets in ((out.attn_spatial, dataset.h_spatial),
-                                                    (out.attn_global, dataset.h_global))
+    pairs = [(a, targets[chunk].astype(np.float64, copy=False))
+             for a, targets in ((out.attn_spatial, dataset.h_spatial),
+                                (out.attn_global, dataset.h_global))
              if a is not None and targets is not None]
     cls = losses.cross_entropy(out.logits, dataset.labels[chunk])
     expl = sparse = None
@@ -350,10 +354,12 @@ def _run_pass(dataset: Dataset, params: HeadParams, cfg: TrainConfig,
 
     Samples go forward as chunks, near-equal plain slices of a batch in
     batch order, each a gather of the dataset's columns: (B, L, D) features,
-    B labels and (B, rows, C) targets. When step is given, each holds at most
-    RECORD_BUDGET // record_bytes_per_sample samples and backpropagates its
-    samples' shares of the batch-mean loss in one per-sample walk (step()
-    runs after each batch); otherwise each holds at most cfg.batch_size.
+    B labels and (B, rows, C) targets, the float ones widened to float64 as
+    they are gathered (exactly, from a float32 column). When step is given,
+    each holds at most RECORD_BUDGET // record_bytes_per_sample samples and
+    backpropagates its samples' shares of the batch-mean loss in one
+    per-sample walk (step() runs after each batch); otherwise each holds at
+    most cfg.batch_size.
     Every op works per sample, and the walk adds each sample's gradient
     into the parameters in sample-index order, so chunking changes no value.
     Each chunk keeps one (6, B) array of its samples' losses, hits and

@@ -14,13 +14,19 @@ A checkpoint writer without the finite check, for the reader's tests of the
 files that `trainer.checkpoint_bytes` refuses to make.
 
 The per-row topk.csv text, the reference for `metrics.write_topk_csv`'s one
-format over its arrays."""
+format over its arrays.
+
+A central-difference gradient checker, the reference every hand-written
+VJP and the whole head's gradient (criterion 1) are checked against."""
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import struct
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -280,3 +286,73 @@ def per_row_topk_csv(rows):
     lines = ["sample_index,rank,concept_index,gamma_value\n"]
     lines.extend(f"{i},{rank},{c},{gamma:.17g}\n" for i, rank, c, gamma in rows)
     return "".join(lines).encode("ascii")
+
+
+@dataclass
+class GradCheckReport:
+    """Central-difference check outcome over a set of parameters."""
+
+    max_rel_error: float
+    tol: float
+    passed: bool
+    n_coords: int
+    worst: tuple[str, int] | None = None
+    failures: list[str] = field(default_factory=list)
+
+
+def grad_check(f: Callable[[], ad.Tensor],
+               params: Iterable[tuple[str, ad.Tensor]],
+               h: float = 1e-6,
+               tol: float = 1e-6) -> GradCheckReport:
+    """Compare analytic gradients of f() against central differences.
+
+    f rebuilds its forward pass on every call and must depend on the given
+    parameters only through their .data buffers. Relative error per
+    coordinate is |ga - gn| / (|ga| + |gn| + 1e-12).
+    """
+    params = list(params)
+    for _, p in params:
+        p.reset_grad()
+    loss = f()
+    ad.backward(loss)
+    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+                for name, p in params}
+
+    max_rel = 0.0
+    worst = None
+    failures: list[str] = []
+    n_coords = 0
+    for name, p in params:
+        flat = p.data.reshape(-1)
+        ga_flat = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            n_coords += 1
+            saved = flat[i]
+            try:
+                flat[i] = saved + h
+                f_plus = float(f().data)
+                flat[i] = saved - h
+                f_minus = float(f().data)
+            except NumericError:
+                failures.append(f"{name}[{i}]: non-finite objective")
+                flat[i] = saved
+                continue
+            finally:
+                flat[i] = saved
+            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                failures.append(f"{name}[{i}]: non-finite objective")
+                continue
+            gn = (f_plus - f_minus) / (2.0 * h)
+            ga = ga_flat[i]
+            rel = abs(ga - gn) / (abs(ga) + abs(gn) + 1e-12)
+            if rel > max_rel:
+                max_rel = rel
+                worst = (name, i)
+    return GradCheckReport(
+        max_rel_error=max_rel,
+        tol=tol,
+        passed=(max_rel < tol and not failures),
+        n_coords=n_coords,
+        worst=worst,
+        failures=failures,
+    )

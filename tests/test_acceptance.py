@@ -70,7 +70,7 @@ def test_criterion_1_end_to_end_gradients():
 
     with criterion(1, "end-to-end gradient check, max relative error < 1e-6"):
         started = time.perf_counter()
-        report = ad.grad_check(batch_loss, list(params.named()), h=1e-6, tol=1e-6)
+        report = composed.grad_check(batch_loss, list(params.named()), h=1e-6, tol=1e-6)
         elapsed = time.perf_counter() - started
         assert not report.failures, report.failures
         assert report.max_rel_error < 1e-6, (report.max_rel_error, report.worst)

@@ -185,7 +185,7 @@ class TestBackward:
         def f():
             return ad.sub(ad.log_sum_exp(logits), ad.pick(logits, 0))
 
-        report = ad.grad_check(f, [("logits", logits)], h=1e-6, tol=1e-6)
+        report = composed.grad_check(f, [("logits", logits)], h=1e-6, tol=1e-6)
         assert report.passed
 
     def test_two_backwards_double_gradients(self):
@@ -521,7 +521,7 @@ class TestGradCheck:
         def f():
             return ad.reduce_sum(ad.mul(theta, theta))
 
-        report = ad.grad_check(f, [("theta", theta)], h=1e-5, tol=1e-6)
+        report = composed.grad_check(f, [("theta", theta)], h=1e-5, tol=1e-6)
         assert report.passed
         theta.reset_grad()
         ad.backward(f())
@@ -534,7 +534,7 @@ class TestGradCheck:
         def f():
             return ad.add(ad.scale(ad.reduce_sum(theta), 0.0), c)
 
-        report = ad.grad_check(f, [("theta", theta)], h=1e-6, tol=1e-6)
+        report = composed.grad_check(f, [("theta", theta)], h=1e-6, tol=1e-6)
         assert report.passed and report.max_rel_error == 0.0
 
     def test_every_op_random_inputs(self):
@@ -584,7 +584,7 @@ class TestGradCheck:
         params = [("x", x), ("w", w), ("row", row), ("gain", gain), ("bias", bias),
                   ("pos", pos), ("vec", vec), ("mat", mat)]
         for name, f in cases.items():
-            report = ad.grad_check(f, params, h=1e-6, tol=1e-6)
+            report = composed.grad_check(f, params, h=1e-6, tol=1e-6)
             assert report.passed, f"{name}: max rel error {report.max_rel_error:.3e}"
 
     def test_every_op_with_leading_axis(self):
@@ -638,7 +638,7 @@ class TestGradCheck:
         params = [("x", x), ("w", w), ("row", row), ("trailing", trailing), ("gain", gain),
                   ("bias", bias), ("pos", pos), ("logits", logits)]
         for name, f in cases.items():
-            report = ad.grad_check(f, params, h=1e-6, tol=1e-6)
+            report = composed.grad_check(f, params, h=1e-6, tol=1e-6)
             assert report.passed, f"{name}: max rel error {report.max_rel_error:.3e}"
 
     def test_no_grad_blocks_gradient(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import os
 
@@ -557,3 +558,59 @@ def test_explain_sends_every_trained_map_through_the_kernel(tmp_path, monkeypatc
                 "--out", str(tmp_path / "explain")]) == 0
     rows = 6 if pathway == "spatial" else 1
     assert kernel_shapes == [(16, rows, 12)] * 3 and fallback_maps == []
+
+
+def mixed_sign_emb(path):
+    """A planted-concept EMB1 file whose spatial targets hold 1, 2**-24, -1
+    and 0 in row 0 of every sample: that row sums to 2**-24 in float64 and
+    to 0 in float32, so it is a carrier row for concept_top1_scores only
+    when the targets are widened before it sums them."""
+    cfg = dat.SynthConfig(n_classes=2, n_concepts=4, concepts_per_class=dat.block_concept_map(2, 4),
+                          n_inputs=3, input_dim=6, noise_std=0.2, samples_per_class=6,
+                          carrier_fraction=0.5)
+    ds = dat.gen_synthetic(cfg, seed=3)
+    ds.h_spatial[:, 0] = [1.0, 2.0 ** -24, -1.0, 0.0]
+    sums = ds.h_spatial.astype(np.float32).sum(axis=-1)[:, 0]
+    assert not sums.any() and (ds.h_spatial.sum(axis=-1)[:, 0] > 0).all()
+    dat.write_emb(ds, path)
+
+
+@pytest.mark.parametrize("variant", hd.VARIANTS)
+@pytest.mark.parametrize("pathway", hd.PATHWAYS)
+@pytest.mark.parametrize("heads", [1, 4])
+def test_parsed_float32_columns_match_widened_float64(tmp_path, monkeypatch, capsys, variant,
+                                                      pathway, heads):
+    """train, eval and explain on a parsed dataset, whose float columns are
+    float32 views of the file, write the bytes they write when every float
+    column is widened to float64 up front; the file parses and writes back
+    to its own bytes."""
+    data = tmp_path / "d.emb"
+    mixed_sign_emb(str(data))
+    dat.write_emb(dat.read_emb(str(data)), str(tmp_path / "again.emb"))
+    assert (tmp_path / "again.emb").read_bytes() == data.read_bytes()
+
+    def outputs(name):
+        train_dir, explain_dir = tmp_path / name / "train", tmp_path / name / "explain"
+        ckpt = str(train_dir / "model.cctk")
+        assert run(["train", "--data", str(data), "--out", str(train_dir), "--epochs", "2",
+                    "--batch-size", "4", "--lr", "1e-2", "--slot-dim", "8", "--seed", "5",
+                    "--variant", variant, "--pathway", pathway, "--heads", str(heads)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--data", str(data), "--checkpoint", ckpt]) == 0
+        printed = capsys.readouterr().out
+        assert run(["explain", "--data", str(data), "--checkpoint", ckpt,
+                    "--out", str(explain_dir), "--topk", "2"]) == 0
+        return ((train_dir / "metrics.csv").read_bytes(), (train_dir / "model.cctk").read_bytes(),
+                printed, explain_files(explain_dir))
+
+    parsed = outputs("parsed")
+    read_emb = dat.read_emb
+
+    def widened(path):
+        ds = read_emb(path)
+        assert ds.features.dtype == np.float32
+        return dataclasses.replace(ds, **{name: getattr(ds, name).astype(np.float64)
+                                          for name in ("features", "h_spatial", "h_global")})
+
+    monkeypatch.setattr(dat, "read_emb", widened)
+    assert outputs("widened") == parsed

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -243,6 +244,52 @@ class TestEmbFormat:
         assert parsed.features[0, 0, 0] == np.float32(0.1)
 
 
+def recovery_shaped_blob():
+    """The EMB1 bytes of 2000 samples shaped as the recovery benchmark's:
+    8 x 32 features, 12 concepts, spatial and global targets."""
+    rng = np.random.default_rng(0)
+    n, rows, dim, concepts = 2000, 8, 32, 12
+    concept = rng.integers(concepts, size=n)
+    one_hot = np.eye(concepts)[concept][:, None, :]
+    ds = dat.Dataset(rng.standard_normal((n, rows, dim)), concept % 4,
+                     np.repeat(one_hot, rows, axis=1), one_hot, n_classes=4,
+                     n_concepts=concepts)
+    return dat.emb_bytes(ds)
+
+
+class TestParsedColumns:
+    """parse_emb's float columns are float32 views of the bytes it parses:
+    a parsed dataset holds no copy of the file."""
+
+    def test_float_columns_are_read_only_views_of_the_bytes(self):
+        ds = dat.gen_synthetic(small_config(samples_per_class=2), seed=0)
+        blob = dat.emb_bytes(ds)
+        parsed = dat.parse_emb(blob)
+        raw = np.frombuffer(blob, np.uint8)
+        for name in ("features", "h_spatial", "h_global"):
+            column = getattr(parsed, name)
+            assert column.dtype == np.float32
+            assert np.shares_memory(column, raw)
+            assert not column.flags.writeable
+            npt.assert_array_equal(column, getattr(ds, name).astype(np.float32))
+        assert parsed.labels.dtype == np.int64
+        assert not np.shares_memory(parsed.labels, raw)
+
+    def test_parse_allocates_no_column(self):
+        # the parent widened every float column to float64: twice the file
+        blob = recovery_shaped_blob()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parsed = dat.parse_emb(blob)  # alive while measured
+            kept, peak = (value - before for value in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(parsed) == 2000
+        assert kept < 0.01 * len(blob)
+        assert peak < 0.25 * len(blob)
+
+
 class TestEmbWriterChecks:
     """What emb_bytes would write wrong never reaches a file: a target shape
     parse_emb would misread is refused when the dataset is built, and a
@@ -255,14 +302,14 @@ class TestEmbWriterChecks:
         # a file's records share one width, and so does the column; one of
         # another width than the dataset's C would shift every later sample
         ds = self.dataset()
-        with pytest.raises(ConfigError, match=r"^h_spatial must be float64 of shape "
+        with pytest.raises(ConfigError, match=r"^h_spatial must be float32 or float64 of shape "
                                               r"\(3, 4, 6\), got float64 of shape \(3, 4, 7\)$"):
             dataclasses.replace(ds, h_spatial=np.zeros((3, 4, 7)))
 
     @pytest.mark.parametrize("shape", [(6,), (2, 6), (1, 5)])
     def test_global_target_shape(self, shape):
         ds = self.dataset()
-        with pytest.raises(ConfigError, match=r"^h_global must be float64 of shape "
+        with pytest.raises(ConfigError, match=r"^h_global must be float32 or float64 of shape "
                                               r"\(3, 1, 6\), got float64 of shape "):
             dataclasses.replace(ds, h_global=np.zeros((3, *shape)))
 
@@ -338,30 +385,42 @@ class TestDatasetColumns:
             dataclasses.replace(self.dataset(), labels=labels)
 
     def test_features_must_be_three_dimensional(self):
-        with pytest.raises(ConfigError, match=r"^features must be float64 of shape \(N, L, D\), "
-                                              r"got float64 of shape \(3, 32\)$"):
+        with pytest.raises(ConfigError, match=r"^features must be float32 or float64 of shape "
+                                              r"\(N, L, D\), got float64 of shape \(3, 32\)$"):
             dataclasses.replace(self.dataset(), features=np.zeros((3, 32)))
-        with pytest.raises(ConfigError, match=r"^features must be float64 .* got float32 of "):
-            dataclasses.replace(self.dataset(), features=np.zeros((3, 4, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("name", ["features", "h_spatial", "h_global"])
+    def test_float_columns_are_float32_or_float64(self, name):
+        # a parsed dataset holds float32 columns, a generated one float64
+        ds = self.dataset()
+        column = getattr(ds, name)
+        for dtype in (np.float32, np.float64):
+            kept = dataclasses.replace(ds, **{name: column.astype(dtype)})
+            assert getattr(kept, name).dtype == dtype
+        for dtype in (np.float16, np.int64):
+            with pytest.raises(ConfigError, match=f"^{name} must be float32 or float64 of shape "
+                                                  f".*, got {np.dtype(dtype).name} of shape "):
+                dataclasses.replace(ds, **{name: column.astype(dtype)})
 
     @pytest.mark.parametrize("name,shape", [("h_spatial", (3, 5, 6)), ("h_spatial", (2, 4, 6)),
                                             ("h_spatial", (3, 6)), ("h_global", (3, 4, 6)),
                                             ("h_global", (3, 6))])
     def test_targets_must_match_features_and_concepts(self, name, shape):
-        with pytest.raises(ConfigError, match=f"^{name} must be float64 of shape "):
+        with pytest.raises(ConfigError, match=f"^{name} must be float32 or float64 of shape "):
             dataclasses.replace(self.dataset(), **{name: np.zeros(shape)})
 
     def test_targets_must_share_their_concept_count(self):
         ds = self.dataset()
-        with pytest.raises(ConfigError, match=r"^h_global must be float64 of shape \(3, 1, 6\), "
-                                              r"got float64 of shape \(3, 1, 5\)$"):
+        with pytest.raises(ConfigError, match=r"^h_global must be float32 or float64 of shape "
+                                              r"\(3, 1, 6\), got float64 of shape \(3, 1, 5\)$"):
             dataclasses.replace(ds, h_global=np.zeros((3, 1, 5)))
         with pytest.raises(ConfigError, match=r"^h_spatial .* got float64 of shape \(3, 4, 5\)$"):
             dataclasses.replace(ds, h_spatial=np.zeros((3, 4, 5)), h_global=np.zeros((3, 1, 5)))
 
     def test_a_target_for_only_some_samples_is_refused(self):
         ds = self.dataset()
-        with pytest.raises(ConfigError, match=r"^h_global must be float64 of shape .*, got list$"):
+        with pytest.raises(ConfigError,
+                           match=r"^h_global must be float32 or float64 of shape .*, got list$"):
             dataclasses.replace(ds, h_global=[ds.h_global[0], None, ds.h_global[2]])
 
     def test_samples_are_a_read_only_view(self):

@@ -389,7 +389,7 @@ class TestSlotStep:
             slots = hd.refine_slots(e, p, cfg, np.random.default_rng(3))
             return ad.reduce_sum(ad.mul(slots, weight))
 
-        report = ad.grad_check(f, [("e", e), *p.named()], h=1e-6, tol=1e-6)
+        report = composed.grad_check(f, [("e", e), *p.named()], h=1e-6, tol=1e-6)
         assert report.passed, (report.max_rel_error, report.worst)
 
     @pytest.mark.parametrize("op,poke", [
@@ -1221,7 +1221,7 @@ class TestHeadInvariants:
                                      losses.explanation_loss(out.attn_spatial, target),
                                      losses.sparsity_loss(out.attn_spatial), w)
 
-        report = ad.grad_check(f, list(params.named()), h=1e-6, tol=1e-6)
+        report = composed.grad_check(f, list(params.named()), h=1e-6, tol=1e-6)
         assert report.passed, (report.max_rel_error, report.worst)
 
 

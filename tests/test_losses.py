@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import composed
 from concepthead import autodiff as ad
 from concepthead import losses
 from concepthead.autodiff import Tensor
@@ -146,14 +147,14 @@ class TestTotalLoss:
 class TestGradients:
     def test_cross_entropy_grad(self):
         logits = t([0.2, -1.1, 0.7])
-        report = ad.grad_check(lambda: losses.cross_entropy(logits, 1),
+        report = composed.grad_check(lambda: losses.cross_entropy(logits, 1),
                                [("logits", logits)], h=1e-6, tol=1e-6)
         assert report.passed, report.max_rel_error
 
     def test_explanation_grad(self):
         a = t(np.random.default_rng(0).uniform(size=(3, 4)))
         target = np.random.default_rng(1).uniform(size=(3, 4))
-        report = ad.grad_check(lambda: losses.explanation_loss(a, target),
+        report = composed.grad_check(lambda: losses.explanation_loss(a, target),
                                [("a", a)], h=1e-6, tol=1e-6)
         assert report.passed, report.max_rel_error
 
@@ -161,7 +162,7 @@ class TestGradients:
         # approach the one-hot boundary from the interior; log stays smooth here
         row = np.array([[1.0 - 3e-3, 1e-3, 1e-3, 1e-3]])
         a = t(row)
-        report = ad.grad_check(lambda: losses.sparsity_loss(a), [("a", a)],
+        report = composed.grad_check(lambda: losses.sparsity_loss(a), [("a", a)],
                                h=1e-6, tol=1e-6)
         assert report.passed, report.max_rel_error
 
@@ -185,5 +186,5 @@ def test_total_loss_grad_composition():
                                  losses.explanation_loss(attn, target),
                                  losses.sparsity_loss(attn), w)
 
-    report = ad.grad_check(f, [("logits", logits), ("attn", attn)], h=1e-6, tol=1e-6)
+    report = composed.grad_check(f, [("logits", logits), ("attn", attn)], h=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error

@@ -295,7 +295,7 @@ class TestFlatStore:
                 total = loss if total is None else ad.add(total, loss)
             return ad.scale(total, 0.5)
 
-        report = ad.grad_check(batch_loss, list(params.named()), h=1e-6, tol=1e-6)
+        report = composed.grad_check(batch_loss, list(params.named()), h=1e-6, tol=1e-6)
         assert not report.failures, report.failures
         assert report.max_rel_error < 1e-6, (report.max_rel_error, report.worst)
         assert moved[0] == 0 and set(moved[1:]) == {1}
@@ -421,7 +421,8 @@ class TestFit:
         # so do the columns: a dataset where only some samples carry them
         # cannot be built
         full = tiny_dataset()
-        with pytest.raises(ConfigError, match=r"^h_spatial must be float64 of shape .*, got list$"):
+        with pytest.raises(ConfigError,
+                           match=r"^h_spatial must be float32 or float64 of shape .*, got list$"):
             dataclasses.replace(full, h_spatial=without_rows(full.h_spatial, range(0, 12, 2)),
                                 h_global=without_rows(full.h_global, range(0, 12, 2)))
 
@@ -582,7 +583,8 @@ class TestChunkedPass:
         # a chunk is a plain slice of its batch, gathered from the columns: a
         # dataset whose target kinds change between samples cannot be built
         ds = tiny_dataset()
-        with pytest.raises(ConfigError, match=r"^h_spatial must be float64 of shape .*, got list$"):
+        with pytest.raises(ConfigError,
+                           match=r"^h_spatial must be float32 or float64 of shape .*, got list$"):
             dataclasses.replace(ds, h_spatial=without_rows(ds.h_spatial, (3, 4)))
 
     def test_numeric_error_in_a_chunk_names_the_sample(self):
@@ -638,7 +640,8 @@ class TestChunkedPass:
         want = fit_outputs(ds, cfg, 1, monkeypatch)[:2]
         assert fit_outputs(ds, cfg, 16, monkeypatch)[:2] == want
         # kinds that change at sample 12 cannot be built
-        with pytest.raises(ConfigError, match=r"^h_global must be float64 of shape .*, got list$"):
+        with pytest.raises(ConfigError,
+                           match=r"^h_global must be float32 or float64 of shape .*, got list$"):
             dataclasses.replace(ds, h_global=without_rows(ds.h_global, (12, 13)))
 
     def test_numeric_error_mid_chunk_names_the_sample(self, monkeypatch):
